@@ -20,11 +20,9 @@ from .errors import (
 from .oracle import SimConfig, propagate_j2, simulate_coverage, walker_elements
 from .passes import (
     OrbitElements,
-    Pass,
     PassSet,
     PlaneSpec,
     WalkerConfig,
-    crossing_longitudes,
     ground_track_shift,
     keplerian_period,
     nodal_period,
@@ -56,7 +54,6 @@ __all__ = [
     "LatitudeUnreachableError",
     "LongitudeGrid",
     "OrbitElements",
-    "Pass",
     "PassSet",
     "PlaneSpec",
     "PoleOverlapError",
@@ -69,7 +66,6 @@ __all__ = [
     "WalkerConfig",
     "analyze",
     "build_grid",
-    "crossing_longitudes",
     "dihedral_half_angle",
     "geodetic_radius",
     "ground_range_from_boresight",

@@ -6,6 +6,7 @@ one or two case fields over ranges and yields one CSV row per cell.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -14,10 +15,11 @@ from typing import Any
 
 import numpy as np
 
+from .coverage import RevisitReport
 from .earth import EARTH, sso_inclination
 from .engine import EngineSettings, analyze
 from .errors import ConfigError, RevisitError
-from .passes import NODAL_FORM_SQUARED, OrbitElements, WalkerConfig
+from .passes import OrbitElements, WalkerConfig
 from .sensor import SensorSpec
 
 CSV_COLUMNS = (
@@ -58,7 +60,6 @@ class CaseConfig:
     window_days: float = 60.0
     grid_res_deg: float = 0.1
     segment_samples: int = 1000
-    nodal_form: str = NODAL_FORM_SQUARED
 
     def validate(self) -> None:
         if (self.altitude_km is None) == (self.semi_major_axis_km is None):
@@ -85,6 +86,13 @@ class ResolvedCase:
     inclination_deg: float
     altitude_km: float
 
+    def inputs(self) -> dict[str, Any]:
+        """Keyword arguments of `engine.analyze` and `engine.oracle_analyze`."""
+        return {
+            "el": self.elements, "sensor": self.sensor, "lat": self.lat,
+            "walker": self.walker, "settings": self.settings,
+        }
+
 
 def resolve_case(cfg: CaseConfig) -> ResolvedCase:
     """Validate and convert a case config to engine inputs."""
@@ -107,14 +115,18 @@ def resolve_case(cfg: CaseConfig) -> ResolvedCase:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.boresight_deg is not None:
-        sensor = SensorSpec.boresight(math.radians(cfg.boresight_deg))
+        name, angle, make = "boresight_deg", cfg.boresight_deg, SensorSpec.boresight
     else:
-        sensor = SensorSpec.elevation(math.radians(cfg.elevation_deg))
+        name, angle, make = "elevation_deg", cfg.elevation_deg, SensorSpec.elevation
+    try:
+        sensor = make(math.radians(angle))
+    except ValueError as exc:
+        # No commas: the message lands in one CSV cell.
+        raise ConfigError(f"{name}={angle:g} is outside the sensor's angle range") from exc
     settings = EngineSettings(
         window=cfg.window_days * 86400.0,
         grid_res=math.radians(cfg.grid_res_deg),
         segment_samples=cfg.segment_samples,
-        nodal_form=cfg.nodal_form,
     )
     t, p, f = cfg.walker
     return ResolvedCase(
@@ -128,10 +140,9 @@ def resolve_case(cfg: CaseConfig) -> ResolvedCase:
     )
 
 
-def run_case(cfg: CaseConfig):
+def run_case(cfg: CaseConfig) -> RevisitReport:
     """Run the semi-analytical chain for one case."""
-    rc = resolve_case(cfg)
-    return analyze(rc.elements, rc.sensor, rc.lat, walker=rc.walker, settings=rc.settings)
+    return analyze(**resolve_case(cfg).inputs())
 
 
 def case_from_dict(data: dict[str, Any]) -> CaseConfig:
@@ -190,17 +201,10 @@ class SweepSpec:
         self.validate()
         names = list(self.axes)
         grids = [self.axis_values(n) for n in names]
-        out = []
-        if len(names) == 1:
-            for v in grids[0]:
-                out.append(replace(self.base, **{names[0]: float(v)}))
-        else:
-            for v0 in grids[0]:
-                for v1 in grids[1]:
-                    out.append(
-                        replace(self.base, **{names[0]: float(v0), names[1]: float(v1)})
-                    )
-        return out
+        return [
+            replace(self.base, **{n: float(v) for n, v in zip(names, values)})
+            for values in itertools.product(*grids)
+        ]
 
 
 def sweep_from_dict(data: dict[str, Any]) -> SweepSpec:
@@ -221,12 +225,15 @@ def _fmt(value: float | None, digits: int = 6) -> str:
     return "" if value is None else f"{value:.{digits}f}"
 
 
-def case_row(case_id: int, cfg: CaseConfig) -> dict[str, str]:
+def case_row(
+    case_id: int, cfg: CaseConfig, rc: ResolvedCase | None = None
+) -> dict[str, str]:
     """Run one sweep cell and format its CSV row.
 
     Window-exceeded cells carry the sentinel in the error column and empty
     metric cells; configuration errors are recorded per cell so the sweep
-    keeps going.
+    keeps going.  ``rc`` is the case already resolved from ``cfg``, when
+    the caller resolved it first.
     """
     row = dict.fromkeys(CSV_COLUMNS, "")
     row["case_id"] = str(case_id)
@@ -242,10 +249,11 @@ def case_row(case_id: int, cfg: CaseConfig) -> dict[str, str]:
         row["sensor_mode"] = "elevation"
         row["sensor_deg"] = _fmt(cfg.elevation_deg, 3)
     try:
-        rc = resolve_case(cfg)
+        if rc is None:
+            rc = resolve_case(cfg)
         row["alt_km"] = _fmt(rc.altitude_km, 3)
         row["inc_deg"] = _fmt(rc.inclination_deg, 4)
-        report = analyze(rc.elements, rc.sensor, rc.lat, walker=rc.walker, settings=rc.settings)
+        report = analyze(**rc.inputs())
         row["coverage_frac"] = _fmt(report.coverage_fraction)
         row["pass_count"] = str(report.pass_count)
         if report.window_exceeded:
@@ -257,10 +265,6 @@ def case_row(case_id: int, cfg: CaseConfig) -> dict[str, str]:
     except RevisitError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
-
-
-def _cell_worker(args: tuple[int, CaseConfig]) -> dict[str, str]:
-    return case_row(*args)
 
 
 def default_workers() -> int:
@@ -277,13 +281,14 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict[str,
     overrides the worker count (1 disables multiprocessing).
     """
     cells = spec.cells()
-    jobs = list(enumerate(cells))
+    ids = range(len(cells))
     workers = max_workers if max_workers is not None else default_workers()
-    workers = max(1, min(workers, len(jobs)))
+    workers = max(1, min(workers, len(cells)))
     if workers == 1:
-        return [case_row(i, c) for i, c in jobs]
+        return list(map(case_row, ids, cells))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell_worker, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        chunksize = max(1, len(cells) // (4 * workers))
+        return list(pool.map(case_row, ids, cells, chunksize=chunksize))
 
 
 def rows_to_csv(rows: list[dict[str, str]]) -> str:

@@ -111,10 +111,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _case_from_args(args)
     rc = resolve_case(cfg)
     if args.csv:
-        row = case_row(0, cfg)
+        row = case_row(0, cfg, rc)
         _emit(rows_to_csv([row]), args.out)
         return 0 if row["error"] in ("", "window_exceeded") else 1
-    report = analyze(rc.elements, rc.sensor, rc.lat, walker=rc.walker, settings=rc.settings)
+    report = analyze(**rc.inputs())
     lines = [
         f"alt_km={rc.altitude_km:.3f}",
         f"inc_deg={rc.inclination_deg:.4f}",
@@ -125,10 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("warning: field of regard reaches past the horizon; "
               "ground range clamped", file=sys.stderr)
     if args.oracle:
-        sim = oracle_analyze(
-            rc.elements, rc.sensor, rc.lat, walker=rc.walker,
-            settings=rc.settings, step=args.oracle_step,
-        )
+        sim = oracle_analyze(**rc.inputs(), step=args.oracle_step)
         lines += _report_lines("oracle_", sim)
         if report.mrt_hours is not None and sim.mrt_hours is not None:
             lines.append(f"mrt_diff_h={abs(report.mrt_hours - sim.mrt_hours):.4f}")

@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import SunSyncInfeasibleError
 
 # Mean sun-synchronous node drift: one full revolution per tropical year.
@@ -64,9 +62,11 @@ def geodetic_radius(lat: float, earth: EarthConstants = EARTH) -> float:
 def sso_inclination(a: float, e: float = 0.0, earth: EarthConstants = EARTH) -> float:
     """Inclination giving a sun-synchronous node drift for the orbit (a, e).
 
-    Inverts the J2 node-drift rate over the retrograde bracket (90, 180) deg.
-    Raises SunSyncInfeasibleError when the orbit is too large (or too
-    eccentric) for any inclination to produce the required drift.
+    Inverts the J2 node-drift rate, which is monotone in the inclination
+    over the retrograde bracket (90, 180) deg, by bisection down to
+    adjacent floats.  Raises SunSyncInfeasibleError when the orbit is too
+    large (or too eccentric) for any inclination to produce the required
+    drift.
     """
     # Import here to avoid a circular import: passes.py needs earth.py.
     from .passes import raan_drift_rate
@@ -80,4 +80,11 @@ def sso_inclination(a: float, e: float = 0.0, earth: EarthConstants = EARTH) -> 
         raise SunSyncInfeasibleError(
             f"no sun-synchronous inclination for a={a:.1f} km, e={e:.4f}"
         )
-    return float(brentq(residual, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (residual(mid) < 0.0) == (r_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid

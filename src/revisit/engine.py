@@ -19,7 +19,6 @@ from .coverage import (
 from .earth import EARTH, EarthConstants
 from .oracle import SimConfig, simulate_coverage, walker_elements
 from .passes import (
-    NODAL_FORM_SQUARED,
     OrbitElements,
     PassSet,
     PlaneSpec,
@@ -46,7 +45,6 @@ class EngineSettings:
     window: float = DEFAULT_WINDOW
     grid_res: float = DEFAULT_GRID_RES
     segment_samples: int = DEFAULT_SEGMENT_SAMPLES
-    nodal_form: str = NODAL_FORM_SQUARED
     bins_per_cell: int = 64
     segment_pad: float = 0.1
     # Sensitivity knob: scales both footprint half-sizes.  Used to probe
@@ -64,7 +62,7 @@ def build_pass_set(
     earth: EarthConstants = EARTH,
 ) -> PassSet:
     """Pass schedule for the constellation at the target latitude."""
-    p_n = nodal_period(el.a, el.e, el.inc, earth, settings.nodal_form)
+    p_n = nodal_period(el.a, el.e, el.inc, earth)
     shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc, earth), earth)
     base = pass_series(el, lat, shift, p_n, settings.window)
     if planes is not None:

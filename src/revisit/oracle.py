@@ -172,10 +172,16 @@ class _SatStream:
         )
 
     def intervals(self, times: np.ndarray, block: int = 64, chunk: int = 32768):
-        """(point, start, end) arrays of refined visibility intervals."""
+        """Refined visibility intervals and the latitude crossings.
+
+        Returns (point, start, end) arrays and the number of times the
+        sub-satellite latitude crosses the target between time steps.
+        """
         cfg = self.cfg
         n_pts = cfg.lons.size
         r, lat_s, lon_s = propagate_j2(self.el, times, cfg.earth)
+        side = np.sign(lat_s - cfg.lat)
+        crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
         pts_out, starts_out, ends_out = [], [], []
         rise_pt, rise_g, fall_pt, fall_g = [], [], [], []
         init_vis = np.zeros(n_pts, dtype=bool)
@@ -237,6 +243,7 @@ class _SatStream:
             np.array(pts_out, dtype=np.int64),
             np.array(starts_out),
             np.array(ends_out),
+            crossings,
         )
 
     def _refine(self, pt: np.ndarray, g: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -263,35 +270,23 @@ def simulate_access_table(cfg: SimConfig) -> AccessTable:
     if times[-1] < cfg.window - 1e-9:
         times = np.append(times, cfg.window)
     pts, starts, ends = [], [], []
+    crossings = 0
     for el in cfg.elements:
-        p, s, e = _SatStream(el, cfg).intervals(times)
+        p, s, e, n_cross = _SatStream(el, cfg).intervals(times)
         pts.append(p)
         starts.append(s)
         ends.append(e)
+        crossings += n_cross
     point = np.concatenate(pts) if pts else np.empty(0, dtype=np.int64)
     start = np.concatenate(starts) if starts else np.empty(0)
     end = np.concatenate(ends) if ends else np.empty(0)
     order = np.lexsort((start, point))
     spacing = TWO_PI / cfg.lons.size if cfg.lons.size else 0.0
     grid = LongitudeGrid(spacing=spacing, lon=np.asarray(cfg.lons, dtype=float))
-    crossings = _count_crossings(cfg)
     return AccessTable(
         point=point[order], start=start[order], end=end[order], grid=grid,
         window=cfg.window, merge_tol=cfg.refine_tol, pass_count=crossings,
     )
-
-
-def _count_crossings(cfg: SimConfig) -> int:
-    """Number of target-latitude crossings of all satellites in the window."""
-    total = 0
-    for el in cfg.elements:
-        # Sample finely enough that no crossing pair is skipped.
-        n = max(64, int(cfg.window / 30.0))
-        t = np.linspace(0.0, cfg.window, n)
-        _, lat_s, _ = propagate_j2(el, t, cfg.earth)
-        s = np.sign(lat_s - cfg.lat)
-        total += int(np.count_nonzero(s[1:] * s[:-1] < 0))
-    return total
 
 
 def simulate_coverage(cfg: SimConfig) -> RevisitReport:

@@ -87,15 +87,6 @@ class PlaneSpec:
 
 
 @dataclass(frozen=True)
-class Pass:
-    lon: float            # crossing longitude, rad in [-pi, pi)
-    epoch: float          # s since analysis start
-    ascending: bool
-    plane_index: int = 0
-    sat_index: int = 0
-
-
-@dataclass(frozen=True)
 class PassSet:
     """Time-ordered latitude crossings over the analysis window.
 
@@ -117,20 +108,9 @@ class PassSet:
     # from the reference satellite's node passage.
     _branch_lon0: tuple[float, float] = field(default=(0.0, 0.0), repr=False)
     _branch_dt: tuple[float, float] = field(default=(0.0, 0.0), repr=False)
-    _node_time: float = field(default=0.0, repr=False)
 
     def __len__(self) -> int:
         return int(self.lon.size)
-
-    def passes(self):
-        for k in range(len(self)):
-            yield Pass(
-                lon=float(self.lon[k]),
-                epoch=float(self.epoch[k]),
-                ascending=bool(self.ascending[k]),
-                plane_index=int(self.plane_index[k]),
-                sat_index=int(self.sat_index[k]),
-            )
 
 
 @dataclass(frozen=True)
@@ -149,10 +129,6 @@ class TrackSegment:
     ascending: bool
 
 
-NODAL_FORM_SQUARED = "ratio_squared"   # correction with (Ra/p)^2, standard
-NODAL_FORM_LINEAR = "ratio_linear"     # correction with (Ra/p)^1
-
-
 def keplerian_period(a: float, earth: EarthConstants = EARTH) -> float:
     """Two-body orbital period, s."""
     if a <= 0.0:
@@ -160,29 +136,16 @@ def keplerian_period(a: float, earth: EarthConstants = EARTH) -> float:
     return TWO_PI * math.sqrt(a**3 / earth.mu)
 
 
-def nodal_period(
-    a: float,
-    e: float,
-    inc: float,
-    earth: EarthConstants = EARTH,
-    form: str = NODAL_FORM_SQUARED,
-) -> float:
+def nodal_period(a: float, e: float, inc: float, earth: EarthConstants = EARTH) -> float:
     """Time between successive ascending-node crossings under J2.
 
-    ``form`` selects the power of the (equatorial radius / semilatus
-    rectum) factor in the J2 correction.  The squared form is the standard
-    secular expansion and is the one that reproduces the validation
-    tables; the linear form is kept selectable for comparison.
+    Standard secular expansion, with the J2 correction scaled by the
+    squared (equatorial radius / semilatus rectum) ratio.
     """
     pk = keplerian_period(a, earth)
     p = a * (1.0 - e * e)
     ratio = earth.equatorial_radius / p
-    if form == NODAL_FORM_SQUARED:
-        factor = ratio * ratio
-    elif form == NODAL_FORM_LINEAR:
-        factor = ratio
-    else:
-        raise ValueError(f"unknown nodal period form {form!r}")
+    factor = ratio * ratio
     si2 = math.sin(inc) ** 2
     bracket = math.sqrt(1.0 - e * e) * (2.0 - 3.0 * si2) + (4.0 - 5.0 * si2)
     return pk / (1.0 + 0.75 * earth.j2 * factor * bracket)
@@ -247,24 +210,6 @@ def node_relative_ra(u, inc: float):
     return np.arctan2(np.sin(u) * math.cos(inc), np.cos(u))
 
 
-def crossing_longitudes(el: OrbitElements, lat: float, shift: float) -> tuple[float, float]:
-    """Earth-fixed longitudes of the first ascending/descending crossings.
-
-    Convention: the reference satellite passes its ascending node at
-    longitude ``raan`` (Greenwich aligned with the vernal equinox at the
-    node passage); Earth rotation and node drift accrued between the node
-    and the crossing are folded in through the per-revolution shift.
-    """
-    nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
-    out = []
-    for nu in (nu_asc, nu_desc):
-        u = el.argp + nu
-        frac = time_fraction_from_node(el, nu)
-        lon = el.raan + float(node_relative_ra(u, el.inc)) + frac * shift
-        out.append(float(wrap_angle(lon)))
-    return out[0], out[1]
-
-
 def _comb_epochs(first: float, period: float, window: float) -> np.ndarray:
     """All epochs first + j*period (j integer) that land inside [0, window]."""
     j_lo = math.ceil(-first / period - 1e-12)
@@ -285,78 +230,33 @@ def pass_series(
 
     The analysis clock starts at the reference satellite's ascending-node
     passage; a nonzero nu0 shifts every epoch so the satellite is at nu0
-    at t=0.
+    at t=0.  The combs come from the one-plane expansion of the
+    satellite's drift-line generator.
     """
     if window <= 0.0:
         raise ValueError("analysis window must be positive")
     nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
     node_time = -time_fraction_from_node(el, el.nu0) * p_n  # node passage, s
-    lons, epochs, asc_flags = [], [], []
-    branch_lon0, branch_dt = [], []
-    for nu, is_asc in ((nu_asc, True), (nu_desc, False)):
-        u = el.argp + nu
-        dt = time_fraction_from_node(el, nu) * p_n
-        # Drift line: lon(t) = raan + node-relative RA + shift * t / p_n.
-        lon0 = el.raan + float(node_relative_ra(u, el.inc))
-        t = _comb_epochs(node_time + dt, p_n, window)
-        lons.append(lon0 + (t / p_n) * shift)
-        epochs.append(t)
-        asc_flags.append(np.full(t.shape, is_asc, dtype=bool))
-        branch_lon0.append(lon0)
-        branch_dt.append(node_time + dt)
-    lon = wrap_angle(np.concatenate(lons))
-    epoch = np.concatenate(epochs)
-    asc = np.concatenate(asc_flags)
-    order = np.argsort(epoch, kind="stable")
-    zeros = np.zeros(lon.size, dtype=np.int64)
-    return PassSet(
-        lon=lon[order],
-        epoch=epoch[order],
-        ascending=asc[order],
-        plane_index=zeros,
-        sat_index=zeros.copy(),
+    branches = (nu_asc, nu_desc)
+    empty = np.empty(0)
+    generator = PassSet(
+        lon=empty,
+        epoch=empty,
+        ascending=np.empty(0, dtype=bool),
+        plane_index=np.empty(0, dtype=np.int64),
+        sat_index=np.empty(0, dtype=np.int64),
         shift_per_rev=shift,
         nodal_period=p_n,
         window=window,
-        _branch_lon0=(float(branch_lon0[0]), float(branch_lon0[1])),
-        _branch_dt=(float(branch_dt[0]), float(branch_dt[1])),
-        _node_time=float(node_time),
+        # Drift line: lon(t) = raan + node-relative RA + shift * t / p_n.
+        _branch_lon0=tuple(
+            float(el.raan + node_relative_ra(el.argp + nu, el.inc)) for nu in branches
+        ),
+        _branch_dt=tuple(
+            float(node_time + time_fraction_from_node(el, nu) * p_n) for nu in branches
+        ),
     )
-
-
-def _expand(
-    base: PassSet,
-    offsets: list[tuple[float, float, int, int]],
-) -> PassSet:
-    """Regenerate the pass combs for satellites at (raan_offset, phase_lead).
-
-    Each entry is (raan_offset_rad, phase_lead_rad, plane_index, sat_index).
-    A satellite leading the reference by ``phase_lead`` in argument of
-    latitude crosses the latitude earlier by the matching fraction of the
-    nodal period; its crossing longitudes follow the shifted drift line.
-    """
-    p_n, shift, window = base.nodal_period, base.shift_per_rev, base.window
-    lons, epochs, ascs, planes, sats = [], [], [], [], []
-    for raan_off, lead, plane_idx, sat_idx in offsets:
-        dt_sat = -(lead / TWO_PI) * p_n
-        for b, is_asc in ((0, True), (1, False)):
-            lon0 = base._branch_lon0[b] + raan_off
-            t = _comb_epochs(base._branch_dt[b] + dt_sat, p_n, window)
-            lons.append(lon0 + (t / p_n) * shift)
-            epochs.append(t)
-            ascs.append(np.full(t.shape, is_asc, dtype=bool))
-            planes.append(np.full(t.shape, plane_idx, dtype=np.int64))
-            sats.append(np.full(t.shape, sat_idx, dtype=np.int64))
-    epoch = np.concatenate(epochs)
-    order = np.argsort(epoch, kind="stable")
-    return replace(
-        base,
-        lon=wrap_angle(np.concatenate(lons))[order],
-        epoch=epoch[order],
-        ascending=np.concatenate(ascs)[order],
-        plane_index=np.concatenate(planes)[order],
-        sat_index=np.concatenate(sats)[order],
-    )
+    return custom_expand(generator, [PlaneSpec(raan=0.0)])
 
 
 def walker_expand(base: PassSet, cfg: WalkerConfig) -> PassSet:
@@ -368,35 +268,56 @@ def walker_expand(base: PassSet, cfg: WalkerConfig) -> PassSet:
     """
     if cfg.total == 1:
         return base
-    offsets = []
-    sat_idx = 0
-    for m in range(cfg.planes):
-        raan_off = TWO_PI * m / cfg.planes
-        for l in range(cfg.per_plane):
-            lead = TWO_PI * (m * cfg.phasing / cfg.total + l / cfg.per_plane)
-            offsets.append((raan_off, lead, m, sat_idx))
-            sat_idx += 1
-    return _expand(base, offsets)
+    planes = [
+        PlaneSpec(
+            raan=TWO_PI * m / cfg.planes,
+            phases=tuple(
+                TWO_PI * (m * cfg.phasing / cfg.total + l / cfg.per_plane)
+                for l in range(cfg.per_plane)
+            ),
+        )
+        for m in range(cfg.planes)
+    ]
+    return custom_expand(base, planes)
 
 
 def custom_expand(base: PassSet, planes: list[PlaneSpec]) -> PassSet:
-    """Expand to a non-symmetric constellation of explicit planes.
+    """Regenerate the pass combs for a constellation of explicit planes.
 
-    Plane RAANs are absolute; the base satellite's own plane is replaced
-    by the provided list.
+    Plane RAANs are absolute, and the first plane is the base satellite's
+    own: every other plane is offset by its RAAN difference from the first.
+    A satellite leading the reference by ``phase`` in argument of latitude
+    crosses the latitude earlier by the matching fraction of the nodal
+    period; its crossing longitudes follow the shifted drift line.
     """
     if not planes:
         raise ConfigError("need at least one plane spec")
-    offsets = []
+    p_n, shift, window = base.nodal_period, base.shift_per_rev, base.window
+    lons, epochs, ascs, plane_ids, sat_ids = [], [], [], [], []
     sat_idx = 0
-    base_raan = None
-    for m, spec in enumerate(planes):
-        if base_raan is None:
-            base_raan = spec.raan
+    for plane_idx, spec in enumerate(planes):
+        raan_off = spec.raan - planes[0].raan
         for lead in spec.phases:
-            offsets.append((spec.raan - base_raan, lead, m, sat_idx))
+            dt_sat = -(lead / TWO_PI) * p_n
+            for b, is_asc in ((0, True), (1, False)):
+                lon0 = base._branch_lon0[b] + raan_off
+                t = _comb_epochs(base._branch_dt[b] + dt_sat, p_n, window)
+                lons.append(lon0 + (t / p_n) * shift)
+                epochs.append(t)
+                ascs.append(np.full(t.shape, is_asc, dtype=bool))
+                plane_ids.append(np.full(t.shape, plane_idx, dtype=np.int64))
+                sat_ids.append(np.full(t.shape, sat_idx, dtype=np.int64))
             sat_idx += 1
-    return _expand(base, offsets)
+    epoch = np.concatenate(epochs)
+    order = np.argsort(epoch, kind="stable")
+    return replace(
+        base,
+        lon=wrap_angle(np.concatenate(lons))[order],
+        epoch=epoch[order],
+        ascending=np.concatenate(ascs)[order],
+        plane_index=np.concatenate(plane_ids)[order],
+        sat_index=np.concatenate(sat_ids)[order],
+    )
 
 
 def ground_track_segment(

@@ -135,6 +135,34 @@ class TestSweep:
         assert "LatitudeUnreachableError" in rows[1]["error"]
         assert rows[0]["error"] == "" and rows[0]["mrt_h"] != ""
 
+    @pytest.mark.parametrize(
+        "name, axis, cells, bad",
+        [
+            ("boresight_deg", [80.0, 95.0, 5.0], ["80.000", "85.000", "90.000", "95.000"],
+             ["90.000", "95.000"]),
+            ("elevation_deg", [-10.0, 10.0, 10.0], ["-10.000", "0.000", "10.000"], ["-10.000"]),
+        ],
+        ids=["boresight", "elevation"],
+    )
+    def test_bad_sensor_angle_stays_in_its_cell(self, tmp_path, capsys, name, axis, cells, bad):
+        case = {"altitude_km": 600.0, "inclination_deg": 55.0, "latitude_deg": 20.0, **FAST}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"case": case, "sweep": {name: axis}}))
+        out_path = tmp_path / "out.csv"
+        code = main(["sweep", "--config", str(path), "--workers", "1", "--out", str(out_path)])
+        header, *lines = out_path.read_text().splitlines()
+        assert all(line.count(",") == header.count(",") for line in lines)
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert code == 1
+        assert "cell(s) failed" in capsys.readouterr().err
+        assert [r["sensor_deg"] for r in rows] == cells
+        for row in rows:
+            if row["sensor_deg"] in bad:
+                assert row["error"].startswith(f"ConfigError: {name}=")
+                assert row["mrt_h"] == ""
+            else:
+                assert row["error"] == "" and row["mrt_h"] != ""
+
     def test_window_exceeded_sentinel(self):
         cfg = CaseConfig(
             altitude_km=600.0, inclination_deg=55.0, boresight_deg=1.0,

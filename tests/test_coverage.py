@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,23 @@ import revisit as rv
 from revisit.coverage import (
     AccessTable,
     LongitudeGrid,
+    accesses_for_passes,
     build_grid,
-    pass_accesses,
     revisit_stats,
 )
 from revisit.engine import EngineSettings, access_table, analyze, build_pass_set
-from revisit.passes import TrackSegment, ground_track_segment, ground_track_shift, nodal_period, raan_drift_rate
-from revisit.sensor import FootprintAtLatitude, resolve_footprint
+from revisit.passes import (
+    TrackSegment,
+    ground_track_segment,
+    ground_track_shift,
+    nodal_period,
+    raan_drift_rate,
+    wrap_angle,
+)
+from revisit.sensor import FootprintAtLatitude, radius_at_latitude, resolve_footprint
 
 from conftest import make_orbit
+from reference_access import pass_accesses, visible_sample_span
 
 
 class TestBuildGrid:
@@ -114,6 +123,94 @@ class TestPassAccesses:
             ) ** 2 <= 1.0
             n_dense = int(np.count_nonzero(inside.any(axis=0)))
             assert abs(len(acc) - n_dense) <= 1
+
+
+def _random_case(rng, index):
+    """Orbit, sensor and target latitude of one random LEO configuration."""
+    alt = rng.uniform(400.0, 1500.0)
+    inc_deg = rng.uniform(20.0, 98.0)
+    reach_deg = min(inc_deg, 180.0 - inc_deg, 80.0)
+    lat = math.radians(rng.uniform(0.0, 0.9) * reach_deg)
+    el = rv.OrbitElements(
+        a=rv.EARTH.equatorial_radius + alt, inc=math.radians(inc_deg),
+        raan=rng.uniform(-math.pi, math.pi), nu0=rng.uniform(0.0, 2 * math.pi),
+    )
+    if index % 2:
+        sensor = rv.SensorSpec.elevation(math.radians(rng.uniform(0.0, 40.0)))
+    else:
+        sensor = rv.SensorSpec.boresight(math.radians(rng.uniform(10.0, 60.0)))
+    return el, sensor, lat
+
+
+class TestBinnedLensAgainstExact:
+    def test_accesses_match_exact_path_outside_boundary_cells(self):
+        # The engine looks each grid point up in a lens binned at
+        # grid.spacing / bins_per_cell, so it evaluates visibility at an
+        # offset up to half a bin from the point.  Outside boundary cells
+        # (points whose exact visibility changes within one bin either
+        # side) every pass must see the same points as the exact
+        # per-sample path, with start and end within one sample step.
+        rng = np.random.default_rng(2024)
+        st = EngineSettings(window=2 * 86400.0, segment_samples=501)
+        grid = build_grid(st.grid_res)
+        dx = grid.spacing / st.bins_per_cell
+        n_access = n_boundary = 0
+        for case in range(12):
+            el, sensor, lat = _random_case(rng, case)
+            pset = build_pass_set(el, lat, settings=st)
+            _, _, r_asc, r_desc = radius_at_latitude(el, lat)
+            fps = {
+                True: resolve_footprint(sensor, r_asc, lat),
+                False: resolve_footprint(sensor, r_desc, lat),
+            }
+            segs = {
+                asc: ground_track_segment(
+                    el, lat, pset.shift_per_rev, st.segment_samples,
+                    reach=fps[asc].ground_range, ascending=asc,
+                )
+                for asc in (True, False)
+            }
+            for asc in (True, False):
+                sel = pset.ascending == asc
+                branch = replace(
+                    pset, lon=pset.lon[sel], epoch=pset.epoch[sel],
+                    ascending=pset.ascending[sel], plane_index=pset.plane_index[sel],
+                    sat_index=pset.sat_index[sel],
+                )
+                table = accesses_for_passes(branch, segs, fps, grid, lat, st.bins_per_cell)
+                # One branch's passes are a nodal period apart, so the
+                # nearest epoch names the pass of each interval.
+                k_of = np.abs(table.start[:, None] - branch.epoch[None, :]).argmin(axis=1)
+                binned = {
+                    (int(i), int(k)): (s, e)
+                    for i, k, s, e in zip(table.point, k_of, table.start, table.end)
+                }
+                exact = {}
+                for k, (lon, epoch) in enumerate(zip(branch.lon, branch.epoch)):
+                    for i, s, e in pass_accesses(
+                        float(lon), float(epoch), segs[asc], fps[asc], grid,
+                        pset.nodal_period, lat,
+                    ):
+                        if e >= 0.0 and s <= st.window:
+                            exact[(i, k)] = (min(max(s, 0.0), st.window), min(e, st.window))
+                keys = sorted(set(exact) | set(binned))
+                i_arr, k_arr = np.array(keys).T
+                x = wrap_angle(grid.lon[i_arr] - branch.lon[k_arr])
+                kf, kl = visible_sample_span(np.concatenate([x - dx, x + dx]), segs[asc], fps[asc], lat)
+                vis = (kf <= kl).reshape(2, -1)
+                boundary = ~(vis[0] & vis[1])
+                for key, at_boundary in zip(keys, boundary):
+                    n_access += 1
+                    if key in exact and key in binned:
+                        d = np.abs(np.subtract(exact[key], binned[key]))
+                        agree = bool(np.all(d <= table.merge_tol * (1 + 1e-9)))
+                    else:
+                        agree = False
+                    if not agree:
+                        assert at_boundary, (case, asc, key, exact.get(key), binned.get(key))
+                        n_boundary += 1
+        assert n_access > 100_000
+        assert n_boundary <= 1e-4 * n_access
 
 
 def _table(point, start, end, n_grid=360, window=100 * 3600.0, merge_tol=1.0, passes=0):
@@ -248,12 +345,6 @@ class TestEngineTable:
         # A sub-cell shift can change which passes catch a cell edge; the
         # effect is bounded by one cell-crossing access duration.
         assert abs(rep1.mrt_hours - rep0.mrt_hours) < 0.25
-
-    def test_intervals_for_lookup(self):
-        t = _table([3, 3, 7], [0.0, 500.0, 100.0], [10.0, 510.0, 110.0])
-        assert t.intervals_for(3) == [(0.0, 10.0), (500.0, 510.0)]
-        assert t.intervals_for(7) == [(100.0, 110.0)]
-        assert t.intervals_for(9) == []
 
     def test_zero_width_sensor_covers_nothing(self):
         el = make_orbit(600.0, 55.0)

@@ -7,10 +7,8 @@ import revisit as rv
 from revisit.earth import EarthConstants
 from revisit.oracle import crossing_events, propagate_j2
 from revisit.passes import (
-    NODAL_FORM_LINEAR,
     OrbitElements,
     WalkerConfig,
-    crossing_longitudes,
     ground_track_segment,
     ground_track_shift,
     keplerian_period,
@@ -74,13 +72,6 @@ class TestPeriods:
             assert p_n > 0.0
             assert abs(p_n - keplerian_period(a)) / keplerian_period(a) < 0.005
 
-    def test_nodal_form_switch(self):
-        sq = nodal_period(6778.137, 0.0, math.radians(20))
-        lin = nodal_period(6778.137, 0.0, math.radians(20), form=NODAL_FORM_LINEAR)
-        assert sq != lin
-        with pytest.raises(ValueError):
-            nodal_period(6778.137, 0.0, 0.3, form="cubic")
-
 
 class TestRaanDrift:
     def test_polar_orbit_has_no_drift(self):
@@ -122,10 +113,17 @@ class TestGroundTrackShift:
                 assert -2 * math.pi < shift < 0.0
 
 
+def _first_crossings(el, lat, shift, p_n):
+    """Longitudes of the first ascending and descending crossings."""
+    ps = pass_series(el, lat, shift, p_n, 2.0 * p_n)
+    return float(ps.lon[ps.ascending][0]), float(ps.lon[~ps.ascending][0])
+
+
 class TestCrossingLongitudes:
     def test_node_at_prime_meridian(self):
         el = make_orbit(500.0, 60.0)
-        lon_asc, _ = crossing_longitudes(el, 0.0, -0.4)
+        p_n = nodal_period(el.a, el.e, el.inc)
+        lon_asc, _ = _first_crossings(el, 0.0, -0.4, p_n)
         assert lon_asc == pytest.approx(0.0, abs=1e-12)
 
     def test_polar_track_meridian(self):
@@ -133,7 +131,8 @@ class TestCrossingLongitudes:
         # longitude is the rotation accrual alone.
         el = make_orbit(500.0, 90.0)
         shift = -0.41
-        lon_asc, _ = crossing_longitudes(el, math.radians(45), shift)
+        p_n = nodal_period(el.a, el.e, el.inc)
+        lon_asc, _ = _first_crossings(el, math.radians(45), shift, p_n)
         frac = (math.radians(45)) / (2 * math.pi)
         assert lon_asc == pytest.approx(frac * shift, abs=1e-12)
 
@@ -141,7 +140,7 @@ class TestCrossingLongitudes:
         el = rv.OrbitElements(a=6878.137, inc=math.radians(60), raan=math.radians(30))
         p_n = nodal_period(el.a, el.e, el.inc)
         shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
-        lon_asc, lon_desc = crossing_longitudes(el, math.radians(20), shift)
+        lon_asc, lon_desc = _first_crossings(el, math.radians(20), shift, p_n)
         events = crossing_events(el, math.radians(20), 2.0 * p_n)
         got_asc = next(lon for _, lon, asc in events if asc)
         got_desc = next(lon for _, lon, asc in events if not asc)
