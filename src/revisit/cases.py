@@ -6,6 +6,8 @@ one or two case fields over ranges and yields one CSV row per cell.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import os
@@ -62,6 +64,10 @@ class CaseConfig:
     segment_samples: int = 1000
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if (self.altitude_km is None) == (self.semi_major_axis_km is None):
             raise ConfigError("give exactly one of altitude_km / semi_major_axis_km")
         if self.sso == (self.inclination_deg is not None):
@@ -72,6 +78,12 @@ class CaseConfig:
             raise ConfigError("target latitude limited to [-80, 80] deg")
         if self.window_days <= 0.0:
             raise ConfigError("window_days must be positive")
+        if not 0.0 < self.grid_res_deg <= 1.0:
+            raise ConfigError(f"grid_res_deg must be in (0, 1], got {self.grid_res_deg:g}")
+        if self.segment_samples < 3:
+            raise ConfigError(f"segment_samples must be at least 3, got {self.segment_samples}")
+        if not 0.0 <= self.eccentricity < 1.0:
+            raise ConfigError("eccentricity must be in [0, 1)")
         t, p, f = self.walker
         WalkerConfig(t, p, f)  # raises on inconsistency
 
@@ -98,9 +110,12 @@ def resolve_case(cfg: CaseConfig) -> ResolvedCase:
     """Validate and convert a case config to engine inputs."""
     cfg.validate()
     if cfg.semi_major_axis_km is not None:
-        a = cfg.semi_major_axis_km
+        name, a = "semi_major_axis_km", cfg.semi_major_axis_km
     else:
-        a = EARTH.equatorial_radius + float(cfg.altitude_km)
+        name, a = "altitude_km", EARTH.equatorial_radius + float(cfg.altitude_km)
+    # Altitude is measured from the equatorial radius, so perigee must clear it.
+    if a * (1.0 - cfg.eccentricity) <= EARTH.equatorial_radius:
+        raise ConfigError(f"{name} puts perigee at or below the equatorial radius")
     if cfg.sso:
         inc = sso_inclination(a, cfg.eccentricity)
     else:
@@ -154,9 +169,10 @@ def case_from_dict(data: dict[str, Any]) -> CaseConfig:
     if "walker" in data:
         w = data["walker"]
         if isinstance(w, str):
-            data = {**data, "walker": parse_walker(w)}
-        elif isinstance(w, (list, tuple)):
-            data = {**data, "walker": tuple(int(x) for x in w)}
+            w = parse_walker(w)
+        elif not isinstance(w, (list, tuple)) or len(w) != 3:
+            raise ConfigError(f"walker must be given as \"t/p/f\" or [t, p, f], got {w!r}")
+        data = {**data, "walker": tuple(int(x) for x in w)}
     return CaseConfig(**data)
 
 
@@ -292,8 +308,12 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict[str,
 
 
 def rows_to_csv(rows: list[dict[str, str]]) -> str:
-    """Render rows with the stable column schema; byte-deterministic."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(row[c] for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """Render rows with the stable column schema; byte-deterministic.
+
+    A cell is quoted only when it holds a comma or a quote.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
+    return out.getvalue()

@@ -179,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_sweep(args)
-    except (ConfigError, RevisitError) as exc:
+    except RevisitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -187,19 +187,29 @@ def accesses_for_passes(
         points.append((idx % grid.size)[ok])
         starts.append(np.clip(st[ok], 0.0, window))
         ends.append(np.clip(en[ok], 0.0, window))
-    if points:
-        point = np.concatenate(points)
-        start = np.concatenate(starts)
-        end = np.concatenate(ends)
-        order = np.lexsort((start, point))
-        point, start, end = point[order], start[order], end[order]
-    else:
-        point = np.empty(0, dtype=np.int64)
-        start = np.empty(0)
-        end = np.empty(0)
-    return AccessTable(
-        point=point, start=start, end=end, grid=grid, window=window,
+    return sorted_access_table(
+        points, starts, ends, grid=grid, window=window,
         merge_tol=merge_tol, pass_count=len(pset),
+    )
+
+
+def sorted_access_table(
+    points: list[np.ndarray],
+    starts: list[np.ndarray],
+    ends: list[np.ndarray],
+    *, grid: LongitudeGrid, window: float, merge_tol: float, pass_count: int,
+) -> AccessTable:
+    """Concatenate interval parts into a table sorted by (point, start).
+
+    The sort is stable, so equal keys keep the order of the parts.
+    """
+    point = np.concatenate([np.empty(0, dtype=np.int64), *points])
+    start = np.concatenate([np.empty(0), *starts])
+    end = np.concatenate([np.empty(0), *ends])
+    order = np.lexsort((start, point))
+    return AccessTable(
+        point=point[order], start=start[order], end=end[order], grid=grid,
+        window=window, merge_tol=merge_tol, pass_count=pass_count,
     )
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coverage import AccessTable, LongitudeGrid, RevisitReport, revisit_stats
+from .coverage import (
+    AccessTable,
+    LongitudeGrid,
+    RevisitReport,
+    revisit_stats,
+    sorted_access_table,
+)
 from .earth import EARTH, EarthConstants, geodetic_radius
 from .errors import KeplerConvergenceError
 from .passes import (
@@ -156,111 +162,64 @@ def _visibility_margin(sensor, r_t, lat_t, lon_t, r_s, lat_s, lon_s):
     return np.minimum(sensor.angle - cone, elev)
 
 
-class _SatStream:
-    """Per-satellite visibility interval extraction for all target points."""
+# Visibility margins per block of grid points; a block spans every step.
+BLOCK_MARGINS = 2**21
 
-    def __init__(self, el: OrbitElements, cfg: SimConfig):
-        self.el = el
-        self.cfg = cfg
-        self.r_t = geodetic_radius(cfg.lat, cfg.earth)
 
-    def margin_at(self, t: np.ndarray, point_idx: np.ndarray) -> np.ndarray:
-        r, lat_s, lon_s = propagate_j2(self.el, t, self.cfg.earth)
-        lon_t = self.cfg.lons[point_idx]
-        return _visibility_margin(
-            self.cfg.sensor, self.r_t, self.cfg.lat, lon_t, r, lat_s, lon_s
-        )
+def _visible(cfg: SimConfig, lon_t, state) -> np.ndarray:
+    r, lat_s, lon_s = state
+    r_t = geodetic_radius(cfg.lat, cfg.earth)
+    return _visibility_margin(cfg.sensor, r_t, cfg.lat, lon_t, r, lat_s, lon_s) >= 0.0
 
-    def intervals(self, times: np.ndarray, block: int = 64, chunk: int = 32768):
-        """Refined visibility intervals and the latitude crossings.
 
-        Returns (point, start, end) arrays and the number of times the
-        sub-satellite latitude crosses the target between time steps.
-        """
-        cfg = self.cfg
-        n_pts = cfg.lons.size
-        r, lat_s, lon_s = propagate_j2(self.el, times, cfg.earth)
-        side = np.sign(lat_s - cfg.lat)
-        crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
-        pts_out, starts_out, ends_out = [], [], []
-        rise_pt, rise_g, fall_pt, fall_g = [], [], [], []
-        init_vis = np.zeros(n_pts, dtype=bool)
-        final_vis = np.zeros(n_pts, dtype=bool)
-        for b0 in range(0, n_pts, block):
-            b1 = min(b0 + block, n_pts)
-            lon_t = cfg.lons[b0:b1, None]
-            prev = None
-            for c0 in range(0, times.size, chunk):
-                c1 = min(c0 + chunk, times.size)
-                vis = (
-                    _visibility_margin(
-                        cfg.sensor, self.r_t, cfg.lat, lon_t,
-                        r[None, c0:c1], lat_s[None, c0:c1], lon_s[None, c0:c1],
-                    )
-                    >= 0.0
-                )
-                if prev is None:
-                    init_vis[b0:b1] = vis[:, 0]
-                else:
-                    flip = vis[:, 0] != prev
-                    rows = np.flatnonzero(flip)
-                    for row in rows:
-                        (rise_pt if vis[row, 0] else fall_pt).append(b0 + row)
-                        (rise_g if vis[row, 0] else fall_g).append(c0)
-                d = vis[:, 1:] != vis[:, :-1]
-                rows, cols = np.nonzero(d)
-                rising = vis[rows, cols + 1]
-                rise_pt.extend((b0 + rows[rising]).tolist())
-                rise_g.extend((c0 + cols[rising] + 1).tolist())
-                fall_pt.extend((b0 + rows[~rising]).tolist())
-                fall_g.extend((c0 + cols[~rising] + 1).tolist())
-                prev = vis[:, -1]
-            final_vis[b0:b1] = prev
-        rise_pt_a = np.array(rise_pt, dtype=np.int64)
-        fall_pt_a = np.array(fall_pt, dtype=np.int64)
-        rise_t = self._refine(rise_pt_a, np.array(rise_g), times)
-        fall_t = self._refine(fall_pt_a, np.array(fall_g), times)
-        ro = np.lexsort((rise_t, rise_pt_a)) if rise_t.size else np.empty(0, np.int64)
-        fo = np.lexsort((fall_t, fall_pt_a)) if fall_t.size else np.empty(0, np.int64)
-        rp, rt = rise_pt_a[ro], rise_t[ro]
-        fp, ft = fall_pt_a[fo], fall_t[fo]
-        # Pair the boundaries per point: starts are window start (if
-        # initially visible) plus rising edges; ends are falling edges
-        # plus window end (if finally visible).
-        window = cfg.window
-        for p in range(n_pts):
-            s_list = rt[np.searchsorted(rp, p) : np.searchsorted(rp, p, "right")].tolist()
-            e_list = ft[np.searchsorted(fp, p) : np.searchsorted(fp, p, "right")].tolist()
-            if init_vis[p]:
-                s_list = [0.0] + s_list
-            if final_vis[p]:
-                e_list = e_list + [window]
-            for s, e in zip(s_list, e_list):
-                pts_out.append(p)
-                starts_out.append(s)
-                ends_out.append(e)
-        return (
-            np.array(pts_out, dtype=np.int64),
-            np.array(starts_out),
-            np.array(ends_out),
-            crossings,
-        )
+def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times) -> np.ndarray:
+    """Bisect each sign change between steps hi_step - 1 and hi_step to refine_tol."""
+    if pt.size == 0:
+        return np.empty(0)
+    lon_t = cfg.lons[pt]
+    lo, hi = times[hi_step - 1], times[hi_step]
+    n_iter = max(1, math.ceil(math.log2(cfg.step / cfg.refine_tol)))
+    lo_vis = _visible(cfg, lon_t, propagate_j2(el, lo, cfg.earth))
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        take_lo = _visible(cfg, lon_t, propagate_j2(el, mid, cfg.earth)) == lo_vis
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    return 0.5 * (lo + hi)
 
-    def _refine(self, pt: np.ndarray, g: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Bisect each sign change down to the refinement tolerance."""
-        if pt.size == 0:
-            return np.empty(0)
-        lo = times[g - 1].astype(float)
-        hi = times[g].astype(float)
-        n_iter = max(1, math.ceil(math.log2(self.cfg.step / self.cfg.refine_tol)))
-        lo_vis = self.margin_at(lo, pt) >= 0.0
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            mid_vis = self.margin_at(mid, pt) >= 0.0
-            take_lo = mid_vis == lo_vis
-            lo = np.where(take_lo, mid, lo)
-            hi = np.where(take_lo, hi, mid)
-        return 0.5 * (lo + hi)
+
+def _sat_intervals(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
+    """Refined visibility intervals of one satellite and its latitude crossings.
+
+    Returns (point, start, end) arrays sorted by (point, start) and the
+    number of times the sub-satellite latitude crosses the target
+    between time steps.
+    """
+    state = propagate_j2(el, times, cfg.earth)
+    side = np.sign(state[1] - cfg.lat)
+    crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
+    n_t = times.size
+    rows = max(1, BLOCK_MARGINS // n_t)
+    pts, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for b0 in range(0, cfg.lons.size, rows):
+        vis = _visible(cfg, cfg.lons[b0 : b0 + rows, None], state)
+        # With an invisible step padded at both ends every visible run has
+        # one rise and one fall, and nonzero lists them in pairs.
+        padded = np.zeros((vis.shape[0], n_t + 2), dtype=np.int8)
+        padded[:, 1:-1] = vis
+        row, col = np.nonzero(np.diff(padded, axis=1))
+        pts.append(b0 + row)
+        cols.append(col)
+    pt, col = np.concatenate(pts), np.concatenate(cols)
+    # Edge column c lies between steps c - 1 and c.
+    rise, fall = col[0::2], col[1::2]
+    start = np.zeros(rise.size)
+    inner = rise > 0
+    start[inner] = _refine(el, cfg, pt[0::2][inner], rise[inner], times)
+    end = np.full(fall.size, cfg.window)
+    inner = fall < n_t
+    end[inner] = _refine(el, cfg, pt[1::2][inner], fall[inner], times)
+    return pt[0::2], start, end, crossings
 
 
 def simulate_access_table(cfg: SimConfig) -> AccessTable:
@@ -269,23 +228,13 @@ def simulate_access_table(cfg: SimConfig) -> AccessTable:
     times = np.arange(n_steps + 1, dtype=float) * cfg.step
     if times[-1] < cfg.window - 1e-9:
         times = np.append(times, cfg.window)
-    pts, starts, ends = [], [], []
-    crossings = 0
-    for el in cfg.elements:
-        p, s, e, n_cross = _SatStream(el, cfg).intervals(times)
-        pts.append(p)
-        starts.append(s)
-        ends.append(e)
-        crossings += n_cross
-    point = np.concatenate(pts) if pts else np.empty(0, dtype=np.int64)
-    start = np.concatenate(starts) if starts else np.empty(0)
-    end = np.concatenate(ends) if ends else np.empty(0)
-    order = np.lexsort((start, point))
+    parts = [_sat_intervals(el, cfg, times) for el in cfg.elements]
+    points, starts, ends, crossings = ([part[k] for part in parts] for k in range(4))
     spacing = TWO_PI / cfg.lons.size if cfg.lons.size else 0.0
     grid = LongitudeGrid(spacing=spacing, lon=np.asarray(cfg.lons, dtype=float))
-    return AccessTable(
-        point=point[order], start=start[order], end=end[order], grid=grid,
-        window=cfg.window, merge_tol=cfg.refine_tol, pass_count=crossings,
+    return sorted_access_table(
+        points, starts, ends, grid=grid, window=cfg.window,
+        merge_tol=cfg.refine_tol, pass_count=sum(crossings),
     )
 
 

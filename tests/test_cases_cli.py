@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +78,8 @@ class TestCaseConfig:
         assert cfg.walker == (4, 2, 1)
         with pytest.raises(ConfigError):
             case_from_dict({"no_such_field": 1})
+        with pytest.raises(ConfigError, match=r"t/p/f.*\[t, p, f\]"):
+            case_from_dict({"altitude_km": 500.0, "walker": {"t": 3, "p": 3, "f": 1}})
 
     def test_run_case_matches_engine(self):
         rep = run_case(BASE)
@@ -163,6 +168,27 @@ class TestSweep:
             else:
                 assert row["error"] == "" and row["mrt_h"] != ""
 
+    def test_error_messages_with_commas_stay_in_one_cell(self):
+        rows = [
+            case_row(0, replace(BASE, eccentricity=1.5)),
+            case_row(1, CaseConfig(altitude_km=6000.0, sso=True, elevation_deg=10.0, **FAST)),
+        ]
+        header, *read = csv.reader(io.StringIO(rows_to_csv(rows)))
+        assert header == list(CSV_COLUMNS)
+        assert [len(r) for r in read] == [len(CSV_COLUMNS)] * 2
+        errors = [dict(zip(header, r))["error"] for r in read]
+        assert errors == [
+            "ConfigError: eccentricity must be in [0, 1)",
+            "SunSyncInfeasibleError: no sun-synchronous inclination for a=12378.1 km, e=0.0000",
+        ]
+
+    def test_bad_altitude_stays_in_its_cell(self):
+        spec = SweepSpec(base=BASE, axes={"altitude_km": (-10.0, 590.0, 300.0)})
+        rows = run_sweep(spec, max_workers=1)
+        assert rows[0]["error"].startswith("ConfigError: altitude_km ")
+        assert rows[0]["mrt_h"] == ""
+        assert all(r["error"] == "" and r["mrt_h"] != "" for r in rows[1:])
+
     def test_window_exceeded_sentinel(self):
         cfg = CaseConfig(
             altitude_km=600.0, inclination_deg=55.0, boresight_deg=1.0,
@@ -218,6 +244,28 @@ class TestCli:
         code = main(["run", "--altitude-km", "600", "--elevation-deg", "15"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--altitude-km", "-10"], "altitude_km"),
+            (["--altitude-km", "nan"], "altitude_km"),
+            (["--semi-major-axis-km", "6370"], "semi_major_axis_km"),
+            (["--window-days", "inf"], "window_days"),
+            (["--grid-res-deg", "nan"], "grid_res_deg"),
+            (["--grid-res-deg", "5"], "grid_res_deg"),
+            (["--segment-samples", "2"], "segment_samples"),
+        ],
+        ids=["alt_neg", "alt_nan", "sma_below", "window_inf", "grid_nan", "grid_5", "samples_2"],
+    )
+    def test_bad_number_is_named_config_error(self, capsys, flags, name):
+        size = [] if "--semi-major-axis-km" in flags else ["--altitude-km", "600"]
+        code = main([
+            "run", *size, "--inclination-deg", "55", "--elevation-deg", "15",
+            "--window-days", "3", "--grid-res-deg", "1", *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} ")
 
     def test_run_missing_config_file(self, capsys):
         code = main(["run", "--config", "/nonexistent.json"])

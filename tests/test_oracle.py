@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import revisit as rv
+from revisit.earth import geodetic_radius
 from revisit.engine import EngineSettings, analyze, oracle_analyze
 from revisit.errors import KeplerConvergenceError
 from revisit.oracle import (
     SimConfig,
+    _visibility_margin,
     propagate_j2,
     secular_rates,
     simulate_access_table,
@@ -139,6 +141,47 @@ class TestSimulateCoverage:
         assert np.all(tab.start >= 0.0)
         assert np.all(tab.end <= cfg.window + 1e-9)
         assert np.all(tab.end >= tab.start)
+
+    @pytest.mark.parametrize(
+        "el, sensor",
+        [
+            (rv.OrbitElements(a=rv.EARTH.equatorial_radius + 700.0, inc=math.radians(60.0),
+                              nu0=0.5), rv.SensorSpec.elevation(0.0)),
+            (rv.OrbitElements(a=7300.0, e=0.02, inc=math.radians(70.0), argp=1.2, nu0=1.5),
+             rv.SensorSpec.boresight(math.radians(45.0))),
+        ],
+        ids=["circular_elevation", "eccentric_boresight"],
+    )
+    def test_intervals_pair_visible_runs_of_the_step_grid(self, el, sensor):
+        # A 4-day window has more steps than one block of the old chunked
+        # scan; both orbits see some points at the first and last step.
+        lat = math.radians(20.0)
+        cfg = SimConfig(
+            elements=(el,), sensor=sensor, lat=lat,
+            lons=np.radians(np.arange(-180.0, 180.0, 4.0)), window=4 * 86400.0,
+        )
+        times = np.arange(int(cfg.window / cfg.step) + 1) * cfg.step
+        assert times.size > 32768 and times[-1] == cfg.window
+        r, lat_s, lon_s = propagate_j2(el, times)
+        vis = _visibility_margin(
+            sensor, geodetic_radius(lat), lat, cfg.lons[:, None], r, lat_s, lon_s
+        ) >= 0.0
+        assert vis[:, 0].any() and vis[:, -1].any()
+        tab = simulate_access_table(cfg)
+        # Steps covered per point: +1 at the first step at or after each
+        # start, -1 after the last step at or before each end.
+        cover = np.zeros((cfg.lons.size, times.size + 1), dtype=np.int64)
+        np.add.at(cover, (tab.point, np.searchsorted(times, tab.start, "left")), 1)
+        np.add.at(cover, (tab.point, np.searchsorted(times, tab.end, "right")), -1)
+        assert np.array_equal(np.cumsum(cover, axis=1)[:, :-1], vis.astype(np.int64))
+        runs = np.count_nonzero(np.diff(vis.astype(np.int8), axis=1) == 1, axis=1) + vis[:, 0]
+        assert np.array_equal(np.bincount(tab.point, minlength=cfg.lons.size), runs)
+        first = np.searchsorted(tab.point, np.flatnonzero(vis[:, 0]))
+        assert np.all(tab.start[first] == 0.0)
+        assert np.count_nonzero(tab.start == 0.0) == np.count_nonzero(vis[:, 0])
+        last = np.searchsorted(tab.point, np.flatnonzero(vis[:, -1]), "right") - 1
+        assert np.all(tab.end[last] == cfg.window)
+        assert np.count_nonzero(tab.end == cfg.window) == np.count_nonzero(vis[:, -1])
 
     def test_matches_engine_on_small_case(self):
         el = make_orbit(650.0, 65.0)
