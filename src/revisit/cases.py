@@ -38,6 +38,14 @@ SWEEPABLE_FIELDS = (
 WINDOW_EXCEEDED = "window_exceeded"
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CaseConfig:
     """One analysis case, in user units.
@@ -64,10 +72,22 @@ class CaseConfig:
     segment_samples: int = 1000
 
     def validate(self) -> None:
+        # Field types as annotated: JSON configs can carry any type.
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if value is None and f.type.endswith("| None"):
+                continue
+            if f.type.startswith("float"):
+                if not _is_number(value):
+                    raise ConfigError(f"{f.name} must be a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
+            elif f.type == "int" and not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+        if not all(_is_int(x) for x in self.walker):
+            raise ConfigError(f"walker entries must be integers, got {list(self.walker)}")
         if (self.altitude_km is None) == (self.semi_major_axis_km is None):
             raise ConfigError("give exactly one of altitude_km / semi_major_axis_km")
         if self.sso == (self.inclination_deg is not None):
@@ -85,7 +105,10 @@ class CaseConfig:
         if not 0.0 <= self.eccentricity < 1.0:
             raise ConfigError("eccentricity must be in [0, 1)")
         t, p, f = self.walker
-        WalkerConfig(t, p, f)  # raises on inconsistency
+        try:
+            WalkerConfig(t, p, f)
+        except ValueError as exc:
+            raise ConfigError(f"walker {t}/{p}/{f} is invalid: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -172,7 +195,7 @@ def case_from_dict(data: dict[str, Any]) -> CaseConfig:
             w = parse_walker(w)
         elif not isinstance(w, (list, tuple)) or len(w) != 3:
             raise ConfigError(f"walker must be given as \"t/p/f\" or [t, p, f], got {w!r}")
-        data = {**data, "walker": tuple(int(x) for x in w)}
+        data = {**data, "walker": tuple(w)}
     return CaseConfig(**data)
 
 
@@ -228,17 +251,23 @@ def sweep_from_dict(data: dict[str, Any]) -> SweepSpec:
     axes_data = data.get("sweep", {})
     axes = {}
     for name, rng in axes_data.items():
-        if isinstance(rng, dict):
-            axes[name] = (float(rng["min"]), float(rng["max"]), float(rng["step"]))
-        else:
-            lo, hi, step = rng
-            axes[name] = (float(lo), float(hi), float(step))
+        values = [rng.get(k) for k in ("min", "max", "step")] if isinstance(rng, dict) else rng
+        if not (
+            isinstance(values, (list, tuple)) and len(values) == 3
+            and all(map(_is_number, values))
+        ):
+            raise ConfigError(
+                f"{name} sweep range must be three numbers, as [min, max, step] "
+                f"or {{min, max, step}}; got {rng!r}"
+            )
+        axes[name] = tuple(float(v) for v in values)
         case_data.setdefault(name, None)
     return SweepSpec(base=case_from_dict(case_data), axes=axes)
 
 
-def _fmt(value: float | None, digits: int = 6) -> str:
-    return "" if value is None else f"{value:.{digits}f}"
+def _fmt(value: Any, digits: int = 6) -> str:
+    """A number to fixed digits; anything else (None, a bad type) to ""."""
+    return f"{value:.{digits}f}" if _is_number(value) else ""
 
 
 def case_row(

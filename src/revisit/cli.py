@@ -22,8 +22,9 @@ from .cases import (
     run_sweep,
     sweep_from_dict,
 )
-from .engine import analyze, oracle_analyze
+from .engine import analyze, oracle_sim_config
 from .errors import ConfigError, RevisitError
+from .oracle import simulate_coverage
 
 
 def _add_case_flags(p: argparse.ArgumentParser) -> None:
@@ -125,7 +126,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("warning: field of regard reaches past the horizon; "
               "ground range clamped", file=sys.stderr)
     if args.oracle:
-        sim = oracle_analyze(**rc.inputs(), step=args.oracle_step)
+        try:
+            sim_cfg = oracle_sim_config(**rc.inputs(), step=args.oracle_step)
+        except ValueError as exc:
+            raise ConfigError(f"oracle_step {args.oracle_step:g} is invalid: {exc}") from exc
+        sim = simulate_coverage(sim_cfg)
         lines += _report_lines("oracle_", sim)
         if report.mrt_hours is not None and sim.mrt_hours is not None:
             lines.append(f"mrt_diff_h={abs(report.mrt_hours - sim.mrt_hours):.4f}")

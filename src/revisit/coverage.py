@@ -24,6 +24,8 @@ from .sensor import FootprintAtLatitude
 
 TWO_PI = 2.0 * math.pi
 MAX_GRID_RESOLUTION = math.radians(1.0)
+# Lens bins per longitude grid cell.
+BINS_PER_CELL = 64
 
 
 @dataclass(frozen=True)
@@ -88,54 +90,43 @@ class RevisitReport:
         return self.coverage_fraction < 1.0 or self.mrt_hours is None
 
 
-class _BranchLens:
+def _branch_lens(
+    segment: TrackSegment,
+    footprint: FootprintAtLatitude,
+    lat: float,
+    bin_width: float,
+) -> tuple[float, float, np.ndarray, np.ndarray] | None:
     """First/last visible sample index versus longitude offset, one branch.
 
     Built by sweeping the segment samples and painting each sample's
     visible offset interval [lon_off - w, lon_off + w] onto a fine offset
     grid, where w is the ellipse half-chord at the sample's latitude
-    distance from the target.
+    distance from the target.  Returns (x_min, x_max, first, last) with
+    bin j at offset x_min + j * bin_width, or None when no sample sees
+    the target latitude.
     """
-
-    def __init__(
-        self,
-        segment: TrackSegment,
-        footprint: FootprintAtLatitude,
-        lat: float,
-        p_n: float,
-        bin_width: float,
-    ):
-        theta = footprint.ground_range
-        lam = footprint.lon_half_width
-        self.t = segment.time_frac * p_n
-        self.dt_sample = float(np.max(np.abs(np.diff(self.t)))) if self.t.size > 1 else 0.0
-        dlat = (segment.lat - lat) / theta if theta > 0.0 else np.full_like(segment.lat, np.inf)
-        w2 = 1.0 - dlat * dlat
-        valid = w2 >= 0.0
-        self.empty = not bool(np.any(valid)) or lam <= 0.0
-        if self.empty:
-            return
-        w = lam * np.sqrt(np.where(valid, w2, 0.0))
-        left = segment.lon_off - w
-        right = segment.lon_off + w
-        self.x_min = float(np.min(left[valid]))
-        self.x_max = float(np.max(right[valid]))
-        self.dx = bin_width
-        nb = int(math.ceil((self.x_max - self.x_min) / bin_width)) + 1
-        self.n_bins = nb
-        n = segment.u.size
-        self.first = np.full(nb, n, dtype=np.int32)
-        self.last = np.full(nb, -1, dtype=np.int32)
-        los = np.ceil((left - self.x_min) / bin_width - 1e-9).astype(np.int64)
-        his = np.floor((right - self.x_min) / bin_width + 1e-9).astype(np.int64)
-        los = np.clip(los, 0, nb - 1)
-        his = np.clip(his, 0, nb - 1)
-        for k in np.flatnonzero(valid):
-            lo, hi = int(los[k]), int(his[k]) + 1
-            if hi <= lo:
-                continue
-            np.minimum(self.first[lo:hi], k, out=self.first[lo:hi])
-            self.last[lo:hi] = k
+    theta = footprint.ground_range
+    lam = footprint.lon_half_width
+    dlat = (segment.lat - lat) / theta if theta > 0.0 else np.full_like(segment.lat, np.inf)
+    w2 = 1.0 - dlat * dlat
+    valid = w2 >= 0.0
+    if not np.any(valid) or lam <= 0.0:
+        return None
+    w = lam * np.sqrt(np.where(valid, w2, 0.0))
+    left = segment.lon_off - w
+    right = segment.lon_off + w
+    x_min = float(np.min(left[valid]))
+    x_max = float(np.max(right[valid]))
+    nb = int(math.ceil((x_max - x_min) / bin_width)) + 1
+    first = np.full(nb, segment.lat.size, dtype=np.int32)
+    last = np.full(nb, -1, dtype=np.int32)
+    los = np.ceil((left - x_min) / bin_width - 1e-9).astype(np.int64)
+    his = np.floor((right - x_min) / bin_width + 1e-9).astype(np.int64) + 1
+    for k in np.flatnonzero(valid):
+        lo, hi = los[k], his[k]
+        np.minimum(first[lo:hi], k, out=first[lo:hi])
+        last[lo:hi] = k
+    return x_min, x_max, first, last
 
 
 def accesses_for_passes(
@@ -144,7 +135,7 @@ def accesses_for_passes(
     footprints: dict[bool, FootprintAtLatitude],
     grid: LongitudeGrid,
     lat: float,
-    bins_per_cell: int = 64,
+    bins_per_cell: int = BINS_PER_CELL,
 ) -> AccessTable:
     """Intersect every pass with the grid and assemble the access table.
 
@@ -158,29 +149,26 @@ def accesses_for_passes(
     bin_width = grid.spacing / bins_per_cell
     for is_asc in (True, False):
         seg = segments[is_asc]
-        lens = _BranchLens(seg, footprints[is_asc], lat, pset.nodal_period, bin_width)
-        merge_tol = max(merge_tol, lens.dt_sample)
-        if lens.empty:
+        t = seg.time_frac * pset.nodal_period
+        if t.size > 1:
+            merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
+        lens = _branch_lens(seg, footprints[is_asc], lat, bin_width)
+        if lens is None:
             continue
+        x_min, x_max, first, last = lens
         sel = pset.ascending == is_asc
         lam_c = pset.lon[sel]
         epoch = pset.epoch[sel]
-        if lam_c.size == 0:
-            continue
-        n_cand = int(math.floor((lens.x_max - lens.x_min) / grid.spacing)) + 2
-        base = np.ceil((lam_c + lens.x_min + math.pi) / grid.spacing).astype(np.int64)
-        offs = np.arange(n_cand)
-        idx = base[:, None] + offs[None, :]
+        n_cand = int(math.floor((x_max - x_min) / grid.spacing)) + 2
+        base = np.ceil((lam_c + x_min + math.pi) / grid.spacing).astype(np.int64)
+        idx = base[:, None] + np.arange(n_cand)[None, :]
         x = idx * grid.spacing - math.pi - lam_c[:, None]
-        b = np.rint((x - lens.x_min) / lens.dx).astype(np.int64)
-        inb = (b >= 0) & (b < lens.n_bins)
-        b = np.clip(b, 0, lens.n_bins - 1)
-        kf = lens.first[b]
-        kl = lens.last[b]
+        b = np.rint((x - x_min) / bin_width).astype(np.int64)
+        inb = (b >= 0) & (b < first.size)
+        b = np.clip(b, 0, first.size - 1)
+        kf = first[b]
+        kl = last[b]
         ok = inb & (kf <= kl)
-        if not np.any(ok):
-            continue
-        t = lens.t
         st = epoch[:, None] + t[np.clip(kf, 0, t.size - 1)]
         en = epoch[:, None] + t[kl]
         ok &= (en >= 0.0) & (st <= window)
@@ -222,13 +210,6 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     are treated as one access.
     """
     n_grid = table.grid.size
-    if table.point.size == 0:
-        return RevisitReport(
-            mrt_hours=None, art_hours=None, coverage_fraction=0.0,
-            time_to_full_coverage_hours=None, uncovered_count=n_grid,
-            pass_count=table.pass_count, gap_count=0, grid_size=n_grid,
-            clamped=clamped,
-        )
     pt, st, en = table.point, table.start, table.end
     # Segmented running max of interval ends: offsetting by point index
     # keeps the accumulate from leaking across grid points.
@@ -238,8 +219,7 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     raw = st[1:] - run_end[:-1]
     mask = same & (raw > table.merge_tol)
     gaps = raw[mask]
-    first_of_point = np.empty(pt.size, dtype=bool)
-    first_of_point[0] = True
+    first_of_point = np.ones(pt.size, dtype=bool)
     first_of_point[1:] = ~same
     covered = int(np.count_nonzero(first_of_point))
     coverage = covered / n_grid

@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .coverage import (
+    BINS_PER_CELL,
     AccessTable,
     RevisitReport,
     accesses_for_passes,
     build_grid,
     revisit_stats,
 )
-from .earth import EARTH, EarthConstants
 from .oracle import SimConfig, simulate_coverage, walker_elements
 from .passes import (
+    SEGMENT_PAD,
     OrbitElements,
     PassSet,
     PlaneSpec,
@@ -45,8 +47,10 @@ class EngineSettings:
     window: float = DEFAULT_WINDOW
     grid_res: float = DEFAULT_GRID_RES
     segment_samples: int = DEFAULT_SEGMENT_SAMPLES
-    bins_per_cell: int = 64
-    segment_pad: float = 0.1
+    # Fixed discretisation; class attributes, not settings, so that the
+    # staged benchmark chain (perfbench/staged.py) can read them here.
+    bins_per_cell: ClassVar[int] = BINS_PER_CELL
+    segment_pad: ClassVar[float] = SEGMENT_PAD
     # Sensitivity knob: scales both footprint half-sizes.  Used to probe
     # whether a result hinges on marginal grazing accesses; 1.0 for
     # normal analysis.
@@ -59,11 +63,10 @@ def build_pass_set(
     walker: WalkerConfig | None = None,
     planes: list[PlaneSpec] | None = None,
     settings: EngineSettings = EngineSettings(),
-    earth: EarthConstants = EARTH,
 ) -> PassSet:
     """Pass schedule for the constellation at the target latitude."""
-    p_n = nodal_period(el.a, el.e, el.inc, earth)
-    shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc, earth), earth)
+    p_n = nodal_period(el.a, el.e, el.inc)
+    shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
     base = pass_series(el, lat, shift, p_n, settings.window)
     if planes is not None:
         return custom_expand(base, planes)
@@ -79,14 +82,13 @@ def access_table(
     walker: WalkerConfig | None = None,
     planes: list[PlaneSpec] | None = None,
     settings: EngineSettings = EngineSettings(),
-    earth: EarthConstants = EARTH,
 ) -> tuple[AccessTable, bool]:
     """Access table plus a flag noting a beyond-horizon footprint clamp."""
-    pset = build_pass_set(el, lat, walker, planes, settings, earth)
+    pset = build_pass_set(el, lat, walker, planes, settings)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
     footprints = {
-        True: resolve_footprint(sensor, r_asc, lat, earth),
-        False: resolve_footprint(sensor, r_desc, lat, earth),
+        True: resolve_footprint(sensor, r_asc, lat),
+        False: resolve_footprint(sensor, r_desc, lat),
     }
     if settings.footprint_scale != 1.0:
         footprints = {
@@ -101,14 +103,11 @@ def access_table(
         asc: ground_track_segment(
             el, lat, pset.shift_per_rev, settings.segment_samples,
             reach=footprints[asc].ground_range, ascending=asc,
-            pad=settings.segment_pad,
         )
         for asc in (True, False)
     }
     grid = build_grid(settings.grid_res)
-    table = accesses_for_passes(
-        pset, segments, footprints, grid, lat, settings.bins_per_cell
-    )
+    table = accesses_for_passes(pset, segments, footprints, grid, lat)
     clamped = footprints[True].clamped or footprints[False].clamped
     return table, clamped
 
@@ -120,10 +119,9 @@ def analyze(
     walker: WalkerConfig | None = None,
     planes: list[PlaneSpec] | None = None,
     settings: EngineSettings = EngineSettings(),
-    earth: EarthConstants = EARTH,
 ) -> RevisitReport:
     """Semi-analytical revisit report for one configuration."""
-    table, clamped = access_table(el, sensor, lat, walker, planes, settings, earth)
+    table, clamped = access_table(el, sensor, lat, walker, planes, settings)
     return revisit_stats(table, clamped=clamped)
 
 
@@ -133,9 +131,7 @@ def oracle_sim_config(
     lat: float,
     walker: WalkerConfig | None = None,
     settings: EngineSettings = EngineSettings(),
-    earth: EarthConstants = EARTH,
     step: float = 10.0,
-    refine_tol: float = 0.1,
 ) -> SimConfig:
     """Brute-force simulation setup matching the engine's conventions."""
     sats = walker_elements(el, walker) if walker is not None else [el]
@@ -147,8 +143,6 @@ def oracle_sim_config(
         lons=grid.lon,
         window=settings.window,
         step=step,
-        refine_tol=refine_tol,
-        earth=earth,
     )
 
 
@@ -158,10 +152,8 @@ def oracle_analyze(
     lat: float,
     walker: WalkerConfig | None = None,
     settings: EngineSettings = EngineSettings(),
-    earth: EarthConstants = EARTH,
     step: float = 10.0,
-    refine_tol: float = 0.1,
 ) -> RevisitReport:
     """Brute-force revisit report on the same grid and window."""
-    cfg = oracle_sim_config(el, sensor, lat, walker, settings, earth, step, refine_tol)
+    cfg = oracle_sim_config(el, sensor, lat, walker, settings, step)
     return simulate_coverage(cfg)

@@ -135,8 +135,8 @@ class SimConfig:
     earth: EarthConstants = field(default=EARTH)
 
     def __post_init__(self) -> None:
-        if self.step <= 0.0:
-            raise ValueError("time step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("time step must be positive and finite")
         if not self.refine_tol < self.step:
             raise ValueError("refinement tolerance must be below the step")
 

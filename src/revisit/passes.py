@@ -23,6 +23,8 @@ from .errors import ConfigError
 from .sensor import radius_at_latitude
 
 TWO_PI = 2.0 * math.pi
+# Track-segment span beyond the footprint's reach, as a fraction of it.
+SEGMENT_PAD = 0.1
 
 
 def wrap_angle(x):
@@ -122,11 +124,9 @@ class TrackSegment:
     (multiply by the nodal period for seconds).  lat is absolute.
     """
 
-    u: np.ndarray          # argument of latitude at each sample, rad
     lat: np.ndarray        # geocentric sub-satellite latitude, rad
     lon_off: np.ndarray    # longitude offset from the crossing, rad
     time_frac: np.ndarray  # time offset from the crossing, revolutions
-    ascending: bool
 
 
 def keplerian_period(a: float, earth: EarthConstants = EARTH) -> float:
@@ -327,7 +327,7 @@ def ground_track_segment(
     n_points: int,
     reach: float,
     ascending: bool = True,
-    pad: float = 0.1,
+    pad: float = SEGMENT_PAD,
 ) -> TrackSegment:
     """Sample the ground track around one latitude crossing.
 
@@ -366,7 +366,4 @@ def ground_track_segment(
     frac = np.array([time_fraction_from_node(el, uk - el.argp) for uk in u])
     d_frac = wrap_angle((frac - frac_c) * TWO_PI) / TWO_PI
     lon_off = d_ra + d_frac * shift
-    return TrackSegment(
-        u=u, lat=lat_k, lon_off=np.asarray(lon_off), time_frac=d_frac,
-        ascending=ascending,
-    )
+    return TrackSegment(lat=lat_k, lon_off=np.asarray(lon_off), time_frac=d_frac)

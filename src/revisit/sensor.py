@@ -56,17 +56,12 @@ class FootprintAtLatitude:
     ground_range: Earth-central half-angle from nadir to the footprint edge.
     lon_half_width: half-width of the footprint measured along the latitude
         circle, in longitude.
-    slant_range: distance from the satellite to the footprint edge (km).
-    edge_angle: interior angle of the centre-satellite-edge triangle at the
-        edge point (obtuse; elevation + pi/2).
     clamped: the requested cone reached past the horizon and the ground
         range was clamped to the horizon angle.
     """
 
     ground_range: float
     lon_half_width: float
-    slant_range: float
-    edge_angle: float
     clamped: bool = False
 
 
@@ -124,21 +119,23 @@ def dihedral_half_angle(ground_range: float, lat: float) -> float:
     """Longitude half-width of the footprint at latitude ``lat``.
 
     Solves the isosceles spherical triangle between two points on the
-    latitude circle separated by the ground-range angle.  Equals the
-    ground range at the equator and grows toward the poles.  Raises
-    PoleOverlapError when the footprint reaches over the pole.
+    latitude circle separated by the ground-range angle, in the half-angle
+    form that stays accurate for small ground ranges.  Equals the ground
+    range at the equator and grows toward the poles.  Raises
+    PoleOverlapError when the footprint reaches over the pole, i.e. when
+    the ground range exceeds pi - 2|lat|.
     """
     c = math.cos(lat)
     if c * c < _ARG_EPS:
         if ground_range < _ARG_EPS:
             return 0.0
         raise PoleOverlapError("footprint undefined at the pole")
-    arg = (math.cos(ground_range) - math.sin(lat) ** 2) / (c * c)
-    if arg < -1.0 - 1e-9:
+    arg = math.sin(0.5 * ground_range) / c
+    if arg > 1.0 + 1e-9:
         raise PoleOverlapError(
             f"footprint reaches over the pole at latitude {math.degrees(lat):.2f} deg"
         )
-    return math.acos(min(1.0, max(-1.0, arg)))
+    return 2.0 * math.asin(min(1.0, arg))
 
 
 def resolve_footprint(
@@ -156,20 +153,10 @@ def resolve_footprint(
     clamped = False
     if sensor.mode == "elevation":
         theta = ground_range_from_elevation(r_lat, r_s, sensor.angle)
-        edge_angle = sensor.angle + math.pi / 2.0
     else:
         theta, clamped = ground_range_from_boresight(r_lat, r_s, sensor.angle)
-        if clamped:
-            edge_angle = math.pi / 2.0
-        else:
-            edge_angle = math.pi - math.asin(r_s * math.sin(sensor.angle) / r_lat)
-    # Slant range from the side-angle-side solution of the same triangle.
-    slant = math.sqrt(r_lat * r_lat + r_s * r_s - 2.0 * r_lat * r_s * math.cos(theta))
-    lon_half = dihedral_half_angle(theta, lat)
     return FootprintAtLatitude(
         ground_range=theta,
-        lon_half_width=lon_half,
-        slant_range=slant,
-        edge_angle=edge_angle,
+        lon_half_width=dihedral_half_angle(theta, lat),
         clamped=clamped,
     )

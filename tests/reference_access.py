@@ -29,7 +29,7 @@ def visible_sample_span(
     every offset.  Sentinels (n, -1) mark offsets visible at no sample.
     """
     theta, lam = footprint.ground_range, footprint.lon_half_width
-    n = segment.u.size
+    n = segment.lat.size
     if theta <= 0.0 or lam <= 0.0:
         return np.full(x.size, n, np.int32), np.full(x.size, -1, np.int32)
     du = (x[:, None] - segment.lon_off[None, :]) / lam

@@ -80,6 +80,10 @@ class TestCaseConfig:
             case_from_dict({"no_such_field": 1})
         with pytest.raises(ConfigError, match=r"t/p/f.*\[t, p, f\]"):
             case_from_dict({"altitude_km": 500.0, "walker": {"t": 3, "p": 3, "f": 1}})
+        for walker in (["a", "b", "c"], [1.5, 1, 0]):
+            cfg = case_from_dict({"altitude_km": 500.0, "walker": walker})
+            with pytest.raises(ConfigError, match=r"^walker entries must be integers"):
+                resolve_case(cfg)
 
     def test_run_case_matches_engine(self):
         rep = run_case(BASE)
@@ -189,6 +193,23 @@ class TestSweep:
         assert rows[0]["mrt_h"] == ""
         assert all(r["error"] == "" and r["mrt_h"] != "" for r in rows[1:])
 
+    @pytest.mark.parametrize(
+        "name, value, error",
+        [("walker", "3/2/0", "walker 3/2/0 "), ("window_days", "2", "window_days ")],
+        ids=["walker", "window_str"],
+    )
+    def test_bad_case_value_fails_every_cell(self, tmp_path, capsys, name, value, error):
+        case = {**BASE.__dict__, name: value}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"case": case, "sweep": {"latitude_deg": [0, 20, 10]}}))
+        out_path = tmp_path / "out.csv"
+        code = main(["sweep", "--config", str(path), "--workers", "1", "--out", str(out_path)])
+        rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
+        assert code == 1
+        assert "3 cell(s) failed" in capsys.readouterr().err
+        assert [r["lat_deg"] for r in rows] == ["0.000", "10.000", "20.000"]
+        assert all(r["error"].startswith(f"ConfigError: {error}") for r in rows)
+
     def test_window_exceeded_sentinel(self):
         cfg = CaseConfig(
             altitude_km=600.0, inclination_deg=55.0, boresight_deg=1.0,
@@ -255,8 +276,19 @@ class TestCli:
             (["--grid-res-deg", "nan"], "grid_res_deg"),
             (["--grid-res-deg", "5"], "grid_res_deg"),
             (["--segment-samples", "2"], "segment_samples"),
+            (["--walker", "3/2/0"], "walker"),
+            (["--walker", "3/3/5"], "walker"),
+            (["--walker", "0/1/0"], "walker"),
+            (["--oracle", "--oracle-step", "0"], "oracle_step"),
+            (["--oracle", "--oracle-step", "0.05"], "oracle_step"),
+            (["--oracle", "--oracle-step", "nan"], "oracle_step"),
+            (["--oracle", "--oracle-step", "inf"], "oracle_step"),
         ],
-        ids=["alt_neg", "alt_nan", "sma_below", "window_inf", "grid_nan", "grid_5", "samples_2"],
+        ids=[
+            "alt_neg", "alt_nan", "sma_below", "window_inf", "grid_nan", "grid_5", "samples_2",
+            "walker_divide", "walker_phasing", "walker_empty",
+            "step_0", "step_below_tol", "step_nan", "step_inf",
+        ],
     )
     def test_bad_number_is_named_config_error(self, capsys, flags, name):
         size = [] if "--semi-major-axis-km" in flags else ["--altitude-km", "600"]
@@ -265,6 +297,29 @@ class TestCli:
             "--window-days", "3", "--grid-res-deg", "1", *flags,
         ])
         assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+    @pytest.mark.parametrize(
+        "command, section, name",
+        [
+            ("run", {"case": {"sso": "no"}}, "sso"),
+            ("run", {"case": {"window_days": "2"}}, "window_days"),
+            ("run", {"case": {"latitude_deg": None}}, "latitude_deg"),
+            ("run", {"case": {"segment_samples": 999.5}}, "segment_samples"),
+            ("sweep", {"sweep": {"latitude_deg": [10, 20]}}, "latitude_deg"),
+            ("sweep", {"sweep": {"latitude_deg": {"min": 10}}}, "latitude_deg"),
+            ("sweep", {"sweep": {"latitude_deg": [10, 20, "x"]}}, "latitude_deg"),
+        ],
+        ids=["sso_str", "window_str", "lat_null", "samples_float",
+             "range_short", "range_dict_short", "range_str"],
+    )
+    def test_config_value_of_wrong_type_is_named(self, tmp_path, capsys, command, section, name):
+        case = {"altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0,
+                "latitude_deg": 20.0, **FAST}
+        config = {**section, "case": {**case, **section.get("case", {})}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {name} ")
 
     def test_run_missing_config_file(self, capsys):

@@ -48,19 +48,14 @@ class TestBuildGrid:
 
 def _point_segment(lat: float) -> TrackSegment:
     return TrackSegment(
-        u=np.array([0.5]),
         lat=np.array([lat]),
         lon_off=np.array([0.0]),
         time_frac=np.array([0.0]),
-        ascending=True,
     )
 
 
 def _footprint(theta: float, lam: float) -> FootprintAtLatitude:
-    return FootprintAtLatitude(
-        ground_range=theta, lon_half_width=lam, slant_range=1000.0,
-        edge_angle=2.0, clamped=False,
-    )
+    return FootprintAtLatitude(ground_range=theta, lon_half_width=lam, clamped=False)
 
 
 class TestPassAccesses:

@@ -216,3 +216,8 @@ class TestSimulateCoverage:
                 elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
                 lons=np.array([0.0]), window=100.0, step=10.0, refine_tol=20.0,
             )
+        with pytest.raises(ValueError):
+            SimConfig(
+                elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
+                lons=np.array([0.0]), window=100.0, step=math.inf,
+            )

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import revisit as rv
 from revisit.engine import EngineSettings, analyze
@@ -48,6 +48,7 @@ def test_ground_range_increasing_in_half_cone(r_s, p1, p2):
 
 
 @given(lat=latitudes, r_s=radii, elev=elevations)
+@example(lat=0.0, r_s=6593.0, elev=1.5703125)  # a 1.6e-5 rad ground range
 @settings(max_examples=200)
 def test_lon_half_width_at_least_ground_range(lat, r_s, elev):
     try:
@@ -76,7 +77,7 @@ def test_footprint_outputs_finite_over_random_domain():
             fp = resolve_footprint(spec, float(r_s[k]), float(lat[k]))
         except rv.PoleOverlapError:
             continue  # wide footprint over the pole: defined error, not a value
-        for v in (fp.ground_range, fp.lon_half_width, fp.slant_range):
+        for v in (fp.ground_range, fp.lon_half_width):
             assert math.isfinite(v)
             assert v >= 0.0
 

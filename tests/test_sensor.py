@@ -144,10 +144,6 @@ class TestResolveFootprint:
         fp = resolve_footprint(SensorSpec.boresight(math.radians(80)), 6878.137, 0.0)
         assert fp.clamped
 
-    def test_slant_range_positive(self):
-        fp = resolve_footprint(SensorSpec.boresight(math.radians(45)), 6878.137, 0.0)
-        assert 0.0 < fp.slant_range < 6878.137
-
     def test_sensor_spec_validation(self):
         with pytest.raises(ValueError):
             SensorSpec.boresight(math.radians(95))
