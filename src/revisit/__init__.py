@@ -17,7 +17,7 @@ from .errors import (
     RevisitError,
     SunSyncInfeasibleError,
 )
-from .oracle import SimConfig, propagate_j2, simulate_coverage, walker_elements
+from .oracle import SimConfig, plane_elements, propagate_j2, simulate_coverage
 from .passes import (
     OrbitElements,
     PassSet,
@@ -28,7 +28,7 @@ from .passes import (
     nodal_period,
     pass_series,
     raan_drift_rate,
-    walker_expand,
+    walker_planes,
 )
 from .sensor import (
     FootprintAtLatitude,
@@ -75,6 +75,7 @@ __all__ = [
     "nodal_period",
     "oracle_analyze",
     "pass_series",
+    "plane_elements",
     "propagate_j2",
     "raan_drift_rate",
     "radius_at_latitude",
@@ -84,6 +85,5 @@ __all__ = [
     "run_sweep",
     "simulate_coverage",
     "sso_inclination",
-    "walker_elements",
-    "walker_expand",
+    "walker_planes",
 ]

@@ -46,6 +46,13 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def json_object(name: str, value: Any) -> dict[str, Any]:
+    """``value`` if it is a JSON object, else a ConfigError naming ``name``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CaseConfig:
     """One analysis case, in user units.
@@ -186,7 +193,7 @@ def run_case(cfg: CaseConfig) -> RevisitReport:
 def case_from_dict(data: dict[str, Any]) -> CaseConfig:
     """Build a CaseConfig from a JSON-style dict (e.g. a config file)."""
     known = {f.name for f in fields(CaseConfig)}
-    unknown = set(data) - known
+    unknown = set(json_object("case", data)) - known
     if unknown:
         raise ConfigError(f"unknown case fields: {sorted(unknown)}")
     if "walker" in data:
@@ -247,10 +254,8 @@ class SweepSpec:
 
 
 def sweep_from_dict(data: dict[str, Any]) -> SweepSpec:
-    case_data = dict(data.get("case", {}))
-    axes_data = data.get("sweep", {})
     axes = {}
-    for name, rng in axes_data.items():
+    for name, rng in json_object("sweep", data.get("sweep", {})).items():
         values = [rng.get(k) for k in ("min", "max", "step")] if isinstance(rng, dict) else rng
         if not (
             isinstance(values, (list, tuple)) and len(values) == 3
@@ -261,8 +266,7 @@ def sweep_from_dict(data: dict[str, Any]) -> SweepSpec:
                 f"or {{min, max, step}}; got {rng!r}"
             )
         axes[name] = tuple(float(v) for v in values)
-        case_data.setdefault(name, None)
-    return SweepSpec(base=case_from_dict(case_data), axes=axes)
+    return SweepSpec(base=case_from_dict(data.get("case", {})), axes=axes)
 
 
 def _fmt(value: Any, digits: int = 6) -> str:

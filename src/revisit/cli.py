@@ -16,15 +16,15 @@ from .cases import (
     CaseConfig,
     case_from_dict,
     case_row,
+    json_object,
     parse_walker,
     resolve_case,
     rows_to_csv,
     run_sweep,
     sweep_from_dict,
 )
-from .engine import analyze, oracle_sim_config
+from .engine import analyze, oracle_analyze
 from .errors import ConfigError, RevisitError
-from .oracle import simulate_coverage
 
 
 def _add_case_flags(p: argparse.ArgumentParser) -> None:
@@ -56,7 +56,7 @@ _FLAG_FIELDS = (
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json_object(f"config {path}", json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
@@ -127,10 +127,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "ground range clamped", file=sys.stderr)
     if args.oracle:
         try:
-            sim_cfg = oracle_sim_config(**rc.inputs(), step=args.oracle_step)
+            sim = oracle_analyze(**rc.inputs(), step=args.oracle_step)
         except ValueError as exc:
             raise ConfigError(f"oracle_step {args.oracle_step:g} is invalid: {exc}") from exc
-        sim = simulate_coverage(sim_cfg)
         lines += _report_lines("oracle_", sim)
         if report.mrt_hours is not None and sim.mrt_hours is not None:
             lines.append(f"mrt_diff_h={abs(report.mrt_hours - sim.mrt_hours):.4f}")

@@ -18,20 +18,19 @@ from .coverage import (
     build_grid,
     revisit_stats,
 )
-from .oracle import SimConfig, simulate_coverage, walker_elements
+from .oracle import SimConfig, plane_elements, simulate_coverage
 from .passes import (
     SEGMENT_PAD,
     OrbitElements,
     PassSet,
     PlaneSpec,
     WalkerConfig,
-    custom_expand,
     ground_track_segment,
     ground_track_shift,
     nodal_period,
     pass_series,
     raan_drift_rate,
-    walker_expand,
+    walker_planes,
 )
 from .sensor import SensorSpec, radius_at_latitude, resolve_footprint
 
@@ -64,15 +63,12 @@ def build_pass_set(
     planes: list[PlaneSpec] | None = None,
     settings: EngineSettings = EngineSettings(),
 ) -> PassSet:
-    """Pass schedule for the constellation at the target latitude."""
+    """Pass schedule at the target latitude of ``planes``, else of the Walker pattern."""
     p_n = nodal_period(el.a, el.e, el.inc)
     shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
-    base = pass_series(el, lat, shift, p_n, settings.window)
-    if planes is not None:
-        return custom_expand(base, planes)
-    if walker is not None:
-        return walker_expand(base, walker)
-    return base
+    if planes is None:
+        planes = walker_planes(walker or WalkerConfig())
+    return pass_series(el, lat, shift, p_n, settings.window, planes)
 
 
 def access_table(
@@ -80,11 +76,10 @@ def access_table(
     sensor: SensorSpec,
     lat: float,
     walker: WalkerConfig | None = None,
-    planes: list[PlaneSpec] | None = None,
     settings: EngineSettings = EngineSettings(),
 ) -> tuple[AccessTable, bool]:
     """Access table plus a flag noting a beyond-horizon footprint clamp."""
-    pset = build_pass_set(el, lat, walker, planes, settings)
+    pset = build_pass_set(el, lat, walker, settings=settings)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
     footprints = {
         True: resolve_footprint(sensor, r_asc, lat),
@@ -117,11 +112,10 @@ def analyze(
     sensor: SensorSpec,
     lat: float,
     walker: WalkerConfig | None = None,
-    planes: list[PlaneSpec] | None = None,
     settings: EngineSettings = EngineSettings(),
 ) -> RevisitReport:
     """Semi-analytical revisit report for one configuration."""
-    table, clamped = access_table(el, sensor, lat, walker, planes, settings)
+    table, clamped = access_table(el, sensor, lat, walker, settings)
     return revisit_stats(table, clamped=clamped)
 
 
@@ -134,7 +128,9 @@ def oracle_sim_config(
     step: float = 10.0,
 ) -> SimConfig:
     """Brute-force simulation setup matching the engine's conventions."""
-    sats = walker_elements(el, walker) if walker is not None else [el]
+    # Without a pattern the satellite is used as given: the element round
+    # trip through the mean anomaly can change its last bits.
+    sats = plane_elements(el, walker_planes(walker)) if walker is not None else [el]
     grid = build_grid(settings.grid_res)
     return SimConfig(
         elements=tuple(sats),

@@ -9,6 +9,7 @@ two isolate method error rather than model error.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from .earth import EARTH, EarthConstants, geodetic_radius
 from .errors import KeplerConvergenceError
 from .passes import (
     OrbitElements,
-    WalkerConfig,
+    PlaneSpec,
     _mean_from_true,
     raan_drift_rate,
     wrap_angle,
@@ -94,27 +95,23 @@ def propagate_j2(el: OrbitElements, t, earth: EarthConstants = EARTH):
     return r, lat, lon
 
 
-def walker_elements(el: OrbitElements, cfg: WalkerConfig) -> list[OrbitElements]:
-    """Element sets of every satellite in a Walker t/p/f pattern.
+def plane_elements(el: OrbitElements, planes: Sequence[PlaneSpec]) -> list[OrbitElements]:
+    """Element sets of every satellite of ``planes``, in `pass_series` order.
 
-    Plane m sits 2*pi*m/planes east in node; its satellites lead the
-    reference by 2*pi*m*phasing/total in mean anomaly, with in-plane
-    satellites equally spaced.
+    The first plane is ``el``'s own: every other plane's node is offset by
+    its RAAN difference from the first, and each satellite leads ``el`` by
+    its phase in mean anomaly.
     """
-    sats = []
     m0 = _mean_from_true(el.nu0, el.e)
-    for m in range(cfg.planes):
-        for l in range(cfg.per_plane):
-            lead = TWO_PI * (m * cfg.phasing / cfg.total + l / cfg.per_plane)
-            nu0 = true_from_mean(m0 + lead, el.e)
-            sats.append(
-                replace(
-                    el,
-                    raan=float(wrap_angle(el.raan + TWO_PI * m / cfg.planes)),
-                    nu0=float(wrap_angle(nu0)),
-                )
-            )
-    return sats
+    return [
+        replace(
+            el,
+            raan=float(wrap_angle(el.raan + (spec.raan - planes[0].raan))),
+            nu0=float(wrap_angle(true_from_mean(m0 + lead, el.e))),
+        )
+        for spec in planes
+        for lead in spec.phases
+    ]
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ drift line
 
     lon(t) = lon_node0 + plane_offset + (shift / nodal_period) * t
 
-which is how this module generates passes, in-plane phasing, and Walker
-plane expansion consistently.
+which is how this module generates the passes of every satellite of a
+plane list, such as the one `walker_planes` builds for a Walker pattern.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +79,11 @@ class WalkerConfig:
 
 @dataclass(frozen=True)
 class PlaneSpec:
-    """One plane of a non-symmetric constellation.
+    """One orbital plane of a constellation.
 
-    raan is absolute (rad); phases are each satellite's in-plane argument
-    of latitude lead relative to the reference satellite (rad).
+    raan is absolute (rad); phases are each satellite's in-plane lead over
+    the reference satellite in mean anomaly (rad), so a satellite with
+    phase x passes every point of the orbit x/2pi nodal periods earlier.
     """
 
     raan: float
@@ -90,12 +92,7 @@ class PlaneSpec:
 
 @dataclass(frozen=True)
 class PassSet:
-    """Time-ordered latitude crossings over the analysis window.
-
-    Parallel arrays sorted by epoch.  The generator fields (branch node
-    offsets and timing) are retained so constellation expansion can
-    regenerate combs exactly instead of shifting finite sets.
-    """
+    """Latitude crossings over the analysis window, as parallel arrays sorted by epoch."""
 
     lon: np.ndarray
     epoch: np.ndarray
@@ -105,11 +102,6 @@ class PassSet:
     shift_per_rev: float
     nodal_period: float
     window: float
-    # Generator state: longitude of each branch crossing extrapolated to
-    # epoch 0 along the drift line, and the branch crossing time offsets
-    # from the reference satellite's node passage.
-    _branch_lon0: tuple[float, float] = field(default=(0.0, 0.0), repr=False)
-    _branch_dt: tuple[float, float] = field(default=(0.0, 0.0), repr=False)
 
     def __len__(self) -> int:
         return int(self.lon.size)
@@ -219,56 +211,14 @@ def _comb_epochs(first: float, period: float, window: float) -> np.ndarray:
     return first + np.arange(j_lo, j_hi + 1) * period
 
 
-def pass_series(
-    el: OrbitElements,
-    lat: float,
-    shift: float,
-    p_n: float,
-    window: float,
-) -> PassSet:
-    """Latitude crossings of a single satellite over [0, window].
-
-    The analysis clock starts at the reference satellite's ascending-node
-    passage; a nonzero nu0 shifts every epoch so the satellite is at nu0
-    at t=0.  The combs come from the one-plane expansion of the
-    satellite's drift-line generator.
-    """
-    if window <= 0.0:
-        raise ValueError("analysis window must be positive")
-    nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
-    node_time = -time_fraction_from_node(el, el.nu0) * p_n  # node passage, s
-    branches = (nu_asc, nu_desc)
-    empty = np.empty(0)
-    generator = PassSet(
-        lon=empty,
-        epoch=empty,
-        ascending=np.empty(0, dtype=bool),
-        plane_index=np.empty(0, dtype=np.int64),
-        sat_index=np.empty(0, dtype=np.int64),
-        shift_per_rev=shift,
-        nodal_period=p_n,
-        window=window,
-        # Drift line: lon(t) = raan + node-relative RA + shift * t / p_n.
-        _branch_lon0=tuple(
-            float(el.raan + node_relative_ra(el.argp + nu, el.inc)) for nu in branches
-        ),
-        _branch_dt=tuple(
-            float(node_time + time_fraction_from_node(el, nu) * p_n) for nu in branches
-        ),
-    )
-    return custom_expand(generator, [PlaneSpec(raan=0.0)])
-
-
-def walker_expand(base: PassSet, cfg: WalkerConfig) -> PassSet:
-    """Expand a single-satellite pass set to a Walker t/p/f pattern.
+def walker_planes(cfg: WalkerConfig) -> list[PlaneSpec]:
+    """The plane list of a Walker t/p/f pattern, reference plane first.
 
     Plane m is separated by 2*pi*m/planes in node longitude and its
-    satellites lead the reference by 2*pi*m*phasing/total in phase;
+    satellites lead the reference by 2*pi*m*phasing/total in mean anomaly;
     in-plane satellites are equally spaced.
     """
-    if cfg.total == 1:
-        return base
-    planes = [
+    return [
         PlaneSpec(
             raan=TWO_PI * m / cfg.planes,
             phases=tuple(
@@ -278,31 +228,51 @@ def walker_expand(base: PassSet, cfg: WalkerConfig) -> PassSet:
         )
         for m in range(cfg.planes)
     ]
-    return custom_expand(base, planes)
 
 
-def custom_expand(base: PassSet, planes: list[PlaneSpec]) -> PassSet:
-    """Regenerate the pass combs for a constellation of explicit planes.
+def pass_series(
+    el: OrbitElements,
+    lat: float,
+    shift: float,
+    p_n: float,
+    window: float,
+    planes: Sequence[PlaneSpec] = (PlaneSpec(raan=0.0),),
+) -> PassSet:
+    """Latitude crossings of every satellite of ``planes`` over [0, window].
 
-    Plane RAANs are absolute, and the first plane is the base satellite's
-    own: every other plane is offset by its RAAN difference from the first.
-    A satellite leading the reference by ``phase`` in argument of latitude
-    crosses the latitude earlier by the matching fraction of the nodal
-    period; its crossing longitudes follow the shifted drift line.
+    The analysis clock starts at the reference satellite's ascending-node
+    passage; a nonzero nu0 shifts every epoch so the satellite is at nu0
+    at t=0.  Plane RAANs are absolute, and the first plane is ``el``'s
+    own: every other plane is offset by its RAAN difference from the
+    first.  A satellite leading the reference by ``phase`` crosses the
+    latitude earlier by the matching fraction of the nodal period; its
+    crossing longitudes follow the shifted drift line.
     """
+    if window <= 0.0:
+        raise ValueError("analysis window must be positive")
     if not planes:
         raise ConfigError("need at least one plane spec")
-    p_n, shift, window = base.nodal_period, base.shift_per_rev, base.window
+    nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
+    node_time = -time_fraction_from_node(el, el.nu0) * p_n  # node passage, s
+    # Per branch: the drift line's longitude at epoch 0 (raan + node-relative
+    # RA) and the crossing's time offset from the reference's node passage.
+    branches = [
+        (
+            is_asc,
+            float(el.raan + node_relative_ra(el.argp + nu, el.inc)),
+            float(node_time + time_fraction_from_node(el, nu) * p_n),
+        )
+        for is_asc, nu in ((True, nu_asc), (False, nu_desc))
+    ]
     lons, epochs, ascs, plane_ids, sat_ids = [], [], [], [], []
     sat_idx = 0
     for plane_idx, spec in enumerate(planes):
         raan_off = spec.raan - planes[0].raan
         for lead in spec.phases:
             dt_sat = -(lead / TWO_PI) * p_n
-            for b, is_asc in ((0, True), (1, False)):
-                lon0 = base._branch_lon0[b] + raan_off
-                t = _comb_epochs(base._branch_dt[b] + dt_sat, p_n, window)
-                lons.append(lon0 + (t / p_n) * shift)
+            for is_asc, lon0, dt in branches:
+                t = _comb_epochs(dt + dt_sat, p_n, window)
+                lons.append(lon0 + raan_off + (t / p_n) * shift)
                 epochs.append(t)
                 ascs.append(np.full(t.shape, is_asc, dtype=bool))
                 plane_ids.append(np.full(t.shape, plane_idx, dtype=np.int64))
@@ -310,13 +280,15 @@ def custom_expand(base: PassSet, planes: list[PlaneSpec]) -> PassSet:
             sat_idx += 1
     epoch = np.concatenate(epochs)
     order = np.argsort(epoch, kind="stable")
-    return replace(
-        base,
+    return PassSet(
         lon=wrap_angle(np.concatenate(lons))[order],
         epoch=epoch[order],
         ascending=np.concatenate(ascs)[order],
         plane_index=np.concatenate(plane_ids)[order],
         sat_index=np.concatenate(sat_ids)[order],
+        shift_per_rev=shift,
+        nodal_period=p_n,
+        window=window,
     )
 
 

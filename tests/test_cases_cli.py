@@ -322,6 +322,34 @@ class TestCli:
         assert main([command, "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {name} ")
 
+    @pytest.mark.parametrize(
+        "command, config, name",
+        [
+            ("run", [1, 2], "config"),
+            ("run", 5, "config"),
+            ("sweep", 5, "config"),
+            ("run", {"case": 5}, "case"),
+            ("sweep", {"case": [1], "sweep": {"latitude_deg": [10, 20, 10]}}, "case"),
+            ("sweep", {"case": {}, "sweep": [1, 2, 3]}, "sweep"),
+        ],
+        ids=["run_list", "run_number", "sweep_number", "case_number", "case_list",
+             "sweep_list"],
+    )
+    def test_config_section_not_an_object_is_named(self, tmp_path, capsys, command, config, name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} ") and "must be a JSON object" in err
+
+    @pytest.mark.parametrize("axis", ["walker", "altitude"])
+    def test_sweeping_a_field_that_cannot_be_swept_names_it(self, tmp_path, capsys, axis):
+        case = {"altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0, **FAST}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"case": case, "sweep": {axis: [1, 2, 1]}}))
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot sweep {axis!r}")
+
     def test_run_missing_config_file(self, capsys):
         code = main(["run", "--config", "/nonexistent.json"])
         assert code == 1

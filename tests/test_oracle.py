@@ -10,15 +10,15 @@ from revisit.errors import KeplerConvergenceError
 from revisit.oracle import (
     SimConfig,
     _visibility_margin,
+    plane_elements,
     propagate_j2,
     secular_rates,
     simulate_access_table,
     simulate_coverage,
     solve_kepler,
     true_from_mean,
-    walker_elements,
 )
-from revisit.passes import nodal_period, wrap_angle
+from revisit.passes import nodal_period, walker_planes, wrap_angle
 
 from conftest import make_orbit
 
@@ -89,7 +89,7 @@ class TestPropagateJ2:
 class TestWalkerElements:
     def test_pattern_offsets(self):
         el = make_orbit(700.0, 96.0)
-        sats = walker_elements(el, rv.WalkerConfig(3, 3, 1))
+        sats = plane_elements(el, walker_planes(rv.WalkerConfig(3, 3, 1)))
         assert len(sats) == 3
         for m, s in enumerate(sats):
             assert wrap_angle(s.raan - el.raan - 2 * math.pi * m / 3) == pytest.approx(0.0, abs=1e-12)
@@ -97,7 +97,7 @@ class TestWalkerElements:
 
     def test_in_plane_spacing(self):
         el = make_orbit(700.0, 96.0)
-        sats = walker_elements(el, rv.WalkerConfig(4, 2, 0))
+        sats = plane_elements(el, walker_planes(rv.WalkerConfig(4, 2, 0)))
         assert [s.raan for s in sats[:2]] == [el.raan, el.raan]
         assert wrap_angle(sats[1].nu0 - el.nu0 - math.pi) == pytest.approx(0.0, abs=1e-12)
 

@@ -5,9 +5,10 @@ import pytest
 
 import revisit as rv
 from revisit.earth import EarthConstants
-from revisit.oracle import crossing_events, propagate_j2
+from revisit.oracle import crossing_events, plane_elements, propagate_j2
 from revisit.passes import (
     OrbitElements,
+    PlaneSpec,
     WalkerConfig,
     ground_track_segment,
     ground_track_shift,
@@ -15,7 +16,7 @@ from revisit.passes import (
     nodal_period,
     pass_series,
     raan_drift_rate,
-    walker_expand,
+    walker_planes,
     wrap_angle,
 )
 from revisit.sensor import resolve_footprint
@@ -190,15 +191,20 @@ class TestPassSeries:
         assert np.all(ps.lon < math.pi)
 
 
+def _expanded(planes, inc_deg=90.0, window=86400.0):
+    """Polar-ish 700 km schedules at the equator: one satellite, then ``planes``."""
+    el, p_n, shift, base = _single_sat_schedule(700.0, inc_deg, 0.0, window)
+    return p_n, shift, base, pass_series(el, 0.0, shift, p_n, window, planes)
+
+
 class TestWalkerExpand:
     def test_degenerate_identity(self):
-        _, _, _, base = _single_sat_schedule(700.0, 90.0, 0.0, 86400.0)
-        out = walker_expand(base, WalkerConfig(1, 1, 0))
-        assert out is base
+        _, _, base, out = _expanded(walker_planes(WalkerConfig(1, 1, 0)))
+        for name in ("lon", "epoch", "ascending", "plane_index", "sat_index"):
+            assert np.array_equal(getattr(out, name), getattr(base, name))
 
     def test_three_plane_longitude_offsets(self):
-        _, p_n, shift, base = _single_sat_schedule(700.0, 90.0, 0.0, 86400.0)
-        out = walker_expand(base, WalkerConfig(3, 3, 0))
+        _, _, _, out = _expanded(walker_planes(WalkerConfig(3, 3, 0)))
         # f=0: all planes cross at the same epochs, offset by 120 deg.
         for m in (1, 2):
             sel = out.plane_index == m
@@ -208,19 +214,18 @@ class TestWalkerExpand:
             assert np.allclose(d, 0.0, atol=1e-9)
 
     def test_expansion_multiplies_count(self):
-        _, _, _, base = _single_sat_schedule(700.0, 90.0, 0.0, 86400.0)
         # Plane-only expansion leaves epochs untouched: exact multiple.
-        assert len(walker_expand(base, WalkerConfig(3, 3, 0))) == 3 * len(base)
+        _, _, base, out = _expanded(walker_planes(WalkerConfig(3, 3, 0)))
+        assert len(out) == 3 * len(base)
         # Phased satellites cross at shifted epochs, so each may gain or
         # lose one window-edge pass.
-        out = walker_expand(base, WalkerConfig(6, 3, 2))
+        _, _, _, out = _expanded(walker_planes(WalkerConfig(6, 3, 2)))
         assert 6 * (len(base) - 2) <= len(out) <= 6 * (len(base) + 2)
 
     def test_phasing_shifts_epochs_along_drift_line(self):
         # Every satellite's crossings stay on its plane's drift line:
         # lon - shift * epoch / P_n is constant per plane and branch.
-        _, p_n, shift, base = _single_sat_schedule(700.0, 96.0, 0.0, 86400.0)
-        out = walker_expand(base, WalkerConfig(3, 3, 1))
+        p_n, shift, _, out = _expanded(walker_planes(WalkerConfig(3, 3, 1)), inc_deg=96.0)
         for m in (0, 1, 2):
             for asc in (True, False):
                 sel = (out.plane_index == m) & (out.ascending == asc)
@@ -252,29 +257,42 @@ class TestWalkerExpand:
     def test_custom_planes_match_walker(self):
         # An explicit plane list reproducing a 4/2/0 pattern equals the
         # Walker expansion.
-        from revisit.passes import PlaneSpec, custom_expand
-
-        _, _, _, base = _single_sat_schedule(700.0, 90.0, 0.0, 86400.0)
-        walker = walker_expand(base, WalkerConfig(4, 2, 0))
-        custom = custom_expand(
-            base,
+        _, _, _, walker = _expanded(walker_planes(WalkerConfig(4, 2, 0)))
+        _, _, _, custom = _expanded(
             [
                 PlaneSpec(raan=0.0, phases=(0.0, math.pi)),
                 PlaneSpec(raan=math.pi, phases=(0.0, math.pi)),
-            ],
+            ]
         )
         assert np.allclose(walker.epoch, custom.epoch, atol=1e-9)
         assert np.allclose(wrap_angle(walker.lon - custom.lon), 0.0, atol=1e-9)
 
     def test_custom_planes_nonuniform(self):
-        from revisit.passes import PlaneSpec, custom_expand
-
-        _, p_n, shift, base = _single_sat_schedule(700.0, 90.0, 0.0, 86400.0)
-        out = custom_expand(base, [PlaneSpec(raan=0.0), PlaneSpec(raan=0.3, phases=(0.1,))])
+        p_n, shift, _, out = _expanded([PlaneSpec(raan=0.0), PlaneSpec(raan=0.3, phases=(0.1,))])
         assert set(np.unique(out.plane_index)) == {0, 1}
         sel = (out.plane_index == 1) & out.ascending
         resid = wrap_angle(out.lon[sel] - (shift / p_n) * out.epoch[sel] - 0.3)
         assert np.ptp(wrap_angle(resid - resid[0])) < 1e-9
+
+    @pytest.mark.parametrize("pattern", [(6, 3, 2), (4, 2, 1)], ids=["6/3/2", "4/2/1"])
+    def test_satellite_k_is_the_oracle_satellite_k(self, pattern):
+        # The engine's satellite k and the oracle's element set k are the
+        # same satellite: the same crossings, one by one.
+        window, lat = 86400.0, math.radians(20.0)
+        el = make_orbit(700.0, 60.0, raan=0.4, nu0=0.3)
+        p_n = nodal_period(el.a, el.e, el.inc)
+        shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
+        planes = walker_planes(WalkerConfig(*pattern))
+        ps = pass_series(el, lat, shift, p_n, window, planes)
+        sats = plane_elements(el, planes)
+        assert set(np.unique(ps.sat_index)) == set(range(len(sats)))
+        for k, sat in enumerate(sats):
+            sel = ps.sat_index == k
+            t, lon, asc = (np.array(x) for x in zip(*crossing_events(sat, lat, window)))
+            assert t.size == np.count_nonzero(sel)
+            assert np.array_equal(asc, ps.ascending[sel])
+            assert np.max(np.abs(t - ps.epoch[sel])) < 1.0
+            assert np.degrees(np.max(np.abs(wrap_angle(lon - ps.lon[sel])))) < 0.01
 
     def test_walker_config_validation(self):
         with pytest.raises(ValueError):
