@@ -37,6 +37,14 @@ SWEEPABLE_FIELDS = (
 
 WINDOW_EXCEEDED = "window_exceeded"
 
+# Field pairs of which a case sets exactly one; the unset side keeps its
+# default (None, or False for sso).
+EITHER_OR = (
+    ("altitude_km", "semi_major_axis_km"),
+    ("inclination_deg", "sso"),
+    ("boresight_deg", "elevation_deg"),
+)
+
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -57,9 +65,8 @@ def json_object(name: str, value: Any) -> dict[str, Any]:
 class CaseConfig:
     """One analysis case, in user units.
 
-    Exactly one of inclination_deg / sso and exactly one of boresight_deg /
-    elevation_deg must be given.  Altitude is measured above the equatorial
-    radius; semi_major_axis_km may be given instead.
+    Exactly one field of each `EITHER_OR` pair must be given.  Altitude is
+    measured above the equatorial radius.
     """
 
     altitude_km: float | None = None
@@ -95,12 +102,10 @@ class CaseConfig:
                 raise ConfigError(f"{f.name} must be true or false, got {value!r}")
         if not all(_is_int(x) for x in self.walker):
             raise ConfigError(f"walker entries must be integers, got {list(self.walker)}")
-        if (self.altitude_km is None) == (self.semi_major_axis_km is None):
-            raise ConfigError("give exactly one of altitude_km / semi_major_axis_km")
-        if self.sso == (self.inclination_deg is not None):
-            raise ConfigError("give exactly one of inclination_deg / sso")
-        if (self.boresight_deg is None) == (self.elevation_deg is None):
-            raise ConfigError("give exactly one of boresight_deg / elevation_deg")
+        unset = CaseConfig()
+        for pair in EITHER_OR:
+            if sum(getattr(self, name) != getattr(unset, name) for name in pair) != 1:
+                raise ConfigError(f"give exactly one of {pair[0]} / {pair[1]}")
         if not -80.0 <= self.latitude_deg <= 80.0:
             raise ConfigError("target latitude limited to [-80, 80] deg")
         if self.window_days <= 0.0:
@@ -234,6 +239,8 @@ class SweepSpec:
                 raise ConfigError(
                     f"cannot sweep {name!r}; choose from {SWEEPABLE_FIELDS}"
                 )
+            if not all(map(math.isfinite, (lo, hi, step))):
+                raise ConfigError(f"{name} sweep range must be finite, got ({lo}, {hi}, {step})")
             if step <= 0.0 or hi < lo:
                 raise ConfigError(f"bad range for {name}: ({lo}, {hi}, {step})")
 
@@ -319,7 +326,11 @@ def case_row(
 def default_workers() -> int:
     env = os.environ.get("REVISIT_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"REVISIT_WORKERS must be an integer, got {env!r}") from None
+        return max(1, workers)
     return os.cpu_count() or 1
 
 

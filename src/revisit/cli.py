@@ -9,15 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .cases import (
     CSV_COLUMNS,
+    EITHER_OR,
+    WINDOW_EXCEEDED,
     CaseConfig,
     case_from_dict,
     case_row,
     json_object,
-    parse_walker,
     resolve_case,
     rows_to_csv,
     run_sweep,
@@ -65,25 +65,19 @@ def _case_from_args(args: argparse.Namespace) -> CaseConfig:
     data = {}
     if args.config:
         raw = _load_json(args.config)
-        data = raw.get("case", raw)
-    cfg = case_from_dict(data)
-    overrides = {}
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+        data = json_object("case", raw.get("case", raw))
+    flags = {name: getattr(args, name) for name in _FLAG_FIELDS if getattr(args, name) is not None}
     if args.sso:
-        overrides["sso"] = True
-        overrides["inclination_deg"] = None
-    elif args.inclination_deg is not None:
-        overrides["sso"] = False
+        flags["sso"] = True
     if args.walker:
-        overrides["walker"] = parse_walker(args.walker)
-    if args.boresight_deg is not None and cfg.elevation_deg is not None:
-        overrides["elevation_deg"] = None
-    if args.elevation_deg is not None and cfg.boresight_deg is not None:
-        overrides["boresight_deg"] = None
-    return replace(cfg, **overrides)
+        flags["walker"] = args.walker
+    # A flag for one side of an either-or pair drops the file's other side;
+    # flags for both sides stay, and validation rejects them.
+    for pair in EITHER_OR:
+        for name, other in (pair, pair[::-1]):
+            if name in flags:
+                data.pop(other, None)
+    return case_from_dict({**data, **flags})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -114,7 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.csv:
         row = case_row(0, cfg, rc)
         _emit(rows_to_csv([row]), args.out)
-        return 0 if row["error"] in ("", "window_exceeded") else 1
+        return 0 if row["error"] in ("", WINDOW_EXCEEDED) else 1
     report = analyze(**rc.inputs())
     lines = [
         f"alt_km={rc.altitude_km:.3f}",
@@ -144,7 +138,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = sweep_from_dict(raw)
     rows = run_sweep(spec, max_workers=args.workers)
     _emit(rows_to_csv(rows), args.out)
-    bad = [r for r in rows if r["error"] not in ("", "window_exceeded")]
+    bad = [r for r in rows if r["error"] not in ("", WINDOW_EXCEEDED)]
     if bad:
         print(f"{len(bad)} cell(s) failed; see the error column", file=sys.stderr)
         return 1

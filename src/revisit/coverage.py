@@ -7,10 +7,10 @@ in latitude) centred on that sample.  Access start/end times come from
 the first/last visible sample of the pass.
 
 Because every pass of a branch shares the same track segment shape, the
-visibility lens (first/last visible sample as a function of the longitude
-offset from the crossing) is precomputed once per branch on a fine offset
-grid and then looked up for every pass, which keeps a 60-day default case
-well under a second.
+visibility lens (first/last visible sample time as a function of the
+longitude offset from the crossing) is precomputed once per branch on a
+fine offset grid and then looked up for every pass, which keeps a 60-day
+default case well under a second.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .passes import PassSet, TrackSegment, wrap_angle
+from .passes import PassSet, TrackSegment
 from .sensor import FootprintAtLatitude
 
 TWO_PI = 2.0 * math.pi
@@ -92,18 +92,21 @@ class RevisitReport:
 
 def _branch_lens(
     segment: TrackSegment,
+    t: np.ndarray,
     footprint: FootprintAtLatitude,
     lat: float,
     bin_width: float,
 ) -> tuple[float, float, np.ndarray, np.ndarray] | None:
-    """First/last visible sample index versus longitude offset, one branch.
+    """First/last visible sample time versus longitude offset, one branch.
 
-    Built by sweeping the segment samples and painting each sample's
-    visible offset interval [lon_off - w, lon_off + w] onto a fine offset
-    grid, where w is the ellipse half-chord at the sample's latitude
-    distance from the target.  Returns (x_min, x_max, first, last) with
-    bin j at offset x_min + j * bin_width, or None when no sample sees
-    the target latitude.
+    Built by sweeping the segment samples (times ``t``, in time order) and
+    painting each sample's visible offset interval [lon_off - w,
+    lon_off + w] onto a fine offset grid, where w is the ellipse
+    half-chord at the sample's latitude distance from the target.
+    Returns (x_min, x_max, first, last) with bin j + 1 at offset
+    x_min + j * bin_width, or None when no sample sees the target
+    latitude.  Bins no sample sees, including one padding bin at each
+    end, hold first = inf and last = -inf.
     """
     theta = footprint.ground_range
     lam = footprint.lon_half_width
@@ -118,14 +121,14 @@ def _branch_lens(
     x_min = float(np.min(left[valid]))
     x_max = float(np.max(right[valid]))
     nb = int(math.ceil((x_max - x_min) / bin_width)) + 1
-    first = np.full(nb, segment.lat.size, dtype=np.int32)
-    last = np.full(nb, -1, dtype=np.int32)
-    los = np.ceil((left - x_min) / bin_width - 1e-9).astype(np.int64)
-    his = np.floor((right - x_min) / bin_width + 1e-9).astype(np.int64) + 1
+    first = np.full(nb + 2, np.inf)
+    last = np.full(nb + 2, -np.inf)
+    los = np.ceil((left - x_min) / bin_width - 1e-9).astype(np.int64) + 1
+    his = np.floor((right - x_min) / bin_width + 1e-9).astype(np.int64) + 2
     for k in np.flatnonzero(valid):
         lo, hi = los[k], his[k]
-        np.minimum(first[lo:hi], k, out=first[lo:hi])
-        last[lo:hi] = k
+        np.minimum(first[lo:hi], t[k], out=first[lo:hi])
+        last[lo:hi] = t[k]
     return x_min, x_max, first, last
 
 
@@ -152,7 +155,7 @@ def accesses_for_passes(
         t = seg.time_frac * pset.nodal_period
         if t.size > 1:
             merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
-        lens = _branch_lens(seg, footprints[is_asc], lat, bin_width)
+        lens = _branch_lens(seg, t, footprints[is_asc], lat, bin_width)
         if lens is None:
             continue
         x_min, x_max, first, last = lens
@@ -163,15 +166,11 @@ def accesses_for_passes(
         base = np.ceil((lam_c + x_min + math.pi) / grid.spacing).astype(np.int64)
         idx = base[:, None] + np.arange(n_cand)[None, :]
         x = idx * grid.spacing - math.pi - lam_c[:, None]
-        b = np.rint((x - x_min) / bin_width).astype(np.int64)
-        inb = (b >= 0) & (b < first.size)
-        b = np.clip(b, 0, first.size - 1)
-        kf = first[b]
-        kl = last[b]
-        ok = inb & (kf <= kl)
-        st = epoch[:, None] + t[np.clip(kf, 0, t.size - 1)]
-        en = epoch[:, None] + t[kl]
-        ok &= (en >= 0.0) & (st <= window)
+        # Offsets off the lens land in its padding bins, which no sample sees.
+        b = np.clip(np.rint((x - x_min) / bin_width), -1, first.size - 2).astype(np.int64) + 1
+        st = epoch[:, None] + first[b]
+        en = epoch[:, None] + last[b]
+        ok = (en >= 0.0) & (st <= window)
         points.append((idx % grid.size)[ok])
         starts.append(np.clip(st[ok], 0.0, window))
         ends.append(np.clip(en[ok], 0.0, window))

@@ -59,7 +59,7 @@ class EngineSettings:
 def build_pass_set(
     el: OrbitElements,
     lat: float,
-    walker: WalkerConfig | None = None,
+    walker: WalkerConfig = WalkerConfig(),
     planes: list[PlaneSpec] | None = None,
     settings: EngineSettings = EngineSettings(),
 ) -> PassSet:
@@ -67,7 +67,7 @@ def build_pass_set(
     p_n = nodal_period(el.a, el.e, el.inc)
     shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
     if planes is None:
-        planes = walker_planes(walker or WalkerConfig())
+        planes = walker_planes(walker)
     return pass_series(el, lat, shift, p_n, settings.window, planes)
 
 
@@ -75,32 +75,23 @@ def access_table(
     el: OrbitElements,
     sensor: SensorSpec,
     lat: float,
-    walker: WalkerConfig | None = None,
+    walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
 ) -> tuple[AccessTable, bool]:
     """Access table plus a flag noting a beyond-horizon footprint clamp."""
     pset = build_pass_set(el, lat, walker, settings=settings)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
-    footprints = {
-        True: resolve_footprint(sensor, r_asc, lat),
-        False: resolve_footprint(sensor, r_desc, lat),
-    }
-    if settings.footprint_scale != 1.0:
-        footprints = {
-            k: replace(
-                fp,
-                ground_range=fp.ground_range * settings.footprint_scale,
-                lon_half_width=fp.lon_half_width * settings.footprint_scale,
-            )
-            for k, fp in footprints.items()
-        }
-    segments = {
-        asc: ground_track_segment(
+    scale = settings.footprint_scale
+    footprints, segments = {}, {}
+    for asc, r_s in ((True, r_asc), (False, r_desc)):
+        fp = resolve_footprint(sensor, r_s, lat)
+        footprints[asc] = replace(
+            fp, ground_range=fp.ground_range * scale, lon_half_width=fp.lon_half_width * scale,
+        )
+        segments[asc] = ground_track_segment(
             el, lat, pset.shift_per_rev, settings.segment_samples,
             reach=footprints[asc].ground_range, ascending=asc,
         )
-        for asc in (True, False)
-    }
     grid = build_grid(settings.grid_res)
     table = accesses_for_passes(pset, segments, footprints, grid, lat)
     clamped = footprints[True].clamped or footprints[False].clamped
@@ -111,7 +102,7 @@ def analyze(
     el: OrbitElements,
     sensor: SensorSpec,
     lat: float,
-    walker: WalkerConfig | None = None,
+    walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
 ) -> RevisitReport:
     """Semi-analytical revisit report for one configuration."""
@@ -123,17 +114,14 @@ def oracle_sim_config(
     el: OrbitElements,
     sensor: SensorSpec,
     lat: float,
-    walker: WalkerConfig | None = None,
+    walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
     step: float = 10.0,
 ) -> SimConfig:
     """Brute-force simulation setup matching the engine's conventions."""
-    # Without a pattern the satellite is used as given: the element round
-    # trip through the mean anomaly can change its last bits.
-    sats = plane_elements(el, walker_planes(walker)) if walker is not None else [el]
     grid = build_grid(settings.grid_res)
     return SimConfig(
-        elements=tuple(sats),
+        elements=tuple(plane_elements(el, walker_planes(walker))),
         sensor=sensor,
         lat=lat,
         lons=grid.lon,
@@ -146,7 +134,7 @@ def oracle_analyze(
     el: OrbitElements,
     sensor: SensorSpec,
     lat: float,
-    walker: WalkerConfig | None = None,
+    walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
     step: float = 10.0,
 ) -> RevisitReport:

@@ -169,14 +169,13 @@ def _visible(cfg: SimConfig, lon_t, state) -> np.ndarray:
     return _visibility_margin(cfg.sensor, r_t, cfg.lat, lon_t, r, lat_s, lon_s) >= 0.0
 
 
-def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times) -> np.ndarray:
-    """Bisect each sign change between steps hi_step - 1 and hi_step to refine_tol."""
+def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times, lo_vis: bool) -> np.ndarray:
+    """Bisect each change from lo_vis at step hi_step - 1 to its opposite to refine_tol."""
     if pt.size == 0:
         return np.empty(0)
     lon_t = cfg.lons[pt]
     lo, hi = times[hi_step - 1], times[hi_step]
     n_iter = max(1, math.ceil(math.log2(cfg.step / cfg.refine_tol)))
-    lo_vis = _visible(cfg, lon_t, propagate_j2(el, lo, cfg.earth))
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
         take_lo = _visible(cfg, lon_t, propagate_j2(el, mid, cfg.earth)) == lo_vis
@@ -212,10 +211,10 @@ def _sat_intervals(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
     rise, fall = col[0::2], col[1::2]
     start = np.zeros(rise.size)
     inner = rise > 0
-    start[inner] = _refine(el, cfg, pt[0::2][inner], rise[inner], times)
+    start[inner] = _refine(el, cfg, pt[0::2][inner], rise[inner], times, lo_vis=False)
     end = np.full(fall.size, cfg.window)
     inner = fall < n_t
-    end[inner] = _refine(el, cfg, pt[1::2][inner], fall[inner], times)
+    end[inner] = _refine(el, cfg, pt[1::2][inner], fall[inner], times, lo_vis=True)
     return pt[0::2], start, end, crossings
 
 

@@ -175,6 +175,7 @@ def _well_posed(el, sensor, lat, walker, settings, apex):
     return rep
 
 
+@pytest.mark.slow
 def test_criterion_4_oracle_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(20260810)

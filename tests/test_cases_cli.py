@@ -228,6 +228,14 @@ class TestSweep:
         monkeypatch.delenv("REVISIT_WORKERS")
         assert default_workers() >= 1
 
+    def test_bad_worker_env_is_named_config_error(self, tmp_path, capsys, monkeypatch):
+        case = {"altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0, **FAST}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"case": case, "sweep": {"latitude_deg": [0, 10, 10]}}))
+        monkeypatch.setenv("REVISIT_WORKERS", "abc")
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: REVISIT_WORKERS ")
+
     def test_sweep_from_dict(self):
         spec = sweep_from_dict(
             {
@@ -309,9 +317,14 @@ class TestCli:
             ("sweep", {"sweep": {"latitude_deg": [10, 20]}}, "latitude_deg"),
             ("sweep", {"sweep": {"latitude_deg": {"min": 10}}}, "latitude_deg"),
             ("sweep", {"sweep": {"latitude_deg": [10, 20, "x"]}}, "latitude_deg"),
+            ("sweep", {"sweep": {"latitude_deg": [10, math.inf, 10]}}, "latitude_deg"),
+            ("sweep", {"sweep": {"latitude_deg": [math.nan, 20, 10]}}, "latitude_deg"),
+            ("sweep", {"sweep": {"latitude_deg": [10, 20, math.nan]}}, "latitude_deg"),
+            ("sweep", {"sweep": {"latitude_deg": [10, 20, math.inf]}}, "latitude_deg"),
         ],
         ids=["sso_str", "window_str", "lat_null", "samples_float",
-             "range_short", "range_dict_short", "range_str"],
+             "range_short", "range_dict_short", "range_str",
+             "range_max_inf", "range_min_nan", "range_step_nan", "range_step_inf"],
     )
     def test_config_value_of_wrong_type_is_named(self, tmp_path, capsys, command, section, name):
         case = {"altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0,
@@ -380,6 +393,37 @@ class TestCli:
         assert code == 0
         row = out.splitlines()[1].split(",")
         assert row[CSV_COLUMNS.index("sensor_mode")] == "boresight"
+
+    @pytest.mark.parametrize(
+        "config, flags, error",
+        [
+            (None, ["--altitude-km", "600", "--sso", "--inclination-deg", "50",
+                    "--elevation-deg", "15"], "inclination_deg / sso"),
+            ({"altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0},
+             ["--elevation-deg", "10", "--boresight-deg", "30"], "boresight_deg / elevation_deg"),
+        ],
+        ids=["sso_and_inclination", "config_elevation_and_both_sensor_flags"],
+    )
+    def test_both_flags_of_a_pair_are_rejected(self, tmp_path, capsys, config, flags, error):
+        args = ["run", *flags, "--window-days", "2", "--grid-res-deg", "1"]
+        if config is not None:
+            path = tmp_path / "case.json"
+            path.write_text(json.dumps({"case": config}))
+            args += ["--config", str(path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: give exactly one of {error}\n"
+
+    def test_flag_drops_the_files_other_side(self, tmp_path, capsys):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({"case": {
+            "altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0, **FAST,
+        }}))
+        code = main(["run", "--config", str(path), "--semi-major-axis-km", "7000", "--csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        row = dict(zip(CSV_COLUMNS, out.splitlines()[1].split(",")))
+        assert row["alt_km"] == f"{7000.0 - rv.EARTH.equatorial_radius:.3f}"
+        assert row["error"] == ""
 
     def test_sweep_to_file(self, tmp_path):
         cfg = {

@@ -137,6 +137,81 @@ def _random_case(rng, index):
     return el, sensor, lat
 
 
+def _branch_accesses(el, sensor, lat, st):
+    """Binned and exact accesses of each branch of one configuration.
+
+    Yields (branch, segment, footprint, binned, exact, merge_tol) per branch:
+    ``binned`` and ``exact`` map (grid point, pass) to (start, end).
+    """
+    grid = build_grid(st.grid_res)
+    pset = build_pass_set(el, lat, settings=st)
+    _, _, r_asc, r_desc = radius_at_latitude(el, lat)
+    fps = {
+        True: resolve_footprint(sensor, r_asc, lat),
+        False: resolve_footprint(sensor, r_desc, lat),
+    }
+    segs = {
+        asc: ground_track_segment(
+            el, lat, pset.shift_per_rev, st.segment_samples,
+            reach=fps[asc].ground_range, ascending=asc,
+        )
+        for asc in (True, False)
+    }
+    for asc in (True, False):
+        sel = pset.ascending == asc
+        branch = replace(
+            pset, lon=pset.lon[sel], epoch=pset.epoch[sel],
+            ascending=pset.ascending[sel], plane_index=pset.plane_index[sel],
+            sat_index=pset.sat_index[sel],
+        )
+        table = accesses_for_passes(branch, segs, fps, grid, lat, st.bins_per_cell)
+        # One branch's passes are a nodal period apart, so the
+        # nearest epoch names the pass of each interval.
+        k_of = np.abs(table.start[:, None] - branch.epoch[None, :]).argmin(axis=1)
+        binned = {
+            (int(i), int(k)): (s, e)
+            for i, k, s, e in zip(table.point, k_of, table.start, table.end)
+        }
+        exact = {}
+        for k, (lon, epoch) in enumerate(zip(branch.lon, branch.epoch)):
+            for i, s, e in pass_accesses(
+                float(lon), float(epoch), segs[asc], fps[asc], grid,
+                pset.nodal_period, lat,
+            ):
+                if e >= 0.0 and s <= st.window:
+                    exact[(i, k)] = (min(max(s, 0.0), st.window), min(e, st.window))
+        yield branch, segs[asc], fps[asc], binned, exact, table.merge_tol
+
+
+def _visible_either_side(keys, branch, segment, footprint, lat, st):
+    """Exact visibility one lens bin west and east of each (grid point,
+    pass) key, as two rows."""
+    grid = build_grid(st.grid_res)
+    dx = grid.spacing / st.bins_per_cell
+    i_arr, k_arr = np.array(keys).T
+    x = wrap_angle(grid.lon[i_arr] - branch.lon[k_arr])
+    kf, kl = visible_sample_span(np.concatenate([x - dx, x + dx]), segment, footprint, lat)
+    return (kf <= kl).reshape(2, -1)
+
+
+def _disagreements(branch, segment, footprint, binned, exact, merge_tol, lat, st):
+    """(accesses, disagreements): binned and exact must see the same
+    points, start and end within one sample step, outside boundary cells."""
+    keys = sorted(set(exact) | set(binned))
+    vis = _visible_either_side(keys, branch, segment, footprint, lat, st)
+    n_bad = 0
+    for key, at_boundary in zip(keys, ~(vis[0] & vis[1])):
+        if key in exact and key in binned:
+            d = np.abs(np.subtract(exact[key], binned[key]))
+            agree = bool(np.all(d <= merge_tol * (1 + 1e-9)))
+        else:
+            agree = False
+        if not agree:
+            assert at_boundary, (key, exact.get(key), binned.get(key))
+            n_bad += 1
+    return len(keys), n_bad
+
+
 class TestBinnedLensAgainstExact:
     def test_accesses_match_exact_path_outside_boundary_cells(self):
         # The engine looks each grid point up in a lens binned at
@@ -147,65 +222,41 @@ class TestBinnedLensAgainstExact:
         # per-sample path, with start and end within one sample step.
         rng = np.random.default_rng(2024)
         st = EngineSettings(window=2 * 86400.0, segment_samples=501)
-        grid = build_grid(st.grid_res)
-        dx = grid.spacing / st.bins_per_cell
         n_access = n_boundary = 0
         for case in range(12):
             el, sensor, lat = _random_case(rng, case)
-            pset = build_pass_set(el, lat, settings=st)
-            _, _, r_asc, r_desc = radius_at_latitude(el, lat)
-            fps = {
-                True: resolve_footprint(sensor, r_asc, lat),
-                False: resolve_footprint(sensor, r_desc, lat),
-            }
-            segs = {
-                asc: ground_track_segment(
-                    el, lat, pset.shift_per_rev, st.segment_samples,
-                    reach=fps[asc].ground_range, ascending=asc,
-                )
-                for asc in (True, False)
-            }
-            for asc in (True, False):
-                sel = pset.ascending == asc
-                branch = replace(
-                    pset, lon=pset.lon[sel], epoch=pset.epoch[sel],
-                    ascending=pset.ascending[sel], plane_index=pset.plane_index[sel],
-                    sat_index=pset.sat_index[sel],
-                )
-                table = accesses_for_passes(branch, segs, fps, grid, lat, st.bins_per_cell)
-                # One branch's passes are a nodal period apart, so the
-                # nearest epoch names the pass of each interval.
-                k_of = np.abs(table.start[:, None] - branch.epoch[None, :]).argmin(axis=1)
-                binned = {
-                    (int(i), int(k)): (s, e)
-                    for i, k, s, e in zip(table.point, k_of, table.start, table.end)
-                }
-                exact = {}
-                for k, (lon, epoch) in enumerate(zip(branch.lon, branch.epoch)):
-                    for i, s, e in pass_accesses(
-                        float(lon), float(epoch), segs[asc], fps[asc], grid,
-                        pset.nodal_period, lat,
-                    ):
-                        if e >= 0.0 and s <= st.window:
-                            exact[(i, k)] = (min(max(s, 0.0), st.window), min(e, st.window))
-                keys = sorted(set(exact) | set(binned))
-                i_arr, k_arr = np.array(keys).T
-                x = wrap_angle(grid.lon[i_arr] - branch.lon[k_arr])
-                kf, kl = visible_sample_span(np.concatenate([x - dx, x + dx]), segs[asc], fps[asc], lat)
-                vis = (kf <= kl).reshape(2, -1)
-                boundary = ~(vis[0] & vis[1])
-                for key, at_boundary in zip(keys, boundary):
-                    n_access += 1
-                    if key in exact and key in binned:
-                        d = np.abs(np.subtract(exact[key], binned[key]))
-                        agree = bool(np.all(d <= table.merge_tol * (1 + 1e-9)))
-                    else:
-                        agree = False
-                    if not agree:
-                        assert at_boundary, (case, asc, key, exact.get(key), binned.get(key))
-                        n_boundary += 1
+            for branch_data in _branch_accesses(el, sensor, lat, st):
+                n, n_bad = _disagreements(*branch_data, lat, st)
+                n_access += n
+                n_boundary += n_bad
         assert n_access > 100_000
         assert n_boundary <= 1e-4 * n_access
+
+    def test_sparse_samples_leave_empty_interior_bins(self):
+        # Five samples along a 10 deg inclined track lie about 41 deg of
+        # longitude apart, farther than their footprints reach, so the lens
+        # has empty bins between painted ones.  Grid points there are seen
+        # by no sample and must get no access.
+        el = rv.OrbitElements(a=rv.EARTH.equatorial_radius + 700.0, inc=math.radians(10.0))
+        sensor = rv.SensorSpec.elevation(math.radians(10.0))
+        st = EngineSettings(window=86400.0, grid_res=math.radians(0.25), segment_samples=5)
+        grid = build_grid(st.grid_res)
+        for branch, seg, fp, binned, exact, merge_tol in _branch_accesses(el, sensor, 0.0, st):
+            # Grid points of each pass between its first and last visible
+            # point, by offset from the crossing, that no sample sees.
+            hidden = []
+            for k in range(branch.lon.size):
+                pts = np.array([i for i, kk in exact if kk == k])
+                x = wrap_angle(grid.lon[pts] - branch.lon[k])
+                n_span = round((x.max() - x.min()) / grid.spacing) + 1
+                inner = (pts[x.argmin()] + np.arange(n_span)) % grid.size
+                hidden += [(int(i), k) for i in inner if (int(i), k) not in exact]
+            vis = _visible_either_side(hidden, branch, seg, fp, 0.0, st)
+            hidden = np.array(hidden)[~vis[0] & ~vis[1]]
+            assert len(hidden) > 100 * branch.lon.size
+            assert not set(map(tuple, hidden.tolist())) & set(binned)
+            n, n_bad = _disagreements(branch, seg, fp, binned, exact, merge_tol, 0.0, st)
+            assert n > 500 * branch.lon.size and n_bad <= 1e-2 * n
 
 
 def _table(point, start, end, n_grid=360, window=100 * 3600.0, merge_tol=1.0, passes=0):

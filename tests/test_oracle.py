@@ -191,6 +191,7 @@ class TestSimulateCoverage:
         orc = oracle_analyze(el, sensor, math.radians(25), settings=st)
         assert eng.mrt_hours == pytest.approx(orc.mrt_hours, abs=max(0.02 * orc.mrt_hours, 2 / 60))
 
+    @pytest.mark.slow
     def test_reference_row_equatorial(self):
         # Full-resolution reproduction of a published single-satellite
         # validation row (60-day window, 0.1 deg grid); runs ~90 s.
@@ -198,6 +199,7 @@ class TestSimulateCoverage:
         rep = oracle_analyze(el, rv.SensorSpec.elevation(math.radians(10)), 0.0)
         assert rep.mrt_hours == pytest.approx(13.08, abs=0.02)
 
+    @pytest.mark.slow
     def test_reference_row_midlatitude(self):
         a = rv.EARTH.equatorial_radius + 500.0
         el = rv.OrbitElements(a=a, inc=rv.sso_inclination(a))
