@@ -35,6 +35,9 @@ SWEEPABLE_FIELDS = (
     "latitude_deg", "window_days",
 )
 
+# Most cells one sweep may expand to; every cell is built before any runs.
+MAX_SWEEP_CELLS = 100_000
+
 WINDOW_EXCEEDED = "window_exceeded"
 
 # Field pairs of which a case sets exactly one; the unset side keeps its
@@ -243,11 +246,26 @@ class SweepSpec:
                 raise ConfigError(f"{name} sweep range must be finite, got ({lo}, {hi}, {step})")
             if step <= 0.0 or hi < lo:
                 raise ConfigError(f"bad range for {name}: ({lo}, {hi}, {step})")
+        cells = math.prod(self._axis_size(name) for name in self.axes)
+        if cells > MAX_SWEEP_CELLS:
+            raise ConfigError(
+                f"{' x '.join(self.axes)} sweep makes {cells} cells; "
+                f"at most {MAX_SWEEP_CELLS} are allowed"
+            )
+
+    def _axis_size(self, name: str) -> int:
+        lo, hi, step = self.axes[name]
+        span = (hi - lo) / step
+        if not span < MAX_SWEEP_CELLS:
+            raise ConfigError(
+                f"{name} sweep range ({lo}, {hi}, {step}) makes more than "
+                f"{MAX_SWEEP_CELLS} cells"
+            )
+        return int(math.floor(span + 1e-9)) + 1
 
     def axis_values(self, name: str) -> np.ndarray:
-        lo, hi, step = self.axes[name]
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + step * np.arange(n)
+        lo, _, step = self.axes[name]
+        return lo + step * np.arange(self._axis_size(name))
 
     def cells(self) -> list[CaseConfig]:
         """Cartesian-product cases in row-major order of the axes."""

@@ -159,14 +159,44 @@ def _visibility_margin(sensor, r_t, lat_t, lon_t, r_s, lat_s, lon_s):
     return np.minimum(sensor.angle - cone, elev)
 
 
-# Visibility margins per block of grid points; a block spans every step.
-BLOCK_MARGINS = 2**21
+# Visibility margins per block of screened (grid point, step) pairs; a
+# block spans whole steps.
+BLOCK_MARGINS = 2**19
+# Slack of the horizon screen against rounding, in radians of elevation
+# and of longitude, and on the cosine of the central angle.
+SCREEN_PAD = 1e-6
 
 
 def _visible(cfg: SimConfig, lon_t, state) -> np.ndarray:
     r, lat_s, lon_s = state
     r_t = geodetic_radius(cfg.lat, cfg.earth)
     return _visibility_margin(cfg.sensor, r_t, cfg.lat, lon_t, r, lat_s, lon_s) >= 0.0
+
+
+def _horizon_screen(cfg: SimConfig, state):
+    """Grid points that can see the satellite, per step, as index ranges.
+
+    A visible pair has elevation at least eps: the mask in elevation mode,
+    0 in boresight mode.  So its central angle from the sub-satellite point
+    is at most h = acos(r_t cos(eps) / r) - eps, hence |lat_s - lat| <= h,
+    and its longitude offset is at most asin(sin h / cos lat) unless
+    h + |lat| reaches the pole.  Returns (lo, count, order): step k's
+    candidates are ``order[(lo[k] + np.arange(count[k])) % n]``, a range
+    of the sorted, wrapped longitudes tiled at -2 pi, 0 and +2 pi.
+    """
+    r, lat_s, lon_s = state
+    r_t = geodetic_radius(cfg.lat, cfg.earth)
+    eps = (cfg.sensor.angle if cfg.sensor.mode == "elevation" else 0.0) - SCREEN_PAD
+    h = np.arccos(np.minimum(r_t * math.cos(eps) / r, 1.0) - SCREEN_PAD) - eps
+    half = np.arcsin(np.clip(np.sin(h) / math.cos(cfg.lat), -1.0, 1.0)) + SCREEN_PAD
+    lon = wrap_angle(cfg.lons)
+    order = np.argsort(lon, kind="stable")
+    tiled = np.concatenate([lon[order] - TWO_PI, lon[order], lon[order] + TWO_PI])
+    n = lon.size
+    full = h + abs(cfg.lat) >= 0.5 * math.pi
+    lo = np.where(full, n, np.searchsorted(tiled, lon_s - half, "left"))
+    hi = np.where(full, 2 * n, np.searchsorted(tiled, lon_s + half, "right"))
+    return lo, np.where(np.abs(lat_s - cfg.lat) <= h, hi - lo, 0), order
 
 
 def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times, lo_vis: bool) -> np.ndarray:
@@ -184,6 +214,36 @@ def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times, lo_vis: bool)
     return 0.5 * (lo + hi)
 
 
+def _step_edges(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
+    """Visibility changes of one satellite on the step grid, and its crossings.
+
+    Returns (point, column) sorted by (point, column), a rise and a fall
+    per visible run, with column c between steps c - 1 and c; and the
+    number of times the sub-satellite latitude crosses the target.
+    """
+    state = propagate_j2(el, times, cfg.earth)
+    side = np.sign(state[1] - cfg.lat)
+    crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
+    n_t = times.size
+    lo, count, order = _horizon_screen(cfg, state)
+    first = np.concatenate([[0], np.cumsum(count)])
+    cuts = np.flatnonzero(np.diff(first[:-1] // BLOCK_MARGINS)) + 1
+    # Key p * (n_t + 1) + c names point p at step or column c.  With V the
+    # keys of the visible pairs, visibility changes at the keys V xor V + 1.
+    # A run that spans a block boundary leaves its boundary key in both
+    # blocks, and the pair cancels.
+    keys = []
+    for s0, s1 in zip(np.r_[0, cuts], np.r_[cuts, n_t]):
+        step = np.repeat(np.arange(s0, s1), count[s0:s1])
+        k = np.arange(first[s0], first[s1]) + np.repeat(lo[s0:s1] - first[s0:s1], count[s0:s1])
+        pt = order[k % cfg.lons.size]
+        vis = _visible(cfg, cfg.lons[pt], tuple(x[step] for x in state))
+        key = pt[vis] * (n_t + 1) + step[vis]
+        keys.append(np.setxor1d(key, key + 1, assume_unique=True))
+    key, seen = np.unique(np.concatenate(keys), return_counts=True)
+    return *np.divmod(key[seen == 1], n_t + 1), crossings
+
+
 def _sat_intervals(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
     """Refined visibility intervals of one satellite and its latitude crossings.
 
@@ -191,29 +251,13 @@ def _sat_intervals(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
     number of times the sub-satellite latitude crosses the target
     between time steps.
     """
-    state = propagate_j2(el, times, cfg.earth)
-    side = np.sign(state[1] - cfg.lat)
-    crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
-    n_t = times.size
-    rows = max(1, BLOCK_MARGINS // n_t)
-    pts, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for b0 in range(0, cfg.lons.size, rows):
-        vis = _visible(cfg, cfg.lons[b0 : b0 + rows, None], state)
-        # With an invisible step padded at both ends every visible run has
-        # one rise and one fall, and nonzero lists them in pairs.
-        padded = np.zeros((vis.shape[0], n_t + 2), dtype=np.int8)
-        padded[:, 1:-1] = vis
-        row, col = np.nonzero(np.diff(padded, axis=1))
-        pts.append(b0 + row)
-        cols.append(col)
-    pt, col = np.concatenate(pts), np.concatenate(cols)
-    # Edge column c lies between steps c - 1 and c.
+    pt, col, crossings = _step_edges(el, cfg, times)
     rise, fall = col[0::2], col[1::2]
     start = np.zeros(rise.size)
     inner = rise > 0
     start[inner] = _refine(el, cfg, pt[0::2][inner], rise[inner], times, lo_vis=False)
     end = np.full(fall.size, cfg.window)
-    inner = fall < n_t
+    inner = fall < times.size
     end[inner] = _refine(el, cfg, pt[1::2][inner], fall[inner], times, lo_vis=True)
     return pt[0::2], start, end, crossings
 

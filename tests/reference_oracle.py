@@ -1,0 +1,65 @@
+"""Unscreened time-stepped visibility scan: the reference for the horizon screen.
+
+The oracle (`revisit.oracle.simulate_access_table`) evaluates the
+visibility margin only on the (grid point, step) pairs its horizon screen
+keeps.  This module evaluates every pair, in blocks of grid points over
+all steps, and finds the edges of the dense visibility matrix, so tests
+can check that the screened scan gives a bit-identical access table.
+Both share the bisection (`_refine`) and the table assembly.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from revisit.coverage import AccessTable, LongitudeGrid, sorted_access_table
+from revisit.oracle import TWO_PI, SimConfig, _refine, _visible, propagate_j2
+
+# Visibility margins per block of grid points; a block spans every step.
+BLOCK_MARGINS = 2**21
+
+
+def dense_sat_intervals(el, cfg: SimConfig, times: np.ndarray):
+    """`oracle._sat_intervals` with every pair evaluated."""
+    state = propagate_j2(el, times, cfg.earth)
+    side = np.sign(state[1] - cfg.lat)
+    crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
+    n_t = times.size
+    rows = max(1, BLOCK_MARGINS // n_t)
+    pts, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for b0 in range(0, cfg.lons.size, rows):
+        vis = _visible(cfg, cfg.lons[b0 : b0 + rows, None], state)
+        # With an invisible step padded at both ends every visible run has
+        # one rise and one fall, and nonzero lists them in pairs.
+        padded = np.zeros((vis.shape[0], n_t + 2), dtype=np.int8)
+        padded[:, 1:-1] = vis
+        row, col = np.nonzero(np.diff(padded, axis=1))
+        pts.append(b0 + row)
+        cols.append(col)
+    pt, col = np.concatenate(pts), np.concatenate(cols)
+    # Edge column c lies between steps c - 1 and c.
+    rise, fall = col[0::2], col[1::2]
+    start = np.zeros(rise.size)
+    inner = rise > 0
+    start[inner] = _refine(el, cfg, pt[0::2][inner], rise[inner], times, lo_vis=False)
+    end = np.full(fall.size, cfg.window)
+    inner = fall < n_t
+    end[inner] = _refine(el, cfg, pt[1::2][inner], fall[inner], times, lo_vis=True)
+    return pt[0::2], start, end, crossings
+
+
+def dense_access_table(cfg: SimConfig) -> AccessTable:
+    """`oracle.simulate_access_table` over the unscreened scan."""
+    n_steps = int(math.floor(cfg.window / cfg.step))
+    times = np.arange(n_steps + 1, dtype=float) * cfg.step
+    if times[-1] < cfg.window - 1e-9:
+        times = np.append(times, cfg.window)
+    parts = [dense_sat_intervals(el, cfg, times) for el in cfg.elements]
+    points, starts, ends, crossings = ([part[k] for part in parts] for k in range(4))
+    spacing = TWO_PI / cfg.lons.size if cfg.lons.size else 0.0
+    grid = LongitudeGrid(spacing=spacing, lon=np.asarray(cfg.lons, dtype=float))
+    return sorted_access_table(
+        points, starts, ends, grid=grid, window=cfg.window,
+        merge_tol=cfg.refine_tol, pass_count=sum(crossings),
+    )

@@ -355,6 +355,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} ") and "must be a JSON object" in err
 
+    @pytest.mark.parametrize(
+        "sweep, name, also",
+        [
+            ({"latitude_deg": [0, 80, 1e-12]}, "latitude_deg", "more than 100000 cells"),
+            ({"latitude_deg": [0, 80, 5e-324]}, "latitude_deg", "more than 100000 cells"),
+            ({"latitude_deg": [0, 1, 1e-5]}, "latitude_deg", "100001 cells"),
+            ({"latitude_deg": [0, 80, 0.01], "altitude_km": [400, 800, 0.5]},
+             "latitude_deg", "altitude_km"),
+        ],
+        ids=["axis", "axis_overflows", "axis_one_over", "product"],
+    )
+    def test_sweep_with_too_many_cells_is_named(self, tmp_path, capsys, sweep, name, also):
+        case = {"altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0, **FAST}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"case": case, "sweep": sweep}))
+        assert main(["sweep", "--config", str(path), "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} ") and also in err
+
     @pytest.mark.parametrize("axis", ["walker", "altitude"])
     def test_sweeping_a_field_that_cannot_be_swept_names_it(self, tmp_path, capsys, axis):
         case = {"altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0, **FAST}

@@ -199,8 +199,10 @@ def _disagreements(branch, segment, footprint, binned, exact, merge_tol, lat, st
     points, start and end within one sample step, outside boundary cells."""
     keys = sorted(set(exact) | set(binned))
     vis = _visible_either_side(keys, branch, segment, footprint, lat, st)
+    # A boundary cell: exact visibility changes within one bin either side.
+    here = np.array([key in exact for key in keys])
     n_bad = 0
-    for key, at_boundary in zip(keys, ~(vis[0] & vis[1])):
+    for key, at_boundary in zip(keys, (vis[0] != vis[1]) | (vis[0] != here)):
         if key in exact and key in binned:
             d = np.abs(np.subtract(exact[key], binned[key]))
             agree = bool(np.all(d <= merge_tol * (1 + 1e-9)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import revisit as rv
 from revisit.earth import geodetic_radius
@@ -9,7 +10,9 @@ from revisit.engine import EngineSettings, analyze, oracle_analyze
 from revisit.errors import KeplerConvergenceError
 from revisit.oracle import (
     SimConfig,
+    _horizon_screen,
     _visibility_margin,
+    _visible,
     plane_elements,
     propagate_j2,
     secular_rates,
@@ -21,6 +24,7 @@ from revisit.oracle import (
 from revisit.passes import nodal_period, walker_planes, wrap_angle
 
 from conftest import make_orbit
+from reference_oracle import dense_access_table
 
 
 class TestKeplerSolver:
@@ -194,7 +198,7 @@ class TestSimulateCoverage:
     @pytest.mark.slow
     def test_reference_row_equatorial(self):
         # Full-resolution reproduction of a published single-satellite
-        # validation row (60-day window, 0.1 deg grid); runs ~90 s.
+        # validation row (60-day window, 0.1 deg grid); runs ~5 s.
         el = make_orbit(400.0, 60.0)
         rep = oracle_analyze(el, rv.SensorSpec.elevation(math.radians(10)), 0.0)
         assert rep.mrt_hours == pytest.approx(13.08, abs=0.02)
@@ -223,3 +227,111 @@ class TestSimulateCoverage:
                 elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
                 lons=np.array([0.0]), window=100.0, step=math.inf,
             )
+
+
+def _sim(el, sensor, lat_deg, lons, window, walker=rv.WalkerConfig()):
+    return SimConfig(
+        elements=tuple(plane_elements(el, walker_planes(walker))), sensor=sensor,
+        lat=math.radians(lat_deg), lons=np.asarray(lons, dtype=float), window=window,
+    )
+
+
+_GRID_1 = np.radians(np.arange(-180.0, 180.0, 1.0))
+_GRID_4 = np.radians(np.arange(-180.0, 180.0, 4.0))
+# Unsorted: an offset grid, random longitudes and some beyond +-180 deg.
+_RNG = np.random.default_rng(8)
+_SCATTERED = np.radians(_RNG.permutation(np.concatenate([
+    np.arange(-179.531, 180.0, 10.0), _RNG.uniform(-180.0, 180.0, 61),
+    [-540.0, 200.0, 359.5, 720.25],
+])))
+_SCREEN_CASES = {
+    # The three criterion-4 cross-check configurations, 1 deg grid, 10 days.
+    "400km_i60_e10": (make_orbit(400.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
+                      0.0, _GRID_1, 10 * 86400.0, rv.WalkerConfig()),
+    "w330_700km_i90_e0": (make_orbit(700.0, 90.0), rv.SensorSpec.elevation(0.0),
+                          0.0, _GRID_1, 10 * 86400.0, rv.WalkerConfig(3, 3, 0)),
+    "w331_1500km_i96_e20": (make_orbit(1500.0, 96.0), rv.SensorSpec.elevation(math.radians(20)),
+                            0.0, _GRID_1, 10 * 86400.0, rv.WalkerConfig(3, 3, 1)),
+    "eccentric_boresight": (
+        rv.OrbitElements(a=7300.0, e=0.02, inc=math.radians(70.0), argp=1.2, nu0=1.5),
+        rv.SensorSpec.boresight(math.radians(45.0)), 20.0, _GRID_4, 4 * 86400.0,
+        rv.WalkerConfig()),
+    "scattered_lons": (make_orbit(600.0, 55.0), rv.SensorSpec.elevation(math.radians(5)),
+                       30.0, _SCATTERED, 3 * 86400.0, rv.WalkerConfig()),
+    "single_lon": (make_orbit(600.0, 55.0), rv.SensorSpec.boresight(math.radians(50)),
+                   -40.0, np.radians([33.3]), 6 * 86400.0, rv.WalkerConfig()),
+    "grazing": (make_orbit(800.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
+                59.5, _GRID_1, 3 * 86400.0, rv.WalkerConfig()),
+    "elevation_0": (make_orbit(500.0, 45.0), rv.SensorSpec.elevation(0.0),
+                    40.0, _GRID_1, 3 * 86400.0, rv.WalkerConfig()),
+    "high_lat_full_window": (make_orbit(1500.0, 98.0), rv.SensorSpec.elevation(0.0),
+                             80.0, _GRID_4, 3 * 86400.0, rv.WalkerConfig()),
+    "walker_632": (make_orbit(900.0, 55.0), rv.SensorSpec.boresight(math.radians(40)),
+                   25.0, _GRID_4, 3 * 86400.0, rv.WalkerConfig(6, 3, 2)),
+    "window_off_step": (make_orbit(500.0, 97.4), rv.SensorSpec.elevation(math.radians(15)),
+                        -35.0, _GRID_1, 2 * 86400.0 + 3.7, rv.WalkerConfig()),
+}
+
+
+class TestHorizonScreen:
+    @pytest.mark.parametrize("case", list(_SCREEN_CASES))
+    def test_access_table_is_bit_identical_to_the_unscreened_scan(self, case):
+        el, sensor, lat_deg, lons, window, walker = _SCREEN_CASES[case]
+        cfg = _sim(el, sensor, lat_deg, lons, window, walker)
+        got, want = simulate_access_table(cfg), dense_access_table(cfg)
+        assert want.point.size > 0
+        for name in ("point", "start", "end"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (got.pass_count, got.merge_tol) == (want.pass_count, want.merge_tol)
+
+    def test_high_latitude_case_takes_every_longitude(self):
+        el, sensor, lat_deg, lons, window, _ = _SCREEN_CASES["high_lat_full_window"]
+        cfg = _sim(el, sensor, lat_deg, lons, window)
+        times = np.arange(0.0, 6000.0, 10.0)
+        _, count, _ = _horizon_screen(cfg, propagate_j2(el, times))
+        assert np.any(count == lons.size) and np.any(count == 0)
+
+    @given(
+        r=st.floats(min_value=rv.EARTH.equatorial_radius + 150.0, max_value=50000.0),
+        lat=st.floats(min_value=-math.radians(89.9), max_value=math.radians(89.9)),
+        lon_s=st.floats(min_value=-math.pi, max_value=math.pi, exclude_max=True),
+        reach=st.floats(min_value=1e-3, max_value=math.pi),
+        turns=st.integers(min_value=-2, max_value=2),
+        boresight=st.booleans(),
+        angle=st.floats(min_value=0.0, max_value=math.pi / 2),
+    )
+    # The cap just reaches over the pole: every longitude can see the satellite.
+    @example(r=6459.0, lat=math.radians(80.0), lon_s=0.0, reach=math.pi, turns=0,
+             boresight=False, angle=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_every_visible_pair_passes_the_screen(
+        self, r, lat, lon_s, reach, turns, boresight, angle
+    ):
+        # Satellite latitudes and target longitudes at random, and within
+        # 3e-8 rad of the edge of the cap of central angles that can reach
+        # elevation eps: on the target's meridian, and at the cap's widest
+        # longitude offset.  Target longitudes are shifted by whole turns.
+        if boresight:
+            sensor, eps = rv.SensorSpec.boresight(min(angle, math.pi / 2 - 1e-6)), 0.0
+        else:
+            sensor, eps = rv.SensorSpec.elevation(angle), angle
+        cap = math.acos(geodetic_radius(lat) * math.cos(eps) / r) - eps
+        edge = cap + 1e-8 * np.arange(-3, 4)
+        wide = math.asin(min(math.sin(cap) / math.cos(lat), 1.0)) + 1e-8 * np.arange(-3, 4)
+        widest_at = math.asin(float(np.clip(math.sin(lat) / math.cos(cap), -1.0, 1.0)))
+        lat_s = np.clip(
+            np.concatenate([lat + edge, lat - edge, [widest_at], lat + np.linspace(-1.2, 1.2, 41)]),
+            -math.pi / 2, math.pi / 2,
+        )
+        lons = lon_s + 2 * math.pi * turns + np.concatenate(
+            [np.linspace(-reach, reach, 201), wide, -wide]
+        )
+        cfg = SimConfig(elements=(), sensor=sensor, lat=lat, lons=lons, window=10.0)
+        state = (np.full(lat_s.size, r), lat_s, np.full(lat_s.size, lon_s))
+        lo, count, order = _horizon_screen(cfg, state)
+        kept = np.zeros((lons.size, lat_s.size), dtype=bool)
+        for k in range(lat_s.size):
+            pts = order[(lo[k] + np.arange(count[k])) % lons.size]
+            assert np.unique(pts).size == pts.size
+            kept[pts, k] = True
+        assert not (_visible(cfg, lons[:, None], state) & ~kept).any()
