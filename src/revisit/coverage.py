@@ -11,10 +11,18 @@ visibility lens (first/last visible sample time as a function of the
 longitude offset from the crossing) is precomputed once per branch on a
 fine offset grid and then looked up for every pass, which keeps a 60-day
 default case well under a second.
+
+The table is built one tile of TILE_POINTS grid points at a time: a tile
+evaluates only the passes that reach it, sorts its own rows, and is
+reduced to gaps before the next one is built, so `engine.analyze` never
+holds the whole table and its memory stays nearly flat in the number of
+satellites.  `accesses_for_passes` concatenates the tiles when a caller
+wants the table itself.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +34,8 @@ TWO_PI = 2.0 * math.pi
 MAX_GRID_RESOLUTION = math.radians(1.0)
 # Lens bins per longitude grid cell.
 BINS_PER_CELL = 64
+# Grid points per tile of the access table.
+TILE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -54,12 +64,32 @@ class AccessTable:
     """Per-grid-point visibility intervals over the analysis window.
 
     Parallel arrays sorted by (point index, start time); intervals may
-    still overlap within a point and are merged during statistics.
+    still overlap within a point and are merged during statistics.  The
+    engine sorts each tile of grid points by itself, so rows with equal
+    (point, start) come in pass-epoch order, which may differ from the
+    order of an untiled sort.
     """
 
     point: np.ndarray
     start: np.ndarray
     end: np.ndarray
+    grid: LongitudeGrid
+    window: float
+    merge_tol: float
+    pass_count: int
+
+
+@dataclass(frozen=True)
+class AccessTiles:
+    """The access table as a stream of (point, start, end) tiles.
+
+    Each tile holds every interval of a range of grid points, sorted by
+    (point index, start time); tiles come in point order and can be
+    iterated once.  max_rows bounds the number of intervals of all tiles.
+    """
+
+    tiles: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    max_rows: int
     grid: LongitudeGrid
     window: float
     merge_tol: float
@@ -132,24 +162,34 @@ def _branch_lens(
     return x_min, x_max, first, last
 
 
-def accesses_for_passes(
+def access_tiles(
     pset: PassSet,
     segments: dict[bool, TrackSegment],
     footprints: dict[bool, FootprintAtLatitude],
     grid: LongitudeGrid,
     lat: float,
     bins_per_cell: int = BINS_PER_CELL,
-) -> AccessTable:
-    """Intersect every pass with the grid and assemble the access table.
+) -> AccessTiles:
+    """Intersect every pass with the grid, one tile of grid points at a time.
 
-    segments/footprints are keyed by branch (True = ascending).  The
-    computation order is deterministic: results are sorted by
-    (grid point, start time) regardless of pass order.
+    segments/footprints are keyed by branch (True = ascending).  Pass k
+    reaches the grid points base_k + j, j < n_cand (modulo the grid),
+    where n_cand covers its branch's lens.  For each point q of a tile
+    and each pass whose run meets the tile, the offsets j congruent to
+    q - base_k are evaluated in one (points, laps, passes) block; a run
+    longer than the grid reaches a point once per lap.  Both branches'
+    lenses are joined, and each pass keeps its offset into them, so one
+    lookup serves every pass.  The tiles are built as the returned
+    `AccessTiles` is iterated.
     """
-    points, starts, ends = [], [], []
-    window = pset.window
+    n, window = grid.size, pset.window
     merge_tol = 0.0
     bin_width = grid.spacing / bins_per_cell
+    x_min = np.zeros(len(pset))
+    n_cand = np.zeros(len(pset), dtype=np.int64)
+    offset = np.zeros(len(pset), dtype=np.int64)
+    top = np.zeros(len(pset), dtype=np.int64)
+    firsts, lasts = [np.empty(0)], [np.empty(0)]
     for is_asc in (True, False):
         seg = segments[is_asc]
         t = seg.time_frac * pset.nodal_period
@@ -158,25 +198,85 @@ def accesses_for_passes(
         lens = _branch_lens(seg, t, footprints[is_asc], lat, bin_width)
         if lens is None:
             continue
-        x_min, x_max, first, last = lens
+        lo, hi, first, last = lens
         sel = pset.ascending == is_asc
-        lam_c = pset.lon[sel]
-        epoch = pset.epoch[sel]
-        n_cand = int(math.floor((x_max - x_min) / grid.spacing)) + 2
-        base = np.ceil((lam_c + x_min + math.pi) / grid.spacing).astype(np.int64)
-        idx = base[:, None] + np.arange(n_cand)[None, :]
-        x = idx * grid.spacing - math.pi - lam_c[:, None]
-        # Offsets off the lens land in its padding bins, which no sample sees.
-        b = np.clip(np.rint((x - x_min) / bin_width), -1, first.size - 2).astype(np.int64) + 1
-        st = epoch[:, None] + first[b]
-        en = epoch[:, None] + last[b]
-        ok = (en >= 0.0) & (st <= window)
-        points.append((idx % grid.size)[ok])
-        starts.append(np.clip(st[ok], 0.0, window))
-        ends.append(np.clip(en[ok], 0.0, window))
-    return sorted_access_table(
-        points, starts, ends, grid=grid, window=window,
+        x_min[sel] = lo
+        n_cand[sel] = int(math.floor((hi - lo) / grid.spacing)) + 2
+        offset[sel] = sum(f.size for f in firsts)
+        top[sel] = first.size - 2
+        firsts.append(first)
+        lasts.append(last)
+    first, last = np.concatenate(firsts), np.concatenate(lasts)
+    # Passes of a branch without a lens see nothing.
+    keep = n_cand > 0
+    lam_c, epoch = pset.lon[keep], pset.epoch[keep]
+    x_min, n_cand, offset, top = x_min[keep], n_cand[keep], offset[keep], top[keep]
+    base = np.ceil((lam_c + x_min + math.pi) / grid.spacing).astype(np.int64)
+    run_start = base % n
+    laps = np.arange(-(-int(np.max(n_cand, initial=0)) // n))[:, None]
+
+    def tiles() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for p0 in range(0, n, TILE_POINTS):
+            q = np.arange(p0, min(p0 + TILE_POINTS, n))
+            sel = ((run_start >= p0) & (run_start <= q[-1])) | ((p0 - run_start) % n < n_cand)
+            j = ((q[:, None] - base[sel]) % n)[:, None, :] + n * laps
+            x = (base[sel] + j) * grid.spacing - math.pi - lam_c[sel]
+            # Offsets off the lens land in its padding bins, which no sample sees.
+            b = np.clip(np.rint((x - x_min[sel]) / bin_width), -1, top[sel]).astype(np.int64)
+            b += offset[sel] + 1
+            st = epoch[sel] + first[b]
+            en = epoch[sel] + last[b]
+            ok = (j < n_cand[sel]) & (en >= 0.0) & (st <= window)
+            start = np.clip(st[ok], 0.0, window)
+            end = np.clip(en[ok], 0.0, window)
+            counts = np.count_nonzero(ok, axis=(1, 2))
+            # Only the tile's rows outlive the block.
+            del j, x, b, st, en, ok
+            order = _point_order(counts, start)
+            yield np.repeat(q, counts), start[order], end[order]
+
+    return AccessTiles(
+        tiles=tiles(), max_rows=int(np.sum(n_cand)), grid=grid, window=window,
         merge_tol=merge_tol, pass_count=len(pset),
+    )
+
+
+def _point_order(counts: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Permutation that sorts point-major rows by (point, start).
+
+    The rows hold counts[0] rows of one point, then counts[1] of the
+    next, and so on.  A stable sort of each point's rows by start gives
+    the permutation np.lexsort((start, point)) gives; the engine's rows
+    come in epoch order, nearly sorted, so each sort is short.
+    """
+    stops = np.cumsum(counts)
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        a + np.argsort(start[a:z], kind="stable") for a, z in zip(stops - counts, stops)
+    ])
+
+
+def accesses_for_passes(
+    pset: PassSet,
+    segments: dict[bool, TrackSegment],
+    footprints: dict[bool, FootprintAtLatitude],
+    grid: LongitudeGrid,
+    lat: float,
+    bins_per_cell: int = BINS_PER_CELL,
+) -> AccessTable:
+    """The whole access table of `access_tiles`."""
+    return join_tiles(access_tiles(pset, segments, footprints, grid, lat, bins_per_cell))
+
+
+def join_tiles(acc: AccessTiles) -> AccessTable:
+    """Concatenate the tiles, already in point order, into one table."""
+    parts = list(acc.tiles)
+    point, start, end = (
+        np.concatenate([np.empty(0, dtype=dtype), *(part[k] for part in parts)])
+        for k, dtype in enumerate((np.int64, float, float))
+    )
+    return AccessTable(
+        point=point, start=start, end=end, grid=acc.grid, window=acc.window,
+        merge_tol=acc.merge_tol, pass_count=acc.pass_count,
     )
 
 
@@ -201,39 +301,75 @@ def sorted_access_table(
 
 
 def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
+    """Revisit report of a table sorted by (point, start).
+
+    The table is reduced range by range of TILE_POINTS grid points, as
+    `tile_stats` reduces the engine's tiles.
+    """
+    cuts = np.searchsorted(table.point, np.arange(TILE_POINTS, table.grid.size, TILE_POINTS))
+    bounds = np.r_[0, cuts, table.point.size]
+    tiles = (
+        (table.point[a:b], table.start[a:b], table.end[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    )
+    return tile_stats(
+        AccessTiles(
+            tiles=tiles, max_rows=table.point.size, grid=table.grid, window=table.window,
+            merge_tol=table.merge_tol, pass_count=table.pass_count,
+        ),
+        clamped=clamped,
+    )
+
+
+def _tile_gaps(
+    pt: np.ndarray, st: np.ndarray, en: np.ndarray, window: float, merge_tol: float,
+) -> tuple[np.ndarray, int, float]:
+    """Gaps, covered point count and latest first access of one tile."""
+    # Segmented running max of interval ends: offsetting by point index
+    # keeps the accumulate from leaking across grid points.
+    k = window + 1.0
+    run_end = np.maximum.accumulate(en + pt * k) - pt * k
+    same = pt[1:] == pt[:-1]
+    raw = st[1:] - run_end[:-1]
+    gaps = raw[same & (raw > merge_tol)]
+    first_of_point = np.ones(pt.size, dtype=bool)
+    first_of_point[1:] = ~same
+    latest = float(np.max(st[first_of_point], initial=-np.inf))
+    return gaps, int(np.count_nonzero(first_of_point)), latest
+
+
+def tile_stats(acc: AccessTiles, clamped: bool = False) -> RevisitReport:
     """Merge intervals, collect gaps, and compute the revisit report.
 
     Gaps are measured between consecutive accesses of the same grid point;
     the leading and trailing boundary gaps of the window are excluded.
     Intervals closer than the merge tolerance (one segment-sample step)
-    are treated as one access.
+    are treated as one access.  Each tile is reduced as it arrives, into
+    one gap array in tile order that the mean is taken over, so the report
+    does not depend on the tiling.
     """
-    n_grid = table.grid.size
-    pt, st, en = table.point, table.start, table.end
-    # Segmented running max of interval ends: offsetting by point index
-    # keeps the accumulate from leaking across grid points.
-    k = table.window + 1.0
-    run_end = np.maximum.accumulate(en + pt * k) - pt * k
-    same = pt[1:] == pt[:-1]
-    raw = st[1:] - run_end[:-1]
-    mask = same & (raw > table.merge_tol)
-    gaps = raw[mask]
-    first_of_point = np.ones(pt.size, dtype=bool)
-    first_of_point[1:] = ~same
-    covered = int(np.count_nonzero(first_of_point))
-    coverage = covered / n_grid
-    ttc = None
-    if covered == n_grid:
-        ttc = float(np.max(st[first_of_point])) / 3600.0
+    n_grid = acc.grid.size
+    # Each gap ends at an interval of its point, so max_rows bounds the gaps.
+    gaps = np.empty(acc.max_rows)
+    n_gaps = covered = 0
+    latest = -math.inf
+    for tile in acc.tiles:
+        tile_gaps, n_covered, first_access = _tile_gaps(*tile, acc.window, acc.merge_tol)
+        gaps[n_gaps : n_gaps + tile_gaps.size] = tile_gaps
+        n_gaps += tile_gaps.size
+        covered += n_covered
+        latest = max(latest, first_access)
+    gaps = gaps[:n_gaps]
+    ttc = latest / 3600.0 if covered == n_grid else None
     mrt = float(np.max(gaps)) / 3600.0 if gaps.size else None
     art = float(np.mean(gaps)) / 3600.0 if gaps.size else None
     return RevisitReport(
         mrt_hours=mrt,
         art_hours=art,
-        coverage_fraction=coverage,
+        coverage_fraction=covered / n_grid,
         time_to_full_coverage_hours=ttc,
         uncovered_count=n_grid - covered,
-        pass_count=table.pass_count,
+        pass_count=acc.pass_count,
         gap_count=int(gaps.size),
         grid_size=n_grid,
         clamped=clamped,

@@ -13,10 +13,12 @@ from typing import ClassVar
 from .coverage import (
     BINS_PER_CELL,
     AccessTable,
+    AccessTiles,
     RevisitReport,
-    accesses_for_passes,
+    access_tiles,
     build_grid,
-    revisit_stats,
+    join_tiles,
+    tile_stats,
 )
 from .oracle import SimConfig, plane_elements, simulate_coverage
 from .passes import (
@@ -71,14 +73,14 @@ def build_pass_set(
     return pass_series(el, lat, shift, p_n, settings.window, planes)
 
 
-def access_table(
+def _tiled_accesses(
     el: OrbitElements,
     sensor: SensorSpec,
     lat: float,
-    walker: WalkerConfig = WalkerConfig(),
-    settings: EngineSettings = EngineSettings(),
-) -> tuple[AccessTable, bool]:
-    """Access table plus a flag noting a beyond-horizon footprint clamp."""
+    walker: WalkerConfig,
+    settings: EngineSettings,
+) -> tuple[AccessTiles, bool]:
+    """Access tiles plus a flag noting a beyond-horizon footprint clamp."""
     pset = build_pass_set(el, lat, walker, settings=settings)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
     scale = settings.footprint_scale
@@ -93,9 +95,21 @@ def access_table(
             reach=footprints[asc].ground_range, ascending=asc,
         )
     grid = build_grid(settings.grid_res)
-    table = accesses_for_passes(pset, segments, footprints, grid, lat)
+    tiles = access_tiles(pset, segments, footprints, grid, lat)
     clamped = footprints[True].clamped or footprints[False].clamped
-    return table, clamped
+    return tiles, clamped
+
+
+def access_table(
+    el: OrbitElements,
+    sensor: SensorSpec,
+    lat: float,
+    walker: WalkerConfig = WalkerConfig(),
+    settings: EngineSettings = EngineSettings(),
+) -> tuple[AccessTable, bool]:
+    """Access table plus a flag noting a beyond-horizon footprint clamp."""
+    acc, clamped = _tiled_accesses(el, sensor, lat, walker, settings)
+    return join_tiles(acc), clamped
 
 
 def analyze(
@@ -105,9 +119,12 @@ def analyze(
     walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
 ) -> RevisitReport:
-    """Semi-analytical revisit report for one configuration."""
-    table, clamped = access_table(el, sensor, lat, walker, settings)
-    return revisit_stats(table, clamped=clamped)
+    """Semi-analytical revisit report for one configuration.
+
+    The access table is reduced tile by tile and never held whole.
+    """
+    acc, clamped = _tiled_accesses(el, sensor, lat, walker, settings)
+    return tile_stats(acc, clamped=clamped)
 
 
 def oracle_sim_config(

@@ -1,10 +1,15 @@
-"""Exact per-sample access evaluation: the reference for the binned lens.
+"""Reference access evaluations for the engine's shortcuts.
 
 The engine looks up each grid point's first/last visible track sample in
 a per-branch lens binned on a fine longitude-offset grid
-(`revisit.coverage.accesses_for_passes`).  This module evaluates the
-footprint-ellipse inequality at every sample for every grid point
-instead, so tests can check the shortcut against it.
+(`revisit.coverage.accesses_for_passes`).  `visible_sample_span` and
+`pass_accesses` evaluate the footprint-ellipse inequality at every sample
+for every grid point instead, so tests can check the lens against them.
+
+The engine also builds the table one tile of grid points at a time and
+sorts each tile by itself.  `dense_access_table` builds it the untiled
+way, one dense (pass, candidate offset) block per branch and one global
+sort, so tests can check the tiles against it.
 """
 from __future__ import annotations
 
@@ -12,8 +17,14 @@ import math
 
 import numpy as np
 
-from revisit.coverage import LongitudeGrid
-from revisit.passes import TrackSegment
+from revisit.coverage import (
+    BINS_PER_CELL,
+    AccessTable,
+    LongitudeGrid,
+    _branch_lens,
+    sorted_access_table,
+)
+from revisit.passes import PassSet, TrackSegment
 from revisit.sensor import FootprintAtLatitude
 
 
@@ -73,3 +84,50 @@ def pass_accesses(
     return out
 
 
+
+
+def dense_access_table(
+    pset: PassSet,
+    segments: dict[bool, TrackSegment],
+    footprints: dict[bool, FootprintAtLatitude],
+    grid: LongitudeGrid,
+    lat: float,
+    bins_per_cell: int = BINS_PER_CELL,
+) -> AccessTable:
+    """`revisit.coverage.accesses_for_passes` without tiles.
+
+    Each branch evaluates every pass at every candidate offset in one
+    dense block, and one stable np.lexsort orders all the rows.
+    """
+    points, starts, ends = [], [], []
+    window = pset.window
+    merge_tol = 0.0
+    bin_width = grid.spacing / bins_per_cell
+    for is_asc in (True, False):
+        seg = segments[is_asc]
+        t = seg.time_frac * pset.nodal_period
+        if t.size > 1:
+            merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
+        lens = _branch_lens(seg, t, footprints[is_asc], lat, bin_width)
+        if lens is None:
+            continue
+        x_min, x_max, first, last = lens
+        sel = pset.ascending == is_asc
+        lam_c = pset.lon[sel]
+        epoch = pset.epoch[sel]
+        n_cand = int(math.floor((x_max - x_min) / grid.spacing)) + 2
+        base = np.ceil((lam_c + x_min + math.pi) / grid.spacing).astype(np.int64)
+        idx = base[:, None] + np.arange(n_cand)[None, :]
+        x = idx * grid.spacing - math.pi - lam_c[:, None]
+        # Offsets off the lens land in its padding bins, which no sample sees.
+        b = np.clip(np.rint((x - x_min) / bin_width), -1, first.size - 2).astype(np.int64) + 1
+        st = epoch[:, None] + first[b]
+        en = epoch[:, None] + last[b]
+        ok = (en >= 0.0) & (st <= window)
+        points.append((idx % grid.size)[ok])
+        starts.append(np.clip(st[ok], 0.0, window))
+        ends.append(np.clip(en[ok], 0.0, window))
+    return sorted_access_table(
+        points, starts, ends, grid=grid, window=window,
+        merge_tol=merge_tol, pass_count=len(pset),
+    )

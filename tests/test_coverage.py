@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import revisit as rv
+from revisit import coverage
 from revisit.coverage import (
     AccessTable,
     LongitudeGrid,
+    access_tiles,
     accesses_for_passes,
     build_grid,
     revisit_stats,
+    tile_stats,
 )
 from revisit.engine import EngineSettings, access_table, analyze, build_pass_set
 from revisit.passes import (
@@ -24,7 +28,7 @@ from revisit.passes import (
 from revisit.sensor import FootprintAtLatitude, radius_at_latitude, resolve_footprint
 
 from conftest import make_orbit
-from reference_access import pass_accesses, visible_sample_span
+from reference_access import dense_access_table, pass_accesses, visible_sample_span
 
 
 class TestBuildGrid:
@@ -137,14 +141,11 @@ def _random_case(rng, index):
     return el, sensor, lat
 
 
-def _branch_accesses(el, sensor, lat, st):
-    """Binned and exact accesses of each branch of one configuration.
-
-    Yields (branch, segment, footprint, binned, exact, merge_tol) per branch:
-    ``binned`` and ``exact`` map (grid point, pass) to (start, end).
-    """
+def _engine_inputs(el, sensor, lat, st, walker=rv.WalkerConfig()):
+    """Pass set, segments by branch, footprints by branch and grid of one
+    configuration, as `engine.access_table` builds them."""
     grid = build_grid(st.grid_res)
-    pset = build_pass_set(el, lat, settings=st)
+    pset = build_pass_set(el, lat, walker, settings=st)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
     fps = {
         True: resolve_footprint(sensor, r_asc, lat),
@@ -157,13 +158,26 @@ def _branch_accesses(el, sensor, lat, st):
         )
         for asc in (True, False)
     }
+    return pset, segs, fps, grid
+
+
+def _subset(pset, sel):
+    """The passes of ``pset`` that ``sel`` selects, as a pass set."""
+    return replace(
+        pset, lon=pset.lon[sel], epoch=pset.epoch[sel], ascending=pset.ascending[sel],
+        plane_index=pset.plane_index[sel], sat_index=pset.sat_index[sel],
+    )
+
+
+def _branch_accesses(el, sensor, lat, st):
+    """Binned and exact accesses of each branch of one configuration.
+
+    Yields (branch, segment, footprint, binned, exact, merge_tol) per branch:
+    ``binned`` and ``exact`` map (grid point, pass) to (start, end).
+    """
+    pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st)
     for asc in (True, False):
-        sel = pset.ascending == asc
-        branch = replace(
-            pset, lon=pset.lon[sel], epoch=pset.epoch[sel],
-            ascending=pset.ascending[sel], plane_index=pset.plane_index[sel],
-            sat_index=pset.sat_index[sel],
-        )
+        branch = _subset(pset, pset.ascending == asc)
         table = accesses_for_passes(branch, segs, fps, grid, lat, st.bins_per_cell)
         # One branch's passes are a nodal period apart, so the
         # nearest epoch names the pass of each interval.
@@ -259,6 +273,139 @@ class TestBinnedLensAgainstExact:
             assert not set(map(tuple, hidden.tolist())) & set(binned)
             n, n_bad = _disagreements(branch, seg, fp, binned, exact, merge_tol, 0.0, st)
             assert n > 500 * branch.lon.size and n_bad <= 1e-2 * n
+
+
+def _seam_orbit(el, lat, st):
+    """``el`` turned in RAAN so that its first pass crosses the target
+    latitude 0.01 deg east of the grid's seam at -180 deg."""
+    first = build_pass_set(el, lat, settings=st).lon[0]
+    return replace(el, raan=el.raan - float(first) - math.pi + math.radians(0.01))
+
+
+_DAY = 86400.0
+_FLEET_ORBIT = make_orbit(700.0, 60.0)
+_ELEV_10 = rv.SensorSpec.elevation(math.radians(10.0))
+_LAT_40 = math.radians(40.0)
+_SSO_500 = rv.OrbitElements(
+    a=rv.EARTH.equatorial_radius + 500.0,
+    inc=rv.sso_inclination(rv.EARTH.equatorial_radius + 500.0),
+)
+_TILE_CASES = {
+    # name: (orbit, sensor, lat, walker, settings, pass filter, least mean n_cand)
+    "walker_6_3_2": (
+        _FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(6, 3, 2),
+        EngineSettings(window=2 * _DAY), None, 0,
+    ),
+    "walker_24_6_0": (
+        _FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(24, 6, 0),
+        EngineSettings(window=_DAY), None, 0,
+    ),
+    # Each pass reaches 1297 grid points, far more than a tile holds.
+    "sso_500km_lat80": (
+        _SSO_500, rv.SensorSpec.elevation(math.radians(30.0)), math.radians(80.0),
+        rv.WalkerConfig(), EngineSettings(window=2 * _DAY), None, 1200,
+    ),
+    # 514 grid points: the last tile holds 2.
+    "grid_0p7deg": (
+        _FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(6, 6, 0),
+        EngineSettings(window=2 * _DAY, grid_res=math.radians(0.7)), None, 0,
+    ),
+    "seam_crossing": (
+        _seam_orbit(_FLEET_ORBIT, _LAT_40, EngineSettings(window=2 * _DAY)), _ELEV_10,
+        _LAT_40, rv.WalkerConfig(), EngineSettings(window=2 * _DAY), None, 0,
+    ),
+    # Unequal crossing radii: each branch has its own footprint and lens.
+    "eccentric_0p02": (
+        make_orbit(700.0, 60.0, e=0.02, argp=1.0), _ELEV_10, _LAT_40, rv.WalkerConfig(3, 3, 1),
+        EngineSettings(window=2 * _DAY), None, 0,
+    ),
+    "elevation_0": (
+        _FLEET_ORBIT, rv.SensorSpec.elevation(0.0), _LAT_40, rv.WalkerConfig(2, 2, 0),
+        EngineSettings(window=2 * _DAY), None, 0,
+    ),
+    # A footprint that nearly reaches the pole: one pass's candidate run
+    # is longer than the 360-point grid and reaches some points twice.
+    "run_longer_than_grid": (
+        make_orbit(400.0, 80.5), rv.SensorSpec.elevation(math.radians(0.3)),
+        math.radians(80.0), rv.WalkerConfig(),
+        EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0)), None, 361,
+    ),
+    "ascending_only": (
+        _FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(), EngineSettings(window=2 * _DAY),
+        lambda pset: pset.ascending, 0,
+    ),
+    "descending_only": (
+        _FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(), EngineSettings(window=2 * _DAY),
+        lambda pset: ~pset.ascending, 0,
+    ),
+    "no_passes": (
+        _FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(), EngineSettings(window=2 * _DAY),
+        lambda pset: np.zeros(len(pset), dtype=bool), 0,
+    ),
+    # No lens on either branch.
+    "zero_width_sensor": (
+        _FLEET_ORBIT, rv.SensorSpec.boresight(0.0), _LAT_40, rv.WalkerConfig(),
+        EngineSettings(window=2 * _DAY), None, 0,
+    ),
+}
+
+
+def _canonical_rows(table):
+    order = np.lexsort((table.end, table.start, table.point))
+    return table.point[order], table.start[order], table.end[order]
+
+
+class TestTilesAgainstDense:
+    def test_point_order_keeps_ties_in_order(self):
+        # Many rows share a start: the sort must be stable, as np.lexsort is.
+        rng = np.random.default_rng(7)
+        counts = rng.integers(0, 400, coverage.TILE_POINTS)
+        counts[5] = 0
+        start = rng.integers(0, 5, counts.sum()).astype(float)
+        point = np.repeat(np.arange(counts.size), counts)
+        assert np.array_equal(coverage._point_order(counts, start), np.lexsort((start, point)))
+
+    @pytest.mark.parametrize("name", sorted(_TILE_CASES))
+    def test_tiled_table_equals_the_dense_table(self, name, monkeypatch):
+        # The tiled table must hold the rows of the untiled dense table,
+        # sorted by (point, start) tile by tile, and both tables and the
+        # streamed tiles must give the same report.
+        el, sensor, lat, walker, st, select, least_cand = _TILE_CASES[name]
+        pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st, walker)
+        if select is not None:
+            pset = _subset(pset, select(pset))
+        tile_sizes = []
+        point_order = coverage._point_order
+
+        def checked_point_order(counts, start):
+            order = point_order(counts, start)
+            point = np.repeat(np.arange(counts.size), counts)
+            assert np.array_equal(order, np.lexsort((start, point)))
+            tile_sizes.append(order.size)
+            return order
+
+        monkeypatch.setattr(coverage, "_point_order", checked_point_order)
+        tiled = accesses_for_passes(pset, segs, fps, grid, lat)
+        assert len(tile_sizes) == -(-grid.size // coverage.TILE_POINTS)
+        dense = dense_access_table(pset, segs, fps, grid, lat)
+        assert dense.point.size == tiled.point.size == sum(tile_sizes)
+        assert np.all(np.diff(tiled.point) >= 0)
+        same_point = tiled.point[1:] == tiled.point[:-1]
+        assert np.all(np.diff(tiled.start)[same_point] >= 0.0)
+        for got, want in zip(_canonical_rows(tiled), _canonical_rows(dense)):
+            assert np.array_equal(got, want)
+        assert (tiled.merge_tol, tiled.pass_count) == (dense.merge_tol, dense.pass_count)
+        report = revisit_stats(dense)
+        assert revisit_stats(tiled) == report
+        acc = access_tiles(pset, segs, fps, grid, lat)
+        assert acc.max_rows >= dense.point.size
+        assert acc.max_rows >= least_cand * len(pset)
+        assert tile_stats(acc) == report
+        if name == "seam_crossing":
+            # The first pass reaches points on both sides of the seam.
+            assert pset.lon[0] == pytest.approx(-math.pi + math.radians(0.01), abs=1e-9)
+            first_pass = np.abs(dense.start - pset.epoch[0]) < 0.1 * pset.nodal_period
+            assert {0, grid.size - 1} <= set(dense.point[first_pass].tolist())
 
 
 def _table(point, start, end, n_grid=360, window=100 * 3600.0, merge_tol=1.0, passes=0):
@@ -393,6 +540,23 @@ class TestEngineTable:
         # A sub-cell shift can change which passes catch a cell edge; the
         # effect is bounded by one cell-crossing access duration.
         assert abs(rep1.mrt_hours - rep0.mrt_hours) < 0.25
+
+    def test_analyze_peak_stays_below_half_the_table(self):
+        # analyze() reduces the access table tile by tile and never holds
+        # it whole: its peak allocation stays below half the table's bytes.
+        args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
+                math.radians(40), rv.WalkerConfig(6, 6, 0), EngineSettings(window=10 * 86400.0))
+        table, _ = access_table(*args)
+        table_bytes = table.point.nbytes + table.start.nbytes + table.end.nbytes
+        assert table.point.size > 1_000_000
+        del table
+        tracemalloc.start()
+        try:
+            analyze(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * table_bytes
 
     def test_zero_width_sensor_covers_nothing(self):
         el = make_orbit(600.0, 55.0)
