@@ -251,7 +251,8 @@ def _point_order(counts: np.ndarray, start: np.ndarray) -> np.ndarray:
     """
     stops = np.cumsum(counts)
     return np.concatenate([np.empty(0, dtype=np.int64)] + [
-        a + np.argsort(start[a:z], kind="stable") for a, z in zip(stops - counts, stops)
+        a + np.argsort(start[a:z], kind="stable")
+        for a, z in zip((stops - counts).tolist(), stops.tolist())
     ])
 
 
@@ -322,20 +323,22 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
 
 
 def _tile_gaps(
-    pt: np.ndarray, st: np.ndarray, en: np.ndarray, window: float, merge_tol: float,
+    pt: np.ndarray, st: np.ndarray, en: np.ndarray, merge_tol: float,
 ) -> tuple[np.ndarray, int, float]:
     """Gaps, covered point count and latest first access of one tile."""
-    # Segmented running max of interval ends: offsetting by point index
-    # keeps the accumulate from leaking across grid points.
-    k = window + 1.0
-    run_end = np.maximum.accumulate(en + pt * k) - pt * k
     same = pt[1:] == pt[:-1]
-    raw = st[1:] - run_end[:-1]
-    gaps = raw[same & (raw > merge_tol)]
     first_of_point = np.ones(pt.size, dtype=bool)
     first_of_point[1:] = ~same
+    # Running max of each point's interval ends, point by point, so that
+    # it only compares values and the ends come back unrounded.
+    heads = np.flatnonzero(first_of_point).tolist()
+    run_end = np.empty_like(en)
+    for a, z in zip(heads, heads[1:] + [pt.size]):
+        np.maximum.accumulate(en[a:z], out=run_end[a:z])
+    raw = st[1:] - run_end[:-1]
+    gaps = raw[same & (raw > merge_tol)]
     latest = float(np.max(st[first_of_point], initial=-np.inf))
-    return gaps, int(np.count_nonzero(first_of_point)), latest
+    return gaps, len(heads), latest
 
 
 def tile_stats(acc: AccessTiles, clamped: bool = False) -> RevisitReport:
@@ -354,7 +357,7 @@ def tile_stats(acc: AccessTiles, clamped: bool = False) -> RevisitReport:
     n_gaps = covered = 0
     latest = -math.inf
     for tile in acc.tiles:
-        tile_gaps, n_covered, first_access = _tile_gaps(*tile, acc.window, acc.merge_tol)
+        tile_gaps, n_covered, first_access = _tile_gaps(*tile, acc.merge_tol)
         gaps[n_gaps : n_gaps + tile_gaps.size] = tile_gaps
         n_gaps += tile_gaps.size
         covered += n_covered

@@ -9,7 +9,9 @@ for every grid point instead, so tests can check the lens against them.
 The engine also builds the table one tile of grid points at a time and
 sorts each tile by itself.  `dense_access_table` builds it the untiled
 way, one dense (pass, candidate offset) block per branch and one global
-sort, so tests can check the tiles against it.
+sort, so tests can check the tiles against it.  `point_by_point_gaps`
+merges a table's intervals one grid point at a time, the reference for
+the gap merge of `revisit.coverage.revisit_stats`.
 """
 from __future__ import annotations
 
@@ -131,3 +133,17 @@ def dense_access_table(
         points, starts, ends, grid=grid, window=window,
         merge_tol=merge_tol, pass_count=len(pset),
     )
+
+
+def point_by_point_gaps(table: AccessTable) -> np.ndarray:
+    """Gaps of a table sorted by (point, start), in table order.
+
+    Each point's running max of interval ends is taken over its own rows
+    alone, so every gap is the exact difference of two table times.
+    """
+    gaps = [np.empty(0)]
+    cuts = np.flatnonzero(np.diff(table.point)) + 1
+    for st, en in zip(np.split(table.start, cuts), np.split(table.end, cuts)):
+        raw = st[1:] - np.maximum.accumulate(en)[:-1]
+        gaps.append(raw[raw > table.merge_tol])
+    return np.concatenate(gaps)

@@ -28,7 +28,12 @@ from revisit.passes import (
 from revisit.sensor import FootprintAtLatitude, radius_at_latitude, resolve_footprint
 
 from conftest import make_orbit
-from reference_access import dense_access_table, pass_accesses, visible_sample_span
+from reference_access import (
+    dense_access_table,
+    pass_accesses,
+    point_by_point_gaps,
+    visible_sample_span,
+)
 
 
 class TestBuildGrid:
@@ -488,6 +493,22 @@ class TestRevisitStats:
         assert rep.time_to_full_coverage_hours is None
         assert rep.uncovered_count == 7
         assert rep.window_exceeded
+
+    def test_gaps_are_exact_differences_of_table_times(self):
+        # Over a 60-day window at 0.1 deg, a running max of
+        # end + point * (window + 1) rounds the ends of point 3599 by up to
+        # 1.9 us.  Each gap must be the exact difference of two table times,
+        # as a merge of each point's rows alone gives it.
+        args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
+                math.radians(40))
+        table, _ = access_table(*args)
+        assert table.window == 60 * 86400.0 and table.grid.size == 3600
+        gaps = point_by_point_gaps(table)
+        rep = revisit_stats(table)
+        assert rep.gap_count == gaps.size
+        assert rep.mrt_hours == float(np.max(gaps)) / 3600.0
+        assert rep.art_hours == float(np.mean(gaps)) / 3600.0
+        assert analyze(*args) == rep
 
     def test_art_not_above_mrt(self):
         t = _table(
