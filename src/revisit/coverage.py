@@ -215,29 +215,29 @@ def access_tiles(
     run_start = base % n
     laps = np.arange(-(-int(np.max(n_cand, initial=0)) // n))[:, None]
 
-    def tiles() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        for p0 in range(0, n, TILE_POINTS):
-            q = np.arange(p0, min(p0 + TILE_POINTS, n))
-            sel = ((run_start >= p0) & (run_start <= q[-1])) | ((p0 - run_start) % n < n_cand)
-            j = ((q[:, None] - base[sel]) % n)[:, None, :] + n * laps
-            x = (base[sel] + j) * grid.spacing - math.pi - lam_c[sel]
-            # Offsets off the lens land in its padding bins, which no sample sees.
-            b = np.clip(np.rint((x - x_min[sel]) / bin_width), -1, top[sel]).astype(np.int64)
-            b += offset[sel] + 1
-            st = epoch[sel] + first[b]
-            en = epoch[sel] + last[b]
-            ok = (j < n_cand[sel]) & (en >= 0.0) & (st <= window)
-            start = np.clip(st[ok], 0.0, window)
-            end = np.clip(en[ok], 0.0, window)
-            counts = np.count_nonzero(ok, axis=(1, 2))
-            # Only the tile's rows outlive the block.
-            del j, x, b, st, en, ok
-            order = _point_order(counts, start)
-            yield np.repeat(q, counts), start[order], end[order]
+    def tile(p0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(point, start, end) of the tile from grid point p0, sorted."""
+        q = np.arange(p0, min(p0 + TILE_POINTS, n))
+        sel = ((run_start >= p0) & (run_start <= q[-1])) | ((p0 - run_start) % n < n_cand)
+        j = ((q[:, None] - base[sel]) % n)[:, None, :] + n * laps
+        x = (base[sel] + j) * grid.spacing - math.pi - lam_c[sel]
+        # Offsets off the lens land in its padding bins, which no sample sees.
+        b = np.clip(np.rint((x - x_min[sel]) / bin_width), -1, top[sel]).astype(np.int64)
+        b += offset[sel] + 1
+        st = epoch[sel] + first[b]
+        en = epoch[sel] + last[b]
+        ok = (j < n_cand[sel]) & (en >= 0.0) & (st <= window)
+        counts = np.count_nonzero(ok, axis=(1, 2))
+        start = np.clip(st[ok], 0.0, window)
+        end = np.clip(en[ok], 0.0, window)
+        # Only the rows outlive the block.
+        del j, x, b, st, en, ok
+        order = _point_order(counts, start)
+        return np.repeat(q, counts), start[order], end[order]
 
     return AccessTiles(
-        tiles=tiles(), max_rows=int(np.sum(n_cand)), grid=grid, window=window,
-        merge_tol=merge_tol, pass_count=len(pset),
+        tiles=(tile(p0) for p0 in range(0, n, TILE_POINTS)), max_rows=int(np.sum(n_cand)),
+        grid=grid, window=window, merge_tol=merge_tol, pass_count=len(pset),
     )
 
 
