@@ -22,7 +22,7 @@ wants the table itself.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,8 +246,9 @@ def _point_order(counts: np.ndarray, start: np.ndarray) -> np.ndarray:
 
     The rows hold counts[0] rows of one point, then counts[1] of the
     next, and so on.  A stable sort of each point's rows by start gives
-    the permutation np.lexsort((start, point)) gives; the engine's rows
-    come in epoch order, nearly sorted, so each sort is short.
+    the permutation np.lexsort((start, point)) gives; the engine gives a
+    point's rows in pass-epoch order (lap by lap), nearly sorted, so each
+    sort is short.
     """
     stops = np.cumsum(counts)
     return np.concatenate([np.empty(0, dtype=np.int64)] + [
