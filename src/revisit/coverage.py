@@ -14,10 +14,10 @@ default case well under a second.
 
 The table is built one tile of TILE_POINTS grid points at a time: a tile
 evaluates only the passes that reach it, sorts its own rows, and is
-reduced to gaps before the next one is built, so `engine.analyze` never
-holds the whole table and its memory stays nearly flat in the number of
-satellites.  `accesses_for_passes` concatenates the tiles when a caller
-wants the table itself.
+folded into running gap statistics before the next one is built, so
+`engine.analyze` never holds the whole table and its memory stays nearly
+flat in the number of satellites.  `accesses_for_passes` concatenates the
+tiles when a caller wants the table itself.
 """
 from __future__ import annotations
 
@@ -85,11 +85,10 @@ class AccessTiles:
 
     Each tile holds every interval of a range of grid points, sorted by
     (point index, start time); tiles come in point order and can be
-    iterated once.  max_rows bounds the number of intervals of all tiles.
+    iterated once.
     """
 
     tiles: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    max_rows: int
     grid: LongitudeGrid
     window: float
     merge_tol: float
@@ -236,8 +235,8 @@ def access_tiles(
         return np.repeat(q, counts), start[order], end[order]
 
     return AccessTiles(
-        tiles=(tile(p0) for p0 in range(0, n, TILE_POINTS)), max_rows=int(np.sum(n_cand)),
-        grid=grid, window=window, merge_tol=merge_tol, pass_count=len(pset),
+        tiles=(tile(p0) for p0 in range(0, n, TILE_POINTS)), grid=grid, window=window,
+        merge_tol=merge_tol, pass_count=len(pset),
     )
 
 
@@ -305,8 +304,9 @@ def sorted_access_table(
 def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     """Revisit report of a table sorted by (point, start).
 
-    The table is reduced range by range of TILE_POINTS grid points, as
-    `tile_stats` reduces the engine's tiles.
+    The table is cut at the TILE_POINTS boundaries of the engine's tiles
+    and reduced by `tile_stats`.  ART sums the gaps tile by tile, so this
+    common cut is what makes a table and its tiles give the same report.
     """
     cuts = np.searchsorted(table.point, np.arange(TILE_POINTS, table.grid.size, TILE_POINTS))
     bounds = np.r_[0, cuts, table.point.size]
@@ -316,7 +316,7 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     )
     return tile_stats(
         AccessTiles(
-            tiles=tiles, max_rows=table.point.size, grid=table.grid, window=table.window,
+            tiles=tiles, grid=table.grid, window=table.window,
             merge_tol=table.merge_tol, pass_count=table.pass_count,
         ),
         clamped=clamped,
@@ -348,25 +348,27 @@ def tile_stats(acc: AccessTiles, clamped: bool = False) -> RevisitReport:
     Gaps are measured between consecutive accesses of the same grid point;
     the leading and trailing boundary gaps of the window are excluded.
     Intervals closer than the merge tolerance (one segment-sample step)
-    are treated as one access.  Each tile is reduced as it arrives, into
-    one gap array in tile order that the mean is taken over, so the report
-    does not depend on the tiling.
+    are treated as one access.  Each tile is folded into running values as
+    it arrives: the largest gap, the sum and count of gaps, the covered
+    point count and the latest first access.  ART adds the tiles' gap sums
+    in tile order, so it depends on where the tiles are cut: the engine
+    and `revisit_stats` cut at the same TILE_POINTS boundaries, and that
+    is what makes a table and its tiles give the same report.
     """
     n_grid = acc.grid.size
-    # Each gap ends at an interval of its point, so max_rows bounds the gaps.
-    gaps = np.empty(acc.max_rows)
+    longest = latest = -math.inf
+    total = 0.0
     n_gaps = covered = 0
-    latest = -math.inf
     for tile in acc.tiles:
-        tile_gaps, n_covered, first_access = _tile_gaps(*tile, acc.merge_tol)
-        gaps[n_gaps : n_gaps + tile_gaps.size] = tile_gaps
-        n_gaps += tile_gaps.size
+        gaps, n_covered, first_access = _tile_gaps(*tile, acc.merge_tol)
+        longest = max(longest, float(np.max(gaps, initial=-math.inf)))
+        total += float(np.sum(gaps))
+        n_gaps += gaps.size
         covered += n_covered
         latest = max(latest, first_access)
-    gaps = gaps[:n_gaps]
     ttc = latest / 3600.0 if covered == n_grid else None
-    mrt = float(np.max(gaps)) / 3600.0 if gaps.size else None
-    art = float(np.mean(gaps)) / 3600.0 if gaps.size else None
+    mrt = longest / 3600.0 if n_gaps else None
+    art = total / n_gaps / 3600.0 if n_gaps else None
     return RevisitReport(
         mrt_hours=mrt,
         art_hours=art,
@@ -374,7 +376,7 @@ def tile_stats(acc: AccessTiles, clamped: bool = False) -> RevisitReport:
         time_to_full_coverage_hours=ttc,
         uncovered_count=n_grid - covered,
         pass_count=acc.pass_count,
-        gap_count=int(gaps.size),
+        gap_count=n_gaps,
         grid_size=n_grid,
         clamped=clamped,
     )

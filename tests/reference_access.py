@@ -95,13 +95,16 @@ def dense_access_table(
     grid: LongitudeGrid,
     lat: float,
     bins_per_cell: int = BINS_PER_CELL,
-) -> AccessTable:
+) -> tuple[AccessTable, np.ndarray]:
     """`revisit.coverage.accesses_for_passes` without tiles.
 
     Each branch evaluates every pass at every candidate offset in one
-    dense block, and one stable np.lexsort orders all the rows.
+    dense block, and one stable np.lexsort orders all the rows.  Returns
+    the table and each pass's candidate offset count, 0 on a branch
+    without a lens.
     """
     points, starts, ends = [], [], []
+    cand = np.zeros(len(pset), dtype=np.int64)
     window = pset.window
     merge_tol = 0.0
     bin_width = grid.spacing / bins_per_cell
@@ -118,6 +121,7 @@ def dense_access_table(
         lam_c = pset.lon[sel]
         epoch = pset.epoch[sel]
         n_cand = int(math.floor((x_max - x_min) / grid.spacing)) + 2
+        cand[sel] = n_cand
         base = np.ceil((lam_c + x_min + math.pi) / grid.spacing).astype(np.int64)
         idx = base[:, None] + np.arange(n_cand)[None, :]
         x = idx * grid.spacing - math.pi - lam_c[:, None]
@@ -129,21 +133,25 @@ def dense_access_table(
         points.append((idx % grid.size)[ok])
         starts.append(np.clip(st[ok], 0.0, window))
         ends.append(np.clip(en[ok], 0.0, window))
-    return sorted_access_table(
+    table = sorted_access_table(
         points, starts, ends, grid=grid, window=window,
         merge_tol=merge_tol, pass_count=len(pset),
     )
+    return table, cand
 
 
-def point_by_point_gaps(table: AccessTable) -> np.ndarray:
-    """Gaps of a table sorted by (point, start), in table order.
+def point_by_point_gaps(table: AccessTable) -> tuple[np.ndarray, np.ndarray]:
+    """Grid point and length of each gap of a table sorted by (point,
+    start), in table order.
 
     Each point's running max of interval ends is taken over its own rows
     alone, so every gap is the exact difference of two table times.
     """
-    gaps = [np.empty(0)]
+    points, gaps = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     cuts = np.flatnonzero(np.diff(table.point)) + 1
-    for st, en in zip(np.split(table.start, cuts), np.split(table.end, cuts)):
+    for pt, st, en in zip(*(np.split(a, cuts) for a in (table.point, table.start, table.end))):
         raw = st[1:] - np.maximum.accumulate(en)[:-1]
-        gaps.append(raw[raw > table.merge_tol])
-    return np.concatenate(gaps)
+        keep = raw > table.merge_tol
+        points.append(pt[1:][keep])
+        gaps.append(raw[keep])
+    return np.concatenate(points), np.concatenate(gaps)
