@@ -17,7 +17,7 @@ from .errors import (
     RevisitError,
     SunSyncInfeasibleError,
 )
-from .oracle import SimConfig, plane_elements, propagate_j2, simulate_coverage
+from .oracle import SimConfig, plane_elements, propagate_j2
 from .passes import (
     OrbitElements,
     PassSet,
@@ -83,7 +83,6 @@ __all__ = [
     "revisit_stats",
     "run_case",
     "run_sweep",
-    "simulate_coverage",
     "sso_inclination",
     "walker_planes",
 ]

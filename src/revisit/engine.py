@@ -18,9 +18,10 @@ from .coverage import (
     access_tiles,
     build_grid,
     join_tiles,
+    revisit_stats,
     tile_stats,
 )
-from .oracle import SimConfig, plane_elements, simulate_coverage
+from .oracle import SimConfig, plane_elements, simulate_access_table
 from .passes import (
     SEGMENT_PAD,
     OrbitElements,
@@ -157,4 +158,4 @@ def oracle_analyze(
 ) -> RevisitReport:
     """Brute-force revisit report on the same grid and window."""
     cfg = oracle_sim_config(el, sensor, lat, walker, settings, step)
-    return simulate_coverage(cfg)
+    return revisit_stats(simulate_access_table(cfg))

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coverage import (
-    AccessTable,
-    LongitudeGrid,
-    RevisitReport,
-    revisit_stats,
-    sorted_access_table,
-)
+from .coverage import AccessTable, LongitudeGrid, sorted_access_table
 from .earth import EARTH, EarthConstants, geodetic_radius
 from .errors import KeplerConvergenceError
 from .passes import (
@@ -132,6 +126,8 @@ class SimConfig:
     earth: EarthConstants = field(default=EARTH)
 
     def __post_init__(self) -> None:
+        if np.size(self.lons) == 0:
+            raise ValueError("lons must hold at least one longitude")
         if not 0.0 < self.step < math.inf:
             raise ValueError("time step must be positive and finite")
         if not self.refine_tol < self.step:
@@ -270,50 +266,8 @@ def simulate_access_table(cfg: SimConfig) -> AccessTable:
         times = np.append(times, cfg.window)
     parts = [_sat_intervals(el, cfg, times) for el in cfg.elements]
     points, starts, ends, crossings = ([part[k] for part in parts] for k in range(4))
-    spacing = TWO_PI / cfg.lons.size if cfg.lons.size else 0.0
-    grid = LongitudeGrid(spacing=spacing, lon=np.asarray(cfg.lons, dtype=float))
+    grid = LongitudeGrid(spacing=TWO_PI / cfg.lons.size, lon=np.asarray(cfg.lons, dtype=float))
     return sorted_access_table(
         points, starts, ends, grid=grid, window=cfg.window,
         merge_tol=cfg.refine_tol, pass_count=sum(crossings),
     )
-
-
-def simulate_coverage(cfg: SimConfig) -> RevisitReport:
-    """Point-coverage revisit report, same gap conventions as the engine."""
-    return revisit_stats(simulate_access_table(cfg))
-
-
-def crossing_events(
-    el: OrbitElements,
-    lat: float,
-    window: float,
-    earth: EarthConstants = EARTH,
-    step: float = 10.0,
-    tol: float = 1e-4,
-) -> list[tuple[float, float, bool]]:
-    """Times, longitudes and directions of ground-track latitude crossings.
-
-    Brute-force scan with bisection refinement; used to cross-check the
-    analytical pass schedule.
-    """
-    n = int(math.floor(window / step))
-    t = np.arange(n + 1, dtype=float) * step
-    _, lat_s, _ = propagate_j2(el, t, earth)
-    f = lat_s - lat
-    idx = np.flatnonzero(f[:-1] * f[1:] < 0)
-    events = []
-    for i in idx:
-        lo, hi = t[i], t[i + 1]
-        f_lo = f[i]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            _, lat_m, _ = propagate_j2(el, np.array([mid]), earth)
-            f_m = float(lat_m[0]) - lat
-            if (f_m < 0) == (f_lo < 0):
-                lo, f_lo = mid, f_m
-            else:
-                hi = mid
-        t_c = 0.5 * (lo + hi)
-        _, lat_c, lon_c = propagate_j2(el, np.array([t_c]), earth)
-        events.append((float(t_c), float(lon_c[0]), bool(f[i] < 0)))
-    return events

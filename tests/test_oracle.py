@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import revisit as rv
+from revisit.coverage import revisit_stats
 from revisit.earth import geodetic_radius
 from revisit.engine import EngineSettings, analyze, oracle_analyze
 from revisit.errors import KeplerConvergenceError
@@ -17,7 +18,6 @@ from revisit.oracle import (
     propagate_j2,
     secular_rates,
     simulate_access_table,
-    simulate_coverage,
     solve_kepler,
     true_from_mean,
 )
@@ -116,7 +116,7 @@ class TestSimulateCoverage:
             lat=math.radians(7.123),
             lons=np.radians(np.arange(-179.531, 180.0, 10.0)), window=6 * 3600.0,
         )
-        rep = simulate_coverage(cfg)
+        rep = revisit_stats(simulate_access_table(cfg))
         assert rep.coverage_fraction == 0.0
 
     def test_step_halving_converges(self):
@@ -129,7 +129,7 @@ class TestSimulateCoverage:
                 lat=math.radians(20), lons=lons, window=2 * 86400.0,
                 step=step, refine_tol=0.05,
             )
-            reports.append(simulate_coverage(cfg))
+            reports.append(revisit_stats(simulate_access_table(cfg)))
         assert reports[0].mrt_hours == pytest.approx(
             reports[1].mrt_hours, abs=0.1 / 3600.0
         )
@@ -226,6 +226,11 @@ class TestSimulateCoverage:
             SimConfig(
                 elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
                 lons=np.array([0.0]), window=100.0, step=math.inf,
+            )
+        with pytest.raises(ValueError):
+            SimConfig(
+                elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
+                lons=np.array([]), window=100.0,
             )
 
 

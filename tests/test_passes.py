@@ -5,7 +5,7 @@ import pytest
 
 import revisit as rv
 from revisit.earth import EarthConstants
-from revisit.oracle import crossing_events, plane_elements, propagate_j2
+from revisit.oracle import plane_elements, propagate_j2
 from revisit.passes import (
     OrbitElements,
     PlaneSpec,
@@ -22,6 +22,7 @@ from revisit.passes import (
 from revisit.sensor import resolve_footprint
 
 from conftest import make_orbit
+from reference_passes import crossing_events
 
 DAY_SIDEREAL = 86164.0905
 
