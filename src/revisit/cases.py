@@ -40,6 +40,14 @@ MAX_SWEEP_CELLS = 100_000
 
 WINDOW_EXCEEDED = "window_exceeded"
 
+# Bounds that keep a case's arrays allocatable.
+# Finest grid spacing: a 360 000-point grid.
+MIN_GRID_RES_DEG = 0.001
+# Longest window: ten years.
+MAX_WINDOW_DAYS = 3660.0
+# Highest apoapsis, above GEO and Molniya apogees.
+MAX_APOAPSIS_KM = 100_000.0
+
 # Field pairs of which a case sets exactly one; the unset side keeps its
 # default (None, or False for sso).
 EITHER_OR = (
@@ -111,10 +119,15 @@ class CaseConfig:
                 raise ConfigError(f"give exactly one of {pair[0]} / {pair[1]}")
         if not -80.0 <= self.latitude_deg <= 80.0:
             raise ConfigError("target latitude limited to [-80, 80] deg")
-        if self.window_days <= 0.0:
-            raise ConfigError("window_days must be positive")
-        if not 0.0 < self.grid_res_deg <= 1.0:
-            raise ConfigError(f"grid_res_deg must be in (0, 1], got {self.grid_res_deg:g}")
+        if not 0.0 < self.window_days <= MAX_WINDOW_DAYS:
+            raise ConfigError(
+                f"window_days must be positive and at most {MAX_WINDOW_DAYS:g}, "
+                f"got {self.window_days:g}"
+            )
+        if not MIN_GRID_RES_DEG <= self.grid_res_deg <= 1.0:
+            raise ConfigError(
+                f"grid_res_deg must be in [{MIN_GRID_RES_DEG:g}, 1], got {self.grid_res_deg:g}"
+            )
         if self.segment_samples < 3:
             raise ConfigError(f"segment_samples must be at least 3, got {self.segment_samples}")
         if not 0.0 <= self.eccentricity < 1.0:
@@ -154,6 +167,8 @@ def resolve_case(cfg: CaseConfig) -> ResolvedCase:
     # Altitude is measured from the equatorial radius, so perigee must clear it.
     if a * (1.0 - cfg.eccentricity) <= EARTH.equatorial_radius:
         raise ConfigError(f"{name} puts perigee at or below the equatorial radius")
+    if a * (1.0 + cfg.eccentricity) > MAX_APOAPSIS_KM:
+        raise ConfigError(f"{name} puts apoapsis above {MAX_APOAPSIS_KM:g} km")
     if cfg.sso:
         inc = sso_inclination(a, cfg.eccentricity)
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .cases import (
     CSV_COLUMNS,
@@ -27,30 +28,25 @@ from .engine import analyze, oracle_analyze
 from .errors import ConfigError, RevisitError
 
 
+# Help of the case flags that have one; every CaseConfig field is a flag.
+_FLAG_HELP = {
+    "sso": "solve the sun-synchronous inclination",
+    "boresight_deg": "sensor half-cone angle about nadir",
+    "elevation_deg": "minimum elevation constraint",
+    "walker": "constellation as t/p/f, e.g. 3/3/1",
+}
+
+
 def _add_case_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--altitude-km", type=float)
-    p.add_argument("--semi-major-axis-km", type=float)
-    p.add_argument("--eccentricity", type=float)
-    p.add_argument("--inclination-deg", type=float)
-    p.add_argument("--sso", action="store_true", help="solve the sun-synchronous inclination")
-    p.add_argument("--boresight-deg", type=float, help="sensor half-cone angle about nadir")
-    p.add_argument("--elevation-deg", type=float, help="minimum elevation constraint")
-    p.add_argument("--latitude-deg", type=float)
-    p.add_argument("--walker", help="constellation as t/p/f, e.g. 3/3/1")
-    p.add_argument("--raan-deg", type=float)
-    p.add_argument("--argp-deg", type=float)
-    p.add_argument("--nu0-deg", type=float)
-    p.add_argument("--window-days", type=float)
-    p.add_argument("--grid-res-deg", type=float)
-    p.add_argument("--segment-samples", type=int)
-
-
-_FLAG_FIELDS = (
-    "altitude_km", "semi_major_axis_km", "eccentricity", "inclination_deg",
-    "boresight_deg", "elevation_deg", "latitude_deg", "raan_deg", "argp_deg",
-    "nu0_deg", "window_days", "grid_res_deg", "segment_samples",
-)
+    for f in fields(CaseConfig):
+        flag, help_text = "--" + f.name.replace("_", "-"), _FLAG_HELP.get(f.name)
+        if f.type == "bool":
+            # None when not given, so the config file's value stays.
+            p.add_argument(flag, action="store_true", default=None, help=help_text)
+        else:
+            kind = {"float": float, "int": int}.get(f.type.split(" |")[0], str)
+            p.add_argument(flag, type=kind, help=help_text)
 
 
 def _load_json(path: str) -> dict:
@@ -66,11 +62,10 @@ def _case_from_args(args: argparse.Namespace) -> CaseConfig:
     if args.config:
         raw = _load_json(args.config)
         data = json_object("case", raw.get("case", raw))
-    flags = {name: getattr(args, name) for name in _FLAG_FIELDS if getattr(args, name) is not None}
-    if args.sso:
-        flags["sso"] = True
-    if args.walker:
-        flags["walker"] = args.walker
+    flags = {
+        f.name: getattr(args, f.name) for f in fields(CaseConfig)
+        if getattr(args, f.name) is not None
+    }
     # A flag for one side of an either-or pair drops the file's other side;
     # flags for both sides stay, and validation rejects them.
     for pair in EITHER_OR:

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from revisit.cases import (
     run_sweep,
     sweep_from_dict,
 )
-from revisit.cli import main
+from revisit.cli import _case_from_args, build_parser, main
 from revisit.engine import EngineSettings, analyze
 from revisit.errors import ConfigError
 
@@ -193,6 +193,21 @@ class TestSweep:
         assert rows[0]["mrt_h"] == ""
         assert all(r["error"] == "" and r["mrt_h"] != "" for r in rows[1:])
 
+    def test_oversized_window_stays_in_its_cell(self, tmp_path, capsys):
+        # A 1e9-day window would ask numpy for over 100 GiB.
+        path = tmp_path / "sweep.json"
+        sweep = {"window_days": [3, 1e9, 1e9 - 3]}
+        path.write_text(json.dumps({"case": BASE.__dict__, "sweep": sweep}))
+        out_path = tmp_path / "out.csv"
+        code = main(["sweep", "--config", str(path), "--workers", "1", "--out", str(out_path)])
+        rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
+        assert code == 1
+        assert "1 cell(s) failed" in capsys.readouterr().err
+        assert [r["window_days"] for r in rows] == ["3.000", "1000000000.000"]
+        assert rows[0]["error"] == "" and rows[0]["mrt_h"] != ""
+        assert rows[1]["error"].startswith("ConfigError: window_days ")
+        assert rows[1]["mrt_h"] == ""
+
     @pytest.mark.parametrize(
         "name, value, error",
         [("walker", "3/2/0", "walker 3/2/0 "), ("window_days", "2", "window_days ")],
@@ -269,6 +284,36 @@ class TestCli:
         assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
         assert len(out.splitlines()) == 2
 
+    def test_every_case_field_is_set_by_its_flag(self, capsys):
+        argv = [
+            "--altitude-km", "601", "--semi-major-axis-km", "7001", "--eccentricity", "0.01",
+            "--inclination-deg", "51", "--sso", "--boresight-deg", "31", "--elevation-deg", "11",
+            "--latitude-deg", "21", "--walker", "6/3/2", "--raan-deg", "1", "--argp-deg", "2",
+            "--nu0-deg", "3", "--window-days", "4", "--grid-res-deg", "0.5",
+            "--segment-samples", "500",
+        ]
+        want = CaseConfig(
+            altitude_km=601.0, semi_major_axis_km=7001.0, eccentricity=0.01,
+            inclination_deg=51.0, sso=True, boresight_deg=31.0, elevation_deg=11.0,
+            latitude_deg=21.0, walker=(6, 3, 2), raan_deg=1.0, argp_deg=2.0, nu0_deg=3.0,
+            window_days=4.0, grid_res_deg=0.5, segment_samples=500,
+        )
+        # Every field differs from its default, so each flag must reach it.
+        assert all(getattr(want, f.name) != f.default for f in fields(CaseConfig))
+        got = _case_from_args(build_parser().parse_args(["run", *argv]))
+        assert got == want
+        assert [type(getattr(got, f.name)) for f in fields(CaseConfig)] == [
+            type(getattr(want, f.name)) for f in fields(CaseConfig)
+        ]
+        # The help lists the flags in field order, after --config.
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = capsys.readouterr().out
+        flags = ["--config"] + [a for a in argv if a.startswith("--")]
+        assert [out.index(f"  {flag}") for flag in flags] == sorted(
+            out.index(f"  {flag}") for flag in flags
+        )
+
     def test_run_config_error_exit_code(self, capsys):
         code = main(["run", "--altitude-km", "600", "--elevation-deg", "15"])
         assert code == 1
@@ -284,6 +329,9 @@ class TestCli:
             (["--grid-res-deg", "nan"], "grid_res_deg"),
             (["--grid-res-deg", "5"], "grid_res_deg"),
             (["--segment-samples", "2"], "segment_samples"),
+            (["--grid-res-deg", "1e-9"], "grid_res_deg"),
+            (["--window-days", "1e9"], "window_days"),
+            (["--semi-major-axis-km", "1e9"], "semi_major_axis_km"),
             (["--walker", "3/2/0"], "walker"),
             (["--walker", "3/3/5"], "walker"),
             (["--walker", "0/1/0"], "walker"),
@@ -294,6 +342,7 @@ class TestCli:
         ],
         ids=[
             "alt_neg", "alt_nan", "sma_below", "window_inf", "grid_nan", "grid_5", "samples_2",
+            "grid_1e-9", "window_1e9", "sma_1e9",
             "walker_divide", "walker_phasing", "walker_empty",
             "step_0", "step_below_tol", "step_nan", "step_inf",
         ],
