@@ -12,12 +12,14 @@ longitude offset from the crossing) is precomputed once per branch on a
 fine offset grid and then looked up for every pass, which keeps a 60-day
 default case well under a second.
 
-The table is built one tile of TILE_POINTS grid points at a time: a tile
-evaluates only the passes that reach it, sorts its own rows, and is
-folded into running gap statistics before the next one is built, so
-`engine.analyze` never holds the whole table and its memory stays nearly
-flat in the number of satellites.  `accesses_for_passes` concatenates the
-tiles when a caller wants the table itself.
+The table is built one tile of TILE_POINTS grid points at a time.  A tile
+is one dense block, a row per grid point and a cell per (lap, pass) that
+can reach it, with each row sorted by start and its unreached cells
+padded last.  It is folded into running gap statistics before the next
+one is built, so `engine.analyze` never holds the whole table and its
+memory stays nearly flat in the number of satellites.
+`accesses_for_passes` joins the tiles, without their padding, when a
+caller wants the table itself.
 """
 from __future__ import annotations
 
@@ -65,9 +67,9 @@ class AccessTable:
 
     Parallel arrays sorted by (point index, start time); intervals may
     still overlap within a point and are merged during statistics.  The
-    engine sorts each tile of grid points by itself, so rows with equal
-    (point, start) come in pass-epoch order, which may differ from the
-    order of an untiled sort.
+    engine's table is its tiles' rows joined without their padding, so
+    rows with equal (point, start) come in (lap, pass-epoch) order, which
+    may differ from the order of an untiled sort.
     """
 
     point: np.ndarray
@@ -81,14 +83,16 @@ class AccessTable:
 
 @dataclass(frozen=True)
 class AccessTiles:
-    """The access table as a stream of (point, start, end) tiles.
+    """The access table as a stream of (start, end) tiles.
 
-    Each tile holds every interval of a range of grid points, sorted by
-    (point index, start time); tiles come in point order and can be
+    Tile k holds grid points k * TILE_POINTS onwards, TILE_POINTS of them
+    (fewer in the last tile), as two dense (points, cells) arrays.  Row i
+    holds the intervals of point k * TILE_POINTS + i sorted by start, then
+    padding cells with start +inf and end -inf.  The tiles can be
     iterated once.
     """
 
-    tiles: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    tiles: Iterable[tuple[np.ndarray, np.ndarray]]
     grid: LongitudeGrid
     window: float
     merge_tol: float
@@ -176,9 +180,11 @@ def access_tiles(
     where n_cand covers its branch's lens.  For each point q of a tile
     and each pass whose run meets the tile, the offsets j congruent to
     q - base_k are evaluated in one (points, laps, passes) block; a run
-    longer than the grid reaches a point once per lap.  Both branches'
-    lenses are joined, and each pass keeps its offset into them, so one
-    lookup serves every pass.  The tiles are built as the returned
+    longer than the grid reaches a point once per lap.  Cells outside a
+    run or the window become padding, one stable sort orders each point's
+    cells, and the columns that are padding in every row are cut.  Both
+    branches' lenses are joined, and each pass keeps its offset into them,
+    so one lookup serves every pass.  The tiles are built as the returned
     `AccessTiles` is iterated.
     """
     n, window = grid.size, pset.window
@@ -214,46 +220,42 @@ def access_tiles(
     run_start = base % n
     laps = np.arange(-(-int(np.max(n_cand, initial=0)) // n))[:, None]
 
-    def tile(p0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(point, start, end) of the tile from grid point p0, sorted."""
+    def tile(p0: int) -> tuple[np.ndarray, np.ndarray]:
+        """(start, end) of the tile from grid point p0, each row sorted."""
         q = np.arange(p0, min(p0 + TILE_POINTS, n))
         sel = ((run_start >= p0) & (run_start <= q[-1])) | ((p0 - run_start) % n < n_cand)
         j = ((q[:, None] - base[sel]) % n)[:, None, :] + n * laps
-        x = (base[sel] + j) * grid.spacing - math.pi - lam_c[sel]
+        # The lens bin of each offset, computed in place to spare the block copies.
+        x = (base[sel] + j) * grid.spacing
+        x -= math.pi
+        x -= lam_c[sel]
+        x -= x_min[sel]
+        x /= bin_width
         # Offsets off the lens land in its padding bins, which no sample sees.
-        b = np.clip(np.rint((x - x_min[sel]) / bin_width), -1, top[sel]).astype(np.int64)
+        b = np.clip(np.rint(x, out=x), -1, top[sel], out=x).astype(np.int64)
         b += offset[sel] + 1
-        st = epoch[sel] + first[b]
-        en = epoch[sel] + last[b]
-        ok = (j < n_cand[sel]) & (en >= 0.0) & (st <= window)
-        counts = np.count_nonzero(ok, axis=(1, 2))
-        start = np.clip(st[ok], 0.0, window)
-        end = np.clip(en[ok], 0.0, window)
-        # Only the rows outlive the block.
-        del j, x, b, st, en, ok
-        order = _point_order(counts, start)
-        return np.repeat(q, counts), start[order], end[order]
+        st, en = first[b], last[b]
+        st += epoch[sel]
+        en += epoch[sel]
+        off = (j >= n_cand[sel]) | (en < 0.0) | (st > window)
+        del j, x, b
+        np.clip(st, 0.0, window, out=st)
+        np.clip(en, 0.0, window, out=en)
+        st[off] = np.inf
+        en[off] = -np.inf
+        width = off[0].size - int(np.min(np.count_nonzero(off, axis=(1, 2))))
+        st, en = st.reshape(q.size, -1), en.reshape(q.size, -1)
+        # A stable sort keeps each point's equal starts in (lap, pass)
+        # order and moves the padding last; width, the most real cells of
+        # any row, cuts off the columns that hold only padding.
+        order = np.argsort(st, axis=1, kind="stable")[:, :width]
+        order += np.arange(q.size)[:, None] * st.shape[1]
+        return st.ravel()[order], en.ravel()[order]
 
     return AccessTiles(
         tiles=(tile(p0) for p0 in range(0, n, TILE_POINTS)), grid=grid, window=window,
         merge_tol=merge_tol, pass_count=len(pset),
     )
-
-
-def _point_order(counts: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Permutation that sorts point-major rows by (point, start).
-
-    The rows hold counts[0] rows of one point, then counts[1] of the
-    next, and so on.  A stable sort of each point's rows by start gives
-    the permutation np.lexsort((start, point)) gives; the engine gives a
-    point's rows in pass-epoch order (lap by lap), nearly sorted, so each
-    sort is short.
-    """
-    stops = np.cumsum(counts)
-    return np.concatenate([np.empty(0, dtype=np.int64)] + [
-        a + np.argsort(start[a:z], kind="stable")
-        for a, z in zip((stops - counts).tolist(), stops.tolist())
-    ])
 
 
 def accesses_for_passes(
@@ -269,15 +271,18 @@ def accesses_for_passes(
 
 
 def join_tiles(acc: AccessTiles) -> AccessTable:
-    """Concatenate the tiles, already in point order, into one table."""
-    parts = list(acc.tiles)
-    point, start, end = (
-        np.concatenate([np.empty(0, dtype=dtype), *(part[k] for part in parts)])
-        for k, dtype in enumerate((np.int64, float, float))
-    )
+    """Join the tiles, already in point order, into one table without padding."""
+    points, starts, ends = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
+    p0 = 0
+    for start, end in acc.tiles:
+        real = start < np.inf
+        points.append(p0 + np.nonzero(real)[0])
+        starts.append(start[real])
+        ends.append(end[real])
+        p0 += start.shape[0]
     return AccessTable(
-        point=point, start=start, end=end, grid=acc.grid, window=acc.window,
-        merge_tol=acc.merge_tol, pass_count=acc.pass_count,
+        point=np.concatenate(points), start=np.concatenate(starts), end=np.concatenate(ends),
+        grid=acc.grid, window=acc.window, merge_tol=acc.merge_tol, pass_count=acc.pass_count,
     )
 
 
@@ -304,42 +309,34 @@ def sorted_access_table(
 def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     """Revisit report of a table sorted by (point, start).
 
-    The table is cut at the TILE_POINTS boundaries of the engine's tiles
-    and reduced by `tile_stats`.  ART sums the gaps tile by tile, so this
-    common cut is what makes a table and its tiles give the same report.
+    The table is cut at the TILE_POINTS boundaries of the engine's tiles,
+    and each cut is padded into a tile as `access_tiles` gives it for
+    `tile_stats`.  ART sums the gaps tile by tile, so this common cut is
+    what makes a table and its tiles give the same report.
     """
-    cuts = np.searchsorted(table.point, np.arange(TILE_POINTS, table.grid.size, TILE_POINTS))
-    bounds = np.r_[0, cuts, table.point.size]
-    tiles = (
-        (table.point[a:b], table.start[a:b], table.end[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-    )
+    n = table.grid.size
+    bounds = np.searchsorted(table.point, np.r_[0:n:TILE_POINTS, n])
+
+    def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
+        a, z = bounds[k], bounds[k + 1]
+        cut = table.point[a:z] - k * TILE_POINTS
+        counts = np.bincount(cut, minlength=min(TILE_POINTS, n - k * TILE_POINTS))
+        start = np.full((counts.size, int(np.max(counts))), np.inf)
+        end = np.full(start.shape, -np.inf)
+        # Row r of point p goes to row p, column r - (p's first row).
+        first_row = np.cumsum(counts) - counts
+        cell = cut * start.shape[1] + np.arange(z - a) - first_row[cut]
+        start.ravel()[cell] = table.start[a:z]
+        end.ravel()[cell] = table.end[a:z]
+        return start, end
+
     return tile_stats(
         AccessTiles(
-            tiles=tiles, grid=table.grid, window=table.window,
-            merge_tol=table.merge_tol, pass_count=table.pass_count,
+            tiles=(tile(k) for k in range(bounds.size - 1)), grid=table.grid,
+            window=table.window, merge_tol=table.merge_tol, pass_count=table.pass_count,
         ),
         clamped=clamped,
     )
-
-
-def _tile_gaps(
-    pt: np.ndarray, st: np.ndarray, en: np.ndarray, merge_tol: float,
-) -> tuple[np.ndarray, int, float]:
-    """Gaps, covered point count and latest first access of one tile."""
-    same = pt[1:] == pt[:-1]
-    first_of_point = np.ones(pt.size, dtype=bool)
-    first_of_point[1:] = ~same
-    # Running max of each point's interval ends, point by point, so that
-    # it only compares values and the ends come back unrounded.
-    heads = np.flatnonzero(first_of_point).tolist()
-    run_end = np.empty_like(en)
-    for a, z in zip(heads, heads[1:] + [pt.size]):
-        np.maximum.accumulate(en[a:z], out=run_end[a:z])
-    raw = st[1:] - run_end[:-1]
-    gaps = raw[same & (raw > merge_tol)]
-    latest = float(np.max(st[first_of_point], initial=-np.inf))
-    return gaps, len(heads), latest
 
 
 def tile_stats(acc: AccessTiles, clamped: bool = False) -> RevisitReport:
@@ -359,24 +356,23 @@ def tile_stats(acc: AccessTiles, clamped: bool = False) -> RevisitReport:
     longest = latest = -math.inf
     total = 0.0
     n_gaps = covered = 0
-    for tile in acc.tiles:
-        gaps, n_covered, first_access = _tile_gaps(*tile, acc.merge_tol)
+    for start, end in acc.tiles:
+        # Running max of each point's interval ends along its row, so that
+        # it only compares values and the ends come back unrounded.  A
+        # padding cell starts at +inf, so its raw gap is +inf.
+        raw = start[:, 1:] - np.maximum.accumulate(end, axis=1)[:, :-1]
+        gaps = raw[(raw > acc.merge_tol) & (raw < np.inf)]
+        first = start[:, :1][start[:, :1] < np.inf]
         longest = max(longest, float(np.max(gaps, initial=-math.inf)))
         total += float(np.sum(gaps))
         n_gaps += gaps.size
-        covered += n_covered
-        latest = max(latest, first_access)
+        covered += first.size
+        latest = max(latest, float(np.max(first, initial=-math.inf)))
     ttc = latest / 3600.0 if covered == n_grid else None
     mrt = longest / 3600.0 if n_gaps else None
     art = total / n_gaps / 3600.0 if n_gaps else None
     return RevisitReport(
-        mrt_hours=mrt,
-        art_hours=art,
-        coverage_fraction=covered / n_grid,
-        time_to_full_coverage_hours=ttc,
-        uncovered_count=n_grid - covered,
-        pass_count=acc.pass_count,
-        gap_count=n_gaps,
-        grid_size=n_grid,
-        clamped=clamped,
+        mrt_hours=mrt, art_hours=art, coverage_fraction=covered / n_grid,
+        time_to_full_coverage_hours=ttc, uncovered_count=n_grid - covered,
+        pass_count=acc.pass_count, gap_count=n_gaps, grid_size=n_grid, clamped=clamped,
     )

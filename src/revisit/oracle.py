@@ -112,7 +112,7 @@ def plane_elements(el: OrbitElements, planes: Sequence[PlaneSpec]) -> list[Orbit
 class SimConfig:
     """Point-coverage simulation setup.
 
-    Target points are (lat, lons): a single latitude with a list of
+    Target points are (lat, lons): a single latitude with an array of
     longitudes, matching the engine's grid-at-latitude geometry.
     """
 
@@ -126,8 +126,11 @@ class SimConfig:
     earth: EarthConstants = field(default=EARTH)
 
     def __post_init__(self) -> None:
-        if np.size(self.lons) == 0:
+        object.__setattr__(self, "lons", np.asarray(self.lons, dtype=float))
+        if self.lons.size == 0:
             raise ValueError("lons must hold at least one longitude")
+        if not 0.0 < self.window < math.inf:
+            raise ValueError("analysis window must be positive and finite")
         if not 0.0 < self.step < math.inf:
             raise ValueError("time step must be positive and finite")
         if not self.refine_tol < self.step:
@@ -266,7 +269,7 @@ def simulate_access_table(cfg: SimConfig) -> AccessTable:
         times = np.append(times, cfg.window)
     parts = [_sat_intervals(el, cfg, times) for el in cfg.elements]
     points, starts, ends, crossings = ([part[k] for part in parts] for k in range(4))
-    grid = LongitudeGrid(spacing=TWO_PI / cfg.lons.size, lon=np.asarray(cfg.lons, dtype=float))
+    grid = LongitudeGrid(spacing=TWO_PI / cfg.lons.size, lon=cfg.lons)
     return sorted_access_table(
         points, starts, ends, grid=grid, window=cfg.window,
         merge_tol=cfg.refine_tol, pass_count=sum(crossings),

@@ -362,39 +362,49 @@ def _canonical_rows(table):
 
 class TestTilesAgainstDense:
     def test_point_order_keeps_ties_in_order(self):
-        # Many rows share a start: the sort must be stable, as np.lexsort is.
-        rng = np.random.default_rng(7)
-        counts = rng.integers(0, 400, coverage.TILE_POINTS)
-        counts[5] = 0
-        start = rng.integers(0, 5, counts.sum()).astype(float)
-        point = np.repeat(np.arange(counts.size), counts)
-        assert np.array_equal(coverage._point_order(counts, start), np.lexsort((start, point)))
+        # Eight passes at each ascending epoch, an eighth of a cell apart,
+        # share many first visible samples and so many starts, with other
+        # ends.  Each point's rows must keep (lap, pass) order among equal
+        # starts, as np.lexsort((start, point)) does over the dense block of
+        # one branch, whose passes each reach a point at most once.
+        st = EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0))
+        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        pset = _subset(pset, np.repeat(np.flatnonzero(pset.ascending), 8))
+        shift = np.tile(np.arange(8) / 8, len(pset) // 8) * grid.spacing
+        pset = replace(pset, lon=wrap_angle(pset.lon + shift))
+        tiled = accesses_for_passes(pset, segs, fps, grid, _LAT_40)
+        dense, n_cand = dense_access_table(pset, segs, fps, grid, _LAT_40)
+        assert np.all(n_cand <= grid.size)
+        tie = (np.diff(tiled.point) == 0) & (np.diff(tiled.start) == 0.0)
+        assert np.count_nonzero(tie & (np.diff(tiled.end) != 0.0)) > 1000
+        for col in ("point", "start", "end"):
+            assert np.array_equal(getattr(tiled, col), getattr(dense, col))
 
     @pytest.mark.parametrize("name", sorted(_TILE_CASES))
-    def test_tiled_table_equals_the_dense_table(self, name, monkeypatch):
-        # The tiled table must hold the rows of the untiled dense table,
-        # sorted by (point, start) tile by tile, and both tables and the
-        # streamed tiles must give the same report.
+    def test_tiled_table_equals_the_dense_table(self, name):
+        # Each streamed tile holds TILE_POINTS grid points, each row sorted
+        # with its padding last.  The tiled table must hold the rows of the
+        # untiled dense table, sorted by (point, start), and both tables
+        # and the streamed tiles must give the same report.
         el, sensor, lat, walker, st, select, least_cand = _TILE_CASES[name]
         pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st, walker)
         if select is not None:
             pset = _subset(pset, select(pset))
-        tile_sizes = []
-        point_order = coverage._point_order
-
-        def checked_point_order(counts, start):
-            order = point_order(counts, start)
-            point = np.repeat(np.arange(counts.size), counts)
-            assert np.array_equal(order, np.lexsort((start, point)))
-            tile_sizes.append(order.size)
-            return order
-
-        monkeypatch.setattr(coverage, "_point_order", checked_point_order)
+        acc = access_tiles(pset, segs, fps, grid, lat)
+        tiles = list(acc.tiles)
+        rows = [min(coverage.TILE_POINTS, grid.size - p0)
+                for p0 in range(0, grid.size, coverage.TILE_POINTS)]
+        assert [start.shape[0] for start, _ in tiles] == rows
+        n_real = 0
+        for start, end in tiles:
+            # Sorted rows, with the +inf starts of the padding last.
+            assert np.all(start[:, :-1] <= start[:, 1:])
+            assert np.array_equal(start < np.inf, end > -np.inf)
+            n_real += np.count_nonzero(start < np.inf)
         tiled = accesses_for_passes(pset, segs, fps, grid, lat)
-        assert len(tile_sizes) == -(-grid.size // coverage.TILE_POINTS)
         dense, n_cand = dense_access_table(pset, segs, fps, grid, lat)
         assert np.sum(n_cand) >= least_cand * len(pset)
-        assert dense.point.size == tiled.point.size == sum(tile_sizes)
+        assert dense.point.size == tiled.point.size == n_real
         assert np.all(np.diff(tiled.point) >= 0)
         same_point = tiled.point[1:] == tiled.point[:-1]
         assert np.all(np.diff(tiled.start)[same_point] >= 0.0)
@@ -403,7 +413,7 @@ class TestTilesAgainstDense:
         assert (tiled.merge_tol, tiled.pass_count) == (dense.merge_tol, dense.pass_count)
         report = revisit_stats(dense)
         assert revisit_stats(tiled) == report
-        assert tile_stats(access_tiles(pset, segs, fps, grid, lat)) == report
+        assert tile_stats(replace(acc, tiles=tiles)) == report
         if name == "seam_crossing":
             # The first pass reaches points on both sides of the seam.
             assert pset.lon[0] == pytest.approx(-math.pi + math.radians(0.01), abs=1e-9)
@@ -497,20 +507,30 @@ class TestRevisitStats:
         # end + point * (window + 1) rounds the ends of point 3599 by up to
         # 1.9 us.  Each gap must be the exact difference of two table times,
         # as a merge of each point's rows alone gives it.  ART adds each
-        # tile's gap sum in tile order.
+        # tile's gap sum in tile order.  A second, sparse table pads its
+        # tiles unevenly: a few far-apart points hold 1 to 700 rows, and
+        # whole tiles are empty.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40))
         table, _ = access_table(*args)
         assert table.window == 60 * 86400.0 and table.grid.size == 3600
-        point, gaps = point_by_point_gaps(table)
-        tile = point // coverage.TILE_POINTS
-        n_tiles = -(-table.grid.size // coverage.TILE_POINTS)
-        tile_sums = [float(np.sum(gaps[tile == k])) for k in range(n_tiles)]
-        rep = revisit_stats(table)
-        assert rep.gap_count == gaps.size
-        assert rep.mrt_hours == float(np.max(gaps)) / 3600.0
-        assert rep.art_hours == sum(tile_sums) / gaps.size / 3600.0
-        assert analyze(*args) == rep
+        assert analyze(*args) == revisit_stats(table)
+        rng = np.random.default_rng(11)
+        counts = {0: 700, 63: 1, 64: 2, 1500: 40, 3599: 300}
+        point = np.repeat(list(counts), list(counts.values()))
+        start = rng.uniform(0.0, 1e6, point.size)
+        sparse = _table(point, start, start + rng.uniform(0.0, 2e3, point.size), n_grid=3600,
+                        window=1e6 + 2e3, merge_tol=100.0)
+        for table in (table, sparse):
+            point, gaps = point_by_point_gaps(table)
+            tile = point // coverage.TILE_POINTS
+            n_tiles = -(-table.grid.size // coverage.TILE_POINTS)
+            tile_sums = [float(np.sum(gaps[tile == k])) for k in range(n_tiles)]
+            rep = revisit_stats(table)
+            assert rep.gap_count == gaps.size
+            assert rep.mrt_hours == float(np.max(gaps)) / 3600.0
+            assert rep.art_hours == sum(tile_sums) / gaps.size / 3600.0
+        assert rep.uncovered_count == 3600 - len(counts)
 
     def test_art_not_above_mrt(self):
         t = _table(

@@ -232,6 +232,26 @@ class TestSimulateCoverage:
                 elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
                 lons=np.array([]), window=100.0,
             )
+        for window in (-5.0, 0.0):
+            with pytest.raises(ValueError):
+                SimConfig(
+                    elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
+                    lons=np.array([0.0]), window=window,
+                )
+
+    def test_list_and_array_longitudes_give_equal_tables(self):
+        el = make_orbit(650.0, 65.0)
+        lons = [-0.5, 0.0, 1.0]
+        tables = [
+            simulate_access_table(SimConfig(
+                elements=(el,), sensor=rv.SensorSpec.elevation(math.radians(12)),
+                lat=math.radians(25), lons=given, window=86400.0,
+            ))
+            for given in (lons, np.array(lons))
+        ]
+        assert tables[0].point.size > 0
+        for got, want in zip(*((t.point, t.start, t.end, t.grid.lon) for t in tables)):
+            assert np.array_equal(got, want)
 
 
 def _sim(el, sensor, lat_deg, lons, window, walker=rv.WalkerConfig()):
