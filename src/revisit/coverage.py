@@ -10,7 +10,9 @@ Because every pass of a branch shares the same track segment shape, the
 visibility lens (first/last visible sample time as a function of the
 longitude offset from the crossing) is precomputed once per branch on a
 fine offset grid and then looked up for every pass, which keeps a 60-day
-default case well under a second.
+default case well under a second.  The lens folds every sample's range
+of offset bins into one row of bins at once, by min and max over
+power-of-two blocks, with no loop over the samples.
 
 The table is built one tile of TILE_POINTS grid points at a time.  A tile
 is one dense block, a row per grid point and a cell per (lap, pass) that
@@ -132,10 +134,24 @@ def _branch_lens(
 ) -> tuple[float, float, np.ndarray, np.ndarray] | None:
     """First/last visible sample time versus longitude offset, one branch.
 
-    Built by sweeping the segment samples (times ``t``, in time order) and
-    painting each sample's visible offset interval [lon_off - w,
-    lon_off + w] onto a fine offset grid, where w is the ellipse
-    half-chord at the sample's latitude distance from the target.
+    Sample k of the segment (times ``t``, in time order) sees the offsets
+    [lon_off - w, lon_off + w], where w is the ellipse half-chord at the
+    sample's latitude distance from the target; on a fine offset grid
+    that is the bin range [lo_k, hi_k).  Each bin takes the least time of
+    the samples that see it (first) and the time of the latest such
+    sample k (last).  As t rises with k, last is also their greatest time.
+
+    The ranges are folded in without a per-sample loop.  A nonempty range
+    is the union of two power-of-two blocks of the same level,
+    floor(log2(hi_k - lo_k)), one starting at lo_k and one ending at
+    hi_k.  Each block's value goes to its start in a row of bins; then,
+    from the top level down, the row is pushed down one level (a block
+    of length 2h passes its value to its halves at s and s + h) and the
+    next level's blocks are added.  The row then holds each bin's value.
+    Min and max only compare, so first is exactly the least t that a
+    per-sample loop would write, and last, folded as the sample index k,
+    is the time its last write leaves.
+
     Returns (x_min, x_max, first, last) with bin j + 1 at offset
     x_min + j * bin_width, or None when no sample sees the target
     latitude.  Bins no sample sees, including one padding bin at each
@@ -148,20 +164,32 @@ def _branch_lens(
     valid = w2 >= 0.0
     if not np.any(valid) or lam <= 0.0:
         return None
-    w = lam * np.sqrt(np.where(valid, w2, 0.0))
-    left = segment.lon_off - w
-    right = segment.lon_off + w
-    x_min = float(np.min(left[valid]))
-    x_max = float(np.max(right[valid]))
+    w = lam * np.sqrt(w2[valid])
+    left = segment.lon_off[valid] - w
+    right = segment.lon_off[valid] + w
+    x_min = float(np.min(left))
+    x_max = float(np.max(right))
     nb = int(math.ceil((x_max - x_min) / bin_width)) + 1
-    first = np.full(nb + 2, np.inf)
-    last = np.full(nb + 2, -np.inf)
     los = np.ceil((left - x_min) / bin_width - 1e-9).astype(np.int64) + 1
     his = np.floor((right - x_min) / bin_width + 1e-9).astype(np.int64) + 2
-    for k in np.flatnonzero(valid):
-        lo, hi = los[k], his[k]
-        np.minimum(first[lo:hi], t[k], out=first[lo:hi])
-        last[lo:hi] = t[k]
+    seen = his > los
+    los, his, t = los[seen], his[seen], t[valid][seen]
+    k = np.arange(t.size)
+    # floor(log2(hi - lo)), exact for integers.
+    level = np.frexp(his - los)[1] - 1
+    first = np.full(nb + 2, np.inf)
+    k_last = np.full(nb + 2, -1, dtype=np.int64)
+    for lv in range(int(np.max(level, initial=-1)), -1, -1):
+        at = level == lv
+        starts = np.concatenate([los[at], his[at] - (1 << lv)])
+        np.minimum.at(first, starts, np.tile(t[at], 2))
+        np.maximum.at(k_last, starts, np.tile(k[at], 2))
+        if lv:
+            h = 1 << (lv - 1)
+            np.minimum(first[h:], first[:-h], out=first[h:])
+            np.maximum(k_last[h:], k_last[:-h], out=k_last[h:])
+    # k_last = -1, a bin no sample sees, picks the appended -inf.
+    last = np.append(t, -np.inf)[k_last]
     return x_min, x_max, first, last
 
 

@@ -21,6 +21,7 @@ from .coverage import (
     revisit_stats,
     tile_stats,
 )
+from .errors import ConfigError
 from .oracle import SimConfig, plane_elements, simulate_access_table
 from .passes import (
     SEGMENT_PAD,
@@ -58,6 +59,19 @@ class EngineSettings:
     # normal analysis.
     footprint_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in ("window", "grid_res", "footprint_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.segment_samples < 3:
+            raise ConfigError(f"segment_samples must be at least 3, got {self.segment_samples}")
+
+
+def _check_lat(lat: float) -> None:
+    if not math.isfinite(lat):
+        raise ConfigError(f"target latitude must be finite, got {lat}")
+
 
 def build_pass_set(
     el: OrbitElements,
@@ -82,6 +96,7 @@ def _tiled_accesses(
     settings: EngineSettings,
 ) -> tuple[AccessTiles, bool]:
     """Access tiles plus a flag noting a beyond-horizon footprint clamp."""
+    _check_lat(lat)
     pset = build_pass_set(el, lat, walker, settings=settings)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
     scale = settings.footprint_scale
@@ -137,6 +152,7 @@ def oracle_sim_config(
     step: float = 10.0,
 ) -> SimConfig:
     """Brute-force simulation setup matching the engine's conventions."""
+    _check_lat(lat)
     grid = build_grid(settings.grid_res)
     return SimConfig(
         elements=tuple(plane_elements(el, walker_planes(walker))),

@@ -335,7 +335,17 @@ def ground_track_segment(
     d_ra = wrap_angle(node_relative_ra(u, el.inc) - node_relative_ra(u_c, el.inc))
     nu_c = u_c - el.argp
     frac_c = time_fraction_from_node(el, nu_c)
-    frac = np.array([time_fraction_from_node(el, uk - el.argp) for uk in u])
+    # time_fraction_from_node at every sample, step for step on the whole
+    # array.  np.sin and np.cos give math's bits, but np.arctan2 does not
+    # always, so atan2 stays math.atan2 element by element.
+    half_nu = 0.5 * (u - el.argp)
+    ecc_anom = 2.0 * np.array(list(map(
+        math.atan2,
+        (math.sqrt(1.0 - el.e) * np.sin(half_nu)).tolist(),
+        (math.sqrt(1.0 + el.e) * np.cos(half_nu)).tolist(),
+    )))
+    d_mean = ecc_anom - el.e * np.sin(ecc_anom) - _mean_from_true(-el.argp, el.e)
+    frac = (d_mean % TWO_PI) / TWO_PI
     d_frac = wrap_angle((frac - frac_c) * TWO_PI) / TWO_PI
     lon_off = d_ra + d_frac * shift
     return TrackSegment(lat=lat_k, lon_off=np.asarray(lon_off), time_frac=d_frac)

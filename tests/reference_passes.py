@@ -4,6 +4,11 @@ The engine places each pass by formula (`revisit.passes.pass_series`).
 `crossing_events` instead scans the secular-J2 propagation of the oracle
 on a time grid and bisects each crossing of the target latitude, so tests
 can check the combs against it.
+
+`per_sample_track_segment` samples a track segment as the engine does, but
+takes each sample's time from the ascending node with one scalar
+`time_fraction_from_node` call, the reference for the array expression
+of `revisit.passes.ground_track_segment`.
 """
 from __future__ import annotations
 
@@ -13,7 +18,15 @@ import numpy as np
 
 from revisit.earth import EARTH, EarthConstants
 from revisit.oracle import propagate_j2
-from revisit.passes import OrbitElements
+from revisit.passes import (
+    SEGMENT_PAD,
+    TWO_PI,
+    OrbitElements,
+    TrackSegment,
+    node_relative_ra,
+    time_fraction_from_node,
+    wrap_angle,
+)
 
 
 def crossing_events(
@@ -50,3 +63,36 @@ def crossing_events(
         _, lat_c, lon_c = propagate_j2(el, np.array([t_c]), earth)
         events.append((float(t_c), float(lon_c[0]), bool(f[i] < 0)))
     return events
+
+
+def per_sample_track_segment(
+    el: OrbitElements,
+    lat: float,
+    shift: float,
+    n_points: int,
+    reach: float,
+    ascending: bool = True,
+    pad: float = SEGMENT_PAD,
+) -> TrackSegment:
+    """`revisit.passes.ground_track_segment`, one scalar time fraction per sample."""
+    sin_i = math.sin(el.inc)
+    span = (1.0 + pad) * reach
+
+    def u_at(lat_bound: float) -> float:
+        return math.asin(min(1.0, max(-1.0, math.sin(lat_bound) / sin_i)))
+
+    u_lo, u_hi = u_at(lat - span), u_at(lat + span)
+    u_c = u_at(lat)
+    if not ascending:
+        u_lo, u_hi = math.pi - u_hi, math.pi - u_lo
+        u_c = math.pi - u_c
+    n_lo = (n_points - 1) // 2
+    u = np.concatenate(
+        [np.linspace(u_lo, u_c, n_lo + 1), np.linspace(u_c, u_hi, n_points - n_lo)[1:]]
+    )
+    lat_k = np.arcsin(sin_i * np.sin(u))
+    d_ra = wrap_angle(node_relative_ra(u, el.inc) - node_relative_ra(u_c, el.inc))
+    frac_c = time_fraction_from_node(el, u_c - el.argp)
+    frac = np.array([time_fraction_from_node(el, uk - el.argp) for uk in u])
+    d_frac = wrap_angle((frac - frac_c) * TWO_PI) / TWO_PI
+    return TrackSegment(lat=lat_k, lon_off=d_ra + d_frac * shift, time_frac=d_frac)

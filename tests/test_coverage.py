@@ -8,8 +8,10 @@ import pytest
 import revisit as rv
 from revisit import coverage
 from revisit.coverage import (
+    BINS_PER_CELL,
     AccessTable,
     LongitudeGrid,
+    _branch_lens,
     access_tiles,
     accesses_for_passes,
     build_grid,
@@ -30,6 +32,7 @@ from revisit.sensor import FootprintAtLatitude, radius_at_latitude, resolve_foot
 from conftest import make_orbit
 from reference_access import (
     dense_access_table,
+    painted_lens,
     pass_accesses,
     point_by_point_gaps,
     visible_sample_span,
@@ -278,6 +281,80 @@ class TestBinnedLensAgainstExact:
             assert not set(map(tuple, hidden.tolist())) & set(binned)
             n, n_bad = _disagreements(branch, seg, fp, binned, exact, merge_tol, 0.0, st)
             assert n > 500 * branch.lon.size and n_bad <= 1e-2 * n
+
+
+def _lens_inputs(name):
+    """(segment, times, footprint, lat, bin_width) of one `_branch_lens` case."""
+    if name.startswith(("elevation", "boresight")):
+        kind, e, asc = name.split("_")
+        sensor = (rv.SensorSpec.elevation(math.radians(10.0)) if kind == "elevation"
+                  else rv.SensorSpec.boresight(math.radians(30.0)))
+        el = make_orbit(700.0, 60.0, e=float(e), argp=1.0)
+        st = EngineSettings(window=86400.0, segment_samples=1001)
+        pset, segs, fps, grid = _engine_inputs(el, sensor, math.radians(40.0), st)
+        seg = segs[asc == "asc"]
+        return (seg, seg.time_frac * pset.nodal_period, fps[asc == "asc"],
+                math.radians(40.0), grid.spacing / BINS_PER_CELL)
+    if name == "sparse":
+        # The 5-sample track of test_sparse_samples_leave_empty_interior_bins.
+        el = rv.OrbitElements(a=rv.EARTH.equatorial_radius + 700.0, inc=math.radians(10.0))
+        st = EngineSettings(window=86400.0, grid_res=math.radians(0.25), segment_samples=5)
+        pset, segs, fps, grid = _engine_inputs(el, rv.SensorSpec.elevation(math.radians(10.0)),
+                                               0.0, st)
+        return (segs[True], segs[True].time_frac * pset.nodal_period, fps[True], 0.0,
+                grid.spacing / BINS_PER_CELL)
+    lat = math.radians(20.0)
+    if name == "one_valid_sample":
+        seg = TrackSegment(lat=lat + np.radians([-5.0, 1.0, 5.0]),
+                           lon_off=np.array([-0.1, 0.0, 0.1]), time_frac=np.array([-1.0, 0.0, 1.0]))
+        return seg, 60.0 * seg.time_frac, _footprint(math.radians(3.0), 0.02), lat, 1e-3
+    if name.startswith("power_of_two"):
+        # Samples on the target latitude, whole bins apart, each seeing
+        # 2 ** k bins.
+        k = int(name[-1])
+        seg = TrackSegment(lat=np.full(9, lat), lon_off=np.arange(9) * 3.0 - 11.0,
+                           time_frac=np.linspace(-0.1, 0.1, 9))
+        return seg, 6e3 * seg.time_frac, _footprint(0.1, (2**k - 1) / 2), lat, 1.0
+    if name == "times_not_rising":
+        # last is the time of the last sample that sees a bin, as painting
+        # leaves it, even where that is not the latest time.
+        seg, t, fp, lat, bin_width = _lens_inputs("sparse")
+        return seg, t[[3, 0, 4, 1, 2]], fp, lat, bin_width
+    if name == "no_sample_sees_the_latitude":
+        return _point_segment(lat + 0.1), np.zeros(1), _footprint(0.05, 0.05), lat, 1e-3
+    assert name == "zero_width"
+    return _point_segment(lat), np.zeros(1), _footprint(0.05, 0.0), lat, 1e-3
+
+
+class TestLensAgainstPainting:
+    @pytest.mark.parametrize("name", [
+        *(f"{kind}_{e}_{asc}" for kind in ("elevation", "boresight") for e in ("0", "0.02")
+          for asc in ("asc", "desc")),
+        "sparse", "one_valid_sample", *(f"power_of_two_{k}" for k in range(1, 6)),
+        "times_not_rising", "no_sample_sees_the_latitude", "zero_width",
+    ])
+    def test_fold_equals_painting(self, name):
+        # The range fold must leave the bits that painting each sample's
+        # bin range in time order leaves.
+        args = _lens_inputs(name)
+        lens, painted = _branch_lens(*args), painted_lens(*args)
+        if painted is None:
+            assert lens is None
+            return
+        x_min, x_max, first, last = lens
+        assert (x_min, x_max) == painted[:2]
+        assert np.array_equal(first, painted[2])
+        assert np.array_equal(last, painted[3])
+        seen = np.isfinite(first)
+        assert np.array_equal(seen, np.isfinite(last))
+        if name == "sparse":
+            # Holes: unseen bins between seen ones.
+            inner = seen[np.argmax(seen):seen.size - np.argmax(seen[::-1])]
+            assert not np.all(inner)
+        if name.startswith("power_of_two"):
+            # Nine ranges of 2 ** k bins, starting 3 bins apart.
+            size = 2 ** int(name[-1])
+            assert np.count_nonzero(seen) == 8 * min(size, 3) + size
 
 
 def _seam_orbit(el, lat, st):
@@ -609,3 +686,24 @@ class TestEngineTable:
         rep = analyze(el, sensor, math.radians(20), settings=st)
         assert rep.coverage_fraction == 0.0
         assert rep.mrt_hours is None
+
+
+class TestBadEngineInput:
+    @pytest.mark.parametrize("field, value", [
+        ("window", math.inf), ("window", math.nan), ("window", 0.0),
+        ("grid_res", math.nan), ("grid_res", -0.01),
+        ("footprint_scale", math.nan), ("footprint_scale", -1.0), ("footprint_scale", 0.0),
+        ("segment_samples", 2),
+    ])
+    def test_bad_setting_is_named_config_error(self, field, value):
+        # Library callers get a ConfigError naming the field, not an
+        # OverflowError deep in the pass comb or a silent 0% coverage.
+        with pytest.raises(rv.ConfigError, match=field):
+            EngineSettings(**{field: value})
+
+    @pytest.mark.parametrize("lat", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("run", [analyze, rv.oracle_analyze], ids=["engine", "oracle"])
+    def test_non_finite_latitude_is_named_config_error(self, run, lat):
+        st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
+        with pytest.raises(rv.ConfigError, match="latitude"):
+            run(make_orbit(700.0, 60.0), _ELEV_10, lat, settings=st)

@@ -22,7 +22,7 @@ from revisit.passes import (
 from revisit.sensor import resolve_footprint
 
 from conftest import make_orbit
-from reference_passes import crossing_events
+from reference_passes import crossing_events, per_sample_track_segment
 
 DAY_SIDEREAL = 86164.0905
 
@@ -334,6 +334,27 @@ class TestGroundTrackSegment:
         dlon = np.degrees(np.abs(wrap_angle(lon_o - (float(ps.lon[k]) + seg.lon_off))))
         assert dlat.max() < 0.05
         assert dlon.max() < 0.05
+
+    @pytest.mark.parametrize("ascending", [True, False], ids=["asc", "desc"])
+    @pytest.mark.parametrize(
+        "e, argp, nu0",
+        [(0.0, 0.0, 0.0), (0.0, 1.1, 2.3), (0.02, 1.0, 0.0), (0.07, 4.0, 5.5)],
+        ids=["circular", "circular_argp_nu0", "e0p02", "e0p07_argp_nu0"],
+    )
+    def test_equals_the_per_sample_time_fractions(self, e, argp, nu0, ascending):
+        # The segment's times come from one array expression; they must be
+        # the bits of time_fraction_from_node taken sample by sample.  The
+        # lens keeps the time of each bin's latest sample as its last
+        # visible time, so the times must also rise along the segment.
+        el = make_orbit(700.0, 60.0, e=e, argp=argp, nu0=nu0)
+        p_n = nodal_period(el.a, el.e, el.inc)
+        shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
+        args = (el, math.radians(40), shift, 1001, math.radians(20), ascending)
+        seg = ground_track_segment(*args)
+        ref = per_sample_track_segment(*args)
+        for name in ("lat", "lon_off", "time_frac"):
+            assert np.array_equal(getattr(seg, name), getattr(ref, name)), name
+        assert np.all(np.diff(seg.time_frac) > 0.0)
 
     def test_needs_three_points(self):
         el = make_orbit(500.0, 97.4)
