@@ -13,13 +13,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Any
 
 import numpy as np
 
-from .coverage import RevisitReport
+from .coverage import RevisitReport, usable_cores
 from .earth import EARTH, sso_inclination
-from .engine import EngineSettings, analyze
+from .engine import MAX_WINDOW_DAYS, MIN_GRID_RES_DEG, EngineSettings, analyze
 from .errors import ConfigError, RevisitError
 from .passes import OrbitElements, WalkerConfig
 from .sensor import SensorSpec
@@ -40,11 +41,6 @@ MAX_SWEEP_CELLS = 100_000
 
 WINDOW_EXCEEDED = "window_exceeded"
 
-# Bounds that keep a case's arrays allocatable.
-# Finest grid spacing: a 360 000-point grid.
-MIN_GRID_RES_DEG = 0.001
-# Longest window: ten years.
-MAX_WINDOW_DAYS = 3660.0
 # Highest apoapsis, above GEO and Molniya apogees.
 MAX_APOAPSIS_KM = 100_000.0
 
@@ -315,14 +311,16 @@ def _fmt(value: Any, digits: int = 6) -> str:
 
 
 def case_row(
-    case_id: int, cfg: CaseConfig, rc: ResolvedCase | None = None
+    case_id: int, cfg: CaseConfig, rc: ResolvedCase | None = None,
+    threads: int | None = None,
 ) -> dict[str, str]:
     """Run one sweep cell and format its CSV row.
 
     Window-exceeded cells carry the sentinel in the error column and empty
     metric cells; configuration errors are recorded per cell so the sweep
     keeps going.  ``rc`` is the case already resolved from ``cfg``, when
-    the caller resolved it first.
+    the caller resolved it first; ``threads`` caps `analyze`'s tile
+    threads.
     """
     row = dict.fromkeys(CSV_COLUMNS, "")
     row["case_id"] = str(case_id)
@@ -342,7 +340,7 @@ def case_row(
             rc = resolve_case(cfg)
         row["alt_km"] = _fmt(rc.altitude_km, 3)
         row["inc_deg"] = _fmt(rc.inclination_deg, 4)
-        report = analyze(**rc.inputs())
+        report = analyze(**rc.inputs(), threads=threads)
         row["coverage_frac"] = _fmt(report.coverage_fraction)
         row["pass_count"] = str(report.pass_count)
         if report.window_exceeded:
@@ -364,14 +362,18 @@ def default_workers() -> int:
         except ValueError:
             raise ConfigError(f"REVISIT_WORKERS must be an integer, got {env!r}") from None
         return max(1, workers)
-    return os.cpu_count() or 1
+    return usable_cores()
 
 
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict[str, str]]:
     """Run every sweep cell; rows are returned in sweep-index order.
 
     Cells are independent and fan out over processes; REVISIT_WORKERS
-    overrides the worker count (1 disables multiprocessing).
+    overrides the worker count (1 disables multiprocessing).  The workers
+    share the usable cores: each reduces its cells' tiles on at most
+    max(1, cores // workers) threads, where a serial sweep may take them
+    all.  Each reduction's threads end with it, so none is alive when the
+    pool forks its workers.
     """
     cells = spec.cells()
     ids = range(len(cells))
@@ -379,9 +381,10 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict[str,
     workers = max(1, min(workers, len(cells)))
     if workers == 1:
         return list(map(case_row, ids, cells))
+    row = partial(case_row, threads=max(1, usable_cores() // workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunksize = max(1, len(cells) // (4 * workers))
-        return list(pool.map(case_row, ids, cells, chunksize=chunksize))
+        return list(pool.map(row, ids, cells, chunksize=chunksize))
 
 
 def rows_to_csv(rows: list[dict[str, str]]) -> str:

@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a one- or two-axis parameter sweep")
     sweep_p.add_argument("--config", required=True, help="JSON file with case + sweep sections")
     sweep_p.add_argument("--workers", type=int, default=None,
-                         help="process count (default: REVISIT_WORKERS or all cores)")
+                         help="process count (default: REVISIT_WORKERS or all usable cores)")
     sweep_p.add_argument("--out", help="write the CSV to a file instead of stdout")
     return parser
 

@@ -17,17 +17,22 @@ power-of-two blocks, with no loop over the samples.
 The table is built one tile of TILE_POINTS grid points at a time.  A tile
 is one dense block, a row per grid point and a cell per (lap, pass) that
 can reach it, with each row sorted by start and its unreached cells
-padded last.  It is folded into running gap statistics before the next
-one is built, so `engine.analyze` never holds the whole table and its
-memory stays nearly flat in the number of satellites.
-`accesses_for_passes` joins the tiles, without their padding, when a
-caller wants the table itself.
+padded last.  Tiles are independent: a thread pool, one thread per usable
+core, builds each tile and reduces it to a few partial statistics on the
+same thread, and the partials are folded in tile order.  Small tiles stay
+on the calling thread.  So `engine.analyze` never holds the whole table,
+its memory stays nearly flat in the number of satellites, and the report
+does not depend on the thread count.  `accesses_for_passes` joins the
+tiles, without their padding, when a caller wants the table itself.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +45,20 @@ MAX_GRID_RESOLUTION = math.radians(1.0)
 BINS_PER_CELL = 64
 # Grid points per tile of the access table.
 TILE_POINTS = 64
+# Fewest cells a tile holds on average, padding included, for its tiles to
+# be reduced on more than one thread.  Smaller tiles make short numpy
+# calls, whose threads mostly wait for the interpreter lock: on 2 cores,
+# tiles of 4 700-17 000 cells took 1.1-1.7 times as long on 2 threads as
+# on one, tiles of 19 000 cells about as long, and tiles of
+# 22 000-130 000 cells 0.6-0.9 times as long.
+MIN_THREADED_TILE_CELLS = 20_000
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -85,16 +104,21 @@ class AccessTable:
 
 @dataclass(frozen=True)
 class AccessTiles:
-    """The access table as a stream of (start, end) tiles.
+    """The access table as `count` tiles, each built on demand.
 
-    Tile k holds grid points k * TILE_POINTS onwards, TILE_POINTS of them
-    (fewer in the last tile), as two dense (points, cells) arrays.  Row i
-    holds the intervals of point k * TILE_POINTS + i sorted by start, then
-    padding cells with start +inf and end -inf.  The tiles can be
-    iterated once.
+    ``build(k)`` returns tile k: grid points k * TILE_POINTS onwards,
+    TILE_POINTS of them (fewer in the last tile), as two dense
+    (points, cells) arrays.  Row i holds the intervals of point
+    k * TILE_POINTS + i sorted by start, then padding cells with start +inf
+    and end -inf.  A build only reads the shared inputs, so tiles may be
+    built in any order, again, or on several threads at once.  ``cells``
+    estimates the cells of all tiles together before any is built;
+    `tile_stats` reads it to choose between one thread and a pool.
     """
 
-    tiles: Iterable[tuple[np.ndarray, np.ndarray]]
+    build: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    count: int
+    cells: int
     grid: LongitudeGrid
     window: float
     merge_tol: float
@@ -212,8 +236,8 @@ def access_tiles(
     run or the window become padding, one stable sort orders each point's
     cells, and the columns that are padding in every row are cut.  Both
     branches' lenses are joined, and each pass keeps its offset into them,
-    so one lookup serves every pass.  The tiles are built as the returned
-    `AccessTiles` is iterated.
+    so one lookup serves every pass.  The lenses are built here; each tile
+    is built only when the returned `AccessTiles` builds it.
     """
     n, window = grid.size, pset.window
     merge_tol = 0.0
@@ -248,8 +272,9 @@ def access_tiles(
     run_start = base % n
     laps = np.arange(-(-int(np.max(n_cand, initial=0)) // n))[:, None]
 
-    def tile(p0: int) -> tuple[np.ndarray, np.ndarray]:
-        """(start, end) of the tile from grid point p0, each row sorted."""
+    def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(start, end) of tile k, each row sorted."""
+        p0 = k * TILE_POINTS
         q = np.arange(p0, min(p0 + TILE_POINTS, n))
         sel = ((run_start >= p0) & (run_start <= q[-1])) | ((p0 - run_start) % n < n_cand)
         j = ((q[:, None] - base[sel]) % n)[:, None, :] + n * laps
@@ -280,9 +305,13 @@ def access_tiles(
         order += np.arange(q.size)[:, None] * st.shape[1]
         return st.ravel()[order], en.ravel()[order]
 
+    count = -(-n // TILE_POINTS)
+    # A tile's block holds a (points, laps) column per pass whose run meets
+    # the tile, and a run of n_cand points meets this many tiles.
+    met = np.minimum((run_start % TILE_POINTS + n_cand - 1) // TILE_POINTS + 1, count)
     return AccessTiles(
-        tiles=(tile(p0) for p0 in range(0, n, TILE_POINTS)), grid=grid, window=window,
-        merge_tol=merge_tol, pass_count=len(pset),
+        build=tile, count=count, cells=TILE_POINTS * laps.size * int(np.sum(met)),
+        grid=grid, window=window, merge_tol=merge_tol, pass_count=len(pset),
     )
 
 
@@ -299,10 +328,11 @@ def accesses_for_passes(
 
 
 def join_tiles(acc: AccessTiles) -> AccessTable:
-    """Join the tiles, already in point order, into one table without padding."""
+    """Build the tiles in point order and join them into one table without padding."""
     points, starts, ends = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
     p0 = 0
-    for start, end in acc.tiles:
+    for k in range(acc.count):
+        start, end = acc.build(k)
         real = start < np.inf
         points.append(p0 + np.nonzero(real)[0])
         starts.append(start[real])
@@ -360,42 +390,70 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
 
     return tile_stats(
         AccessTiles(
-            tiles=(tile(k) for k in range(bounds.size - 1)), grid=table.grid,
+            # The real rows: a lower bound on the cells, padding included.
+            build=tile, count=bounds.size - 1, cells=int(table.point.size), grid=table.grid,
             window=table.window, merge_tol=table.merge_tol, pass_count=table.pass_count,
         ),
         clamped=clamped,
     )
 
 
-def tile_stats(acc: AccessTiles, clamped: bool = False) -> RevisitReport:
+def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, float, int, int, float]:
+    """Tile k's longest gap, gap sum and count, covered points and latest first access."""
+    start, end = acc.build(k)
+    # Running max of each point's interval ends along its row, so that it
+    # only compares values and the ends come back unrounded.  A padding
+    # cell starts at +inf, so its raw gap is +inf.
+    raw = start[:, 1:] - np.maximum.accumulate(end, axis=1)[:, :-1]
+    gaps = raw[(raw > acc.merge_tol) & (raw < np.inf)]
+    first = start[:, :1][start[:, :1] < np.inf]
+    return (
+        float(np.max(gaps, initial=-math.inf)), float(np.sum(gaps)), gaps.size,
+        first.size, float(np.max(first, initial=-math.inf)),
+    )
+
+
+def tile_stats(
+    acc: AccessTiles, clamped: bool = False, threads: int | None = None
+) -> RevisitReport:
     """Merge intervals, collect gaps, and compute the revisit report.
 
     Gaps are measured between consecutive accesses of the same grid point;
     the leading and trailing boundary gaps of the window are excluded.
     Intervals closer than the merge tolerance (one segment-sample step)
-    are treated as one access.  Each tile is folded into running values as
-    it arrives: the largest gap, the sum and count of gaps, the covered
-    point count and the latest first access.  ART adds the tiles' gap sums
-    in tile order, so it depends on where the tiles are cut: the engine
-    and `revisit_stats` cut at the same TILE_POINTS boundaries, and that
-    is what makes a table and its tiles give the same report.
+    are treated as one access.
+
+    Each tile is built and reduced to five partials on one thread: the
+    largest gap, the sum and count of gaps, the covered point count and
+    the latest first access.  Up to ``threads`` threads (default: one per
+    usable core) reduce the tiles, so at most that many tiles are held at
+    once; tiles of fewer than MIN_THREADED_TILE_CELLS cells on average are
+    reduced on the calling thread alone.  The pool lives only for this
+    call.  The partials are folded in tile order, so the report is the
+    same on any number of threads.  ART adds the tiles' gap sums in tile
+    order, so it depends on where the tiles are cut: the engine and
+    `revisit_stats` cut at the same TILE_POINTS boundaries, and that is
+    what makes a table and its tiles give the same report.
     """
+    threads = min(usable_cores() if threads is None else threads, acc.count)
+    if acc.cells < MIN_THREADED_TILE_CELLS * acc.count:
+        threads = 1
+    reduce = partial(_tile_partials, acc)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            partials = list(pool.map(reduce, range(acc.count)))
+    else:
+        partials = list(map(reduce, range(acc.count)))
     n_grid = acc.grid.size
     longest = latest = -math.inf
     total = 0.0
     n_gaps = covered = 0
-    for start, end in acc.tiles:
-        # Running max of each point's interval ends along its row, so that
-        # it only compares values and the ends come back unrounded.  A
-        # padding cell starts at +inf, so its raw gap is +inf.
-        raw = start[:, 1:] - np.maximum.accumulate(end, axis=1)[:, :-1]
-        gaps = raw[(raw > acc.merge_tol) & (raw < np.inf)]
-        first = start[:, :1][start[:, :1] < np.inf]
-        longest = max(longest, float(np.max(gaps, initial=-math.inf)))
-        total += float(np.sum(gaps))
-        n_gaps += gaps.size
-        covered += first.size
-        latest = max(latest, float(np.max(first, initial=-math.inf)))
+    for tile_longest, tile_total, tile_gaps, tile_covered, tile_latest in partials:
+        longest = max(longest, tile_longest)
+        total += tile_total
+        n_gaps += tile_gaps
+        covered += tile_covered
+        latest = max(latest, tile_latest)
     ttc = latest / 3600.0 if covered == n_grid else None
     mrt = longest / 3600.0 if n_gaps else None
     art = total / n_gaps / 3600.0 if n_gaps else None

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import ClassVar
 
 from .coverage import (
     BINS_PER_CELL,
+    MAX_GRID_RESOLUTION,
     AccessTable,
     AccessTiles,
     RevisitReport,
@@ -42,6 +44,12 @@ DEFAULT_WINDOW = 60.0 * 86400.0
 DEFAULT_GRID_RES = math.radians(0.1)
 DEFAULT_SEGMENT_SAMPLES = 1000
 
+# Bounds that keep a case's arrays allocatable.
+# Longest window: ten years.
+MAX_WINDOW_DAYS = 3660.0
+# Finest grid spacing: a 360 000-point grid.  The coarsest is 1 degree.
+MIN_GRID_RES_DEG = 0.001
+
 
 @dataclass(frozen=True)
 class EngineSettings:
@@ -64,6 +72,16 @@ class EngineSettings:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.window > MAX_WINDOW_DAYS * 86400.0:
+            raise ConfigError(
+                f"window must be at most {MAX_WINDOW_DAYS:g} days, got {self.window:g} s"
+            )
+        if not math.radians(MIN_GRID_RES_DEG) <= self.grid_res <= MAX_GRID_RESOLUTION:
+            raise ConfigError(
+                f"grid_res must be in [{MIN_GRID_RES_DEG:g}, 1] deg, got {self.grid_res:g} rad"
+            )
+        if not isinstance(self.segment_samples, Integral):
+            raise ConfigError(f"segment_samples must be an integer, got {self.segment_samples!r}")
         if self.segment_samples < 3:
             raise ConfigError(f"segment_samples must be at least 3, got {self.segment_samples}")
 
@@ -134,13 +152,16 @@ def analyze(
     lat: float,
     walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
+    threads: int | None = None,
 ) -> RevisitReport:
     """Semi-analytical revisit report for one configuration.
 
-    The access table is reduced tile by tile and never held whole.
+    The access table is reduced tile by tile, on up to ``threads``
+    threads (by default one per usable core; see `tile_stats`), and never
+    held whole.  The report does not depend on the thread count.
     """
     acc, clamped = _tiled_accesses(el, sensor, lat, walker, settings)
-    return tile_stats(acc, clamped=clamped)
+    return tile_stats(acc, clamped=clamped, threads=threads)
 
 
 def oracle_sim_config(

@@ -1,12 +1,15 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import revisit as rv
-from revisit import coverage
+from revisit import coverage, engine
 from revisit.coverage import (
     BINS_PER_CELL,
     AccessTable,
@@ -468,7 +471,7 @@ class TestTilesAgainstDense:
         if select is not None:
             pset = _subset(pset, select(pset))
         acc = access_tiles(pset, segs, fps, grid, lat)
-        tiles = list(acc.tiles)
+        tiles = [acc.build(k) for k in range(acc.count)]
         rows = [min(coverage.TILE_POINTS, grid.size - p0)
                 for p0 in range(0, grid.size, coverage.TILE_POINTS)]
         assert [start.shape[0] for start, _ in tiles] == rows
@@ -490,7 +493,7 @@ class TestTilesAgainstDense:
         assert (tiled.merge_tol, tiled.pass_count) == (dense.merge_tol, dense.pass_count)
         report = revisit_stats(dense)
         assert revisit_stats(tiled) == report
-        assert tile_stats(replace(acc, tiles=tiles)) == report
+        assert tile_stats(replace(acc, build=tiles.__getitem__)) == report
         if name == "seam_crossing":
             # The first pass reaches points on both sides of the seam.
             assert pset.lon[0] == pytest.approx(-math.pi + math.radians(0.01), abs=1e-9)
@@ -510,6 +513,19 @@ def _table(point, start, end, n_grid=360, window=100 * 3600.0, merge_tol=1.0, pa
         point=point[order], start=start[order], end=end[order], grid=grid,
         window=window, merge_tol=merge_tol, pass_count=passes,
     )
+
+
+# Rows per point of the sparse table: a few far-apart points hold 1 to 700
+# rows, so its tiles are padded unevenly and whole tiles are empty.
+_SPARSE_COUNTS = {0: 700, 63: 1, 64: 2, 1500: 40, 3599: 300}
+
+
+def _sparse_table() -> AccessTable:
+    rng = np.random.default_rng(11)
+    point = np.repeat(list(_SPARSE_COUNTS), list(_SPARSE_COUNTS.values()))
+    start = rng.uniform(0.0, 1e6, point.size)
+    return _table(point, start, start + rng.uniform(0.0, 2e3, point.size), n_grid=3600,
+                  window=1e6 + 2e3, merge_tol=100.0)
 
 
 class TestRevisitStats:
@@ -592,13 +608,7 @@ class TestRevisitStats:
         table, _ = access_table(*args)
         assert table.window == 60 * 86400.0 and table.grid.size == 3600
         assert analyze(*args) == revisit_stats(table)
-        rng = np.random.default_rng(11)
-        counts = {0: 700, 63: 1, 64: 2, 1500: 40, 3599: 300}
-        point = np.repeat(list(counts), list(counts.values()))
-        start = rng.uniform(0.0, 1e6, point.size)
-        sparse = _table(point, start, start + rng.uniform(0.0, 2e3, point.size), n_grid=3600,
-                        window=1e6 + 2e3, merge_tol=100.0)
-        for table in (table, sparse):
+        for table in (table, _sparse_table()):
             point, gaps = point_by_point_gaps(table)
             tile = point // coverage.TILE_POINTS
             n_tiles = -(-table.grid.size // coverage.TILE_POINTS)
@@ -607,7 +617,7 @@ class TestRevisitStats:
             assert rep.gap_count == gaps.size
             assert rep.mrt_hours == float(np.max(gaps)) / 3600.0
             assert rep.art_hours == sum(tile_sums) / gaps.size / 3600.0
-        assert rep.uncovered_count == 3600 - len(counts)
+        assert rep.uncovered_count == 3600 - len(_SPARSE_COUNTS)
 
     def test_art_not_above_mrt(self):
         t = _table(
@@ -688,16 +698,95 @@ class TestEngineTable:
         assert rep.mrt_hours is None
 
 
+# Six 1-degree tiles of about 38 000 cells each, from a 6/6/0 fleet: big
+# enough for the reduction to take more than one thread.
+_MULTI_TILE_CASE = (
+    _FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(6, 6, 0),
+    EngineSettings(window=10 * _DAY, grid_res=math.radians(1.0)),
+)
+
+
+class TestThreadedReduction:
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_threads_give_the_serial_report(self, threads, monkeypatch):
+        # The partials are folded in tile order, so a reduction on any
+        # number of threads, here up to more threads than tiles and with
+        # thread switches forced often, gives the serial report bit for bit.
+        # The sparse table's tiles are small; they take threads too here.
+        monkeypatch.setattr(coverage, "MIN_THREADED_TILE_CELLS", 0)
+        monkeypatch.setattr(coverage, "usable_cores", lambda: 1)
+        serial = analyze(*_MULTI_TILE_CASE)
+        assert serial.gap_count > 1000 and serial.coverage_fraction == 1.0
+        sparse = _sparse_table()
+        sparse_serial = revisit_stats(sparse)
+        monkeypatch.setattr(coverage, "usable_cores", lambda: threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert analyze(*_MULTI_TILE_CASE) == serial
+            assert revisit_stats(sparse) == sparse_serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_only_large_tiles_take_threads(self, monkeypatch):
+        # Threads slow the reduction of small tiles down, so those stay on
+        # the calling thread.
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(coverage, "ThreadPoolExecutor", RecordingPool)
+        *args, st = _MULTI_TILE_CASE
+        small = replace(st, window=2 * _DAY)
+        acc, _ = engine._tiled_accesses(*args, small)
+        assert acc.cells < coverage.MIN_THREADED_TILE_CELLS * acc.count
+        monkeypatch.setattr(coverage, "usable_cores", lambda: 2)
+        analyze(*args, small)
+        revisit_stats(_sparse_table())
+        assert pools == []
+        analyze(*_MULTI_TILE_CASE)
+        assert pools == [2]
+
+    def test_tile_error_comes_out_of_analyze(self, monkeypatch):
+        # An error raised on a worker thread reaches the caller as itself,
+        # and the pool's threads are gone when analyze() returns.
+        class TileError(Exception):
+            pass
+
+        build_tiles = engine.access_tiles
+
+        def failing_tiles(*args, **kwargs):
+            acc = build_tiles(*args, **kwargs)
+
+            def build(k):
+                if k == 3:
+                    raise TileError(k)
+                return acc.build(k)
+
+            return replace(acc, build=build)
+
+        monkeypatch.setattr(engine, "access_tiles", failing_tiles)
+        before = threading.active_count()
+        with pytest.raises(TileError, match="^3$"):
+            analyze(*_MULTI_TILE_CASE, threads=4)
+        assert threading.active_count() == before
+
+
 class TestBadEngineInput:
     @pytest.mark.parametrize("field, value", [
-        ("window", math.inf), ("window", math.nan), ("window", 0.0),
-        ("grid_res", math.nan), ("grid_res", -0.01),
+        ("window", math.inf), ("window", math.nan), ("window", 0.0), ("window", 1e12),
+        ("grid_res", math.nan), ("grid_res", -0.01), ("grid_res", math.radians(2)),
+        ("grid_res", 1e-9),
         ("footprint_scale", math.nan), ("footprint_scale", -1.0), ("footprint_scale", 0.0),
-        ("segment_samples", 2),
+        ("segment_samples", 2), ("segment_samples", 10.5),
     ])
     def test_bad_setting_is_named_config_error(self, field, value):
         # Library callers get a ConfigError naming the field, not an
-        # OverflowError deep in the pass comb or a silent 0% coverage.
+        # OverflowError deep in the pass comb, a silent 0% coverage, or a
+        # window or grid too large to allocate.
         with pytest.raises(rv.ConfigError, match=field):
             EngineSettings(**{field: value})
 
