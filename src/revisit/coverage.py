@@ -19,11 +19,11 @@ is one dense block, a row per grid point and a cell per (lap, pass) that
 can reach it, with each row sorted by start and its unreached cells
 padded last.  Tiles are independent: a thread pool, one thread per usable
 core, builds each tile and reduces it to a few partial statistics on the
-same thread, and the partials are folded in tile order.  Small tiles stay
-on the calling thread.  So `engine.analyze` never holds the whole table,
-its memory stays nearly flat in the number of satellites, and the report
-does not depend on the thread count.  `accesses_for_passes` joins the
-tiles, without their padding, when a caller wants the table itself.
+same thread, and the partials are folded in tile order.  So
+`engine.analyze` never holds the whole table, only one tile per thread,
+and the report does not depend on the thread count.
+`accesses_for_passes` joins the tiles, without their padding, when a
+caller wants the table itself.
 """
 from __future__ import annotations
 
@@ -45,13 +45,6 @@ MAX_GRID_RESOLUTION = math.radians(1.0)
 BINS_PER_CELL = 64
 # Grid points per tile of the access table.
 TILE_POINTS = 64
-# Fewest cells a tile holds on average, padding included, for its tiles to
-# be reduced on more than one thread.  Smaller tiles make short numpy
-# calls, whose threads mostly wait for the interpreter lock: on 2 cores,
-# tiles of 4 700-17 000 cells took 1.1-1.7 times as long on 2 threads as
-# on one, tiles of 19 000 cells about as long, and tiles of
-# 22 000-130 000 cells 0.6-0.9 times as long.
-MIN_THREADED_TILE_CELLS = 20_000
 
 
 def usable_cores() -> int:
@@ -111,14 +104,11 @@ class AccessTiles:
     (points, cells) arrays.  Row i holds the intervals of point
     k * TILE_POINTS + i sorted by start, then padding cells with start +inf
     and end -inf.  A build only reads the shared inputs, so tiles may be
-    built in any order, again, or on several threads at once.  ``cells``
-    estimates the cells of all tiles together before any is built;
-    `tile_stats` reads it to choose between one thread and a pool.
+    built in any order, again, or on several threads at once.
     """
 
     build: Callable[[int], tuple[np.ndarray, np.ndarray]]
     count: int
-    cells: int
     grid: LongitudeGrid
     window: float
     merge_tol: float
@@ -305,13 +295,9 @@ def access_tiles(
         order += np.arange(q.size)[:, None] * st.shape[1]
         return st.ravel()[order], en.ravel()[order]
 
-    count = -(-n // TILE_POINTS)
-    # A tile's block holds a (points, laps) column per pass whose run meets
-    # the tile, and a run of n_cand points meets this many tiles.
-    met = np.minimum((run_start % TILE_POINTS + n_cand - 1) // TILE_POINTS + 1, count)
     return AccessTiles(
-        build=tile, count=count, cells=TILE_POINTS * laps.size * int(np.sum(met)),
-        grid=grid, window=window, merge_tol=merge_tol, pass_count=len(pset),
+        build=tile, count=-(-n // TILE_POINTS), grid=grid, window=window,
+        merge_tol=merge_tol, pass_count=len(pset),
     )
 
 
@@ -390,8 +376,7 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
 
     return tile_stats(
         AccessTiles(
-            # The real rows: a lower bound on the cells, padding included.
-            build=tile, count=bounds.size - 1, cells=int(table.point.size), grid=table.grid,
+            build=tile, count=bounds.size - 1, grid=table.grid,
             window=table.window, merge_tol=table.merge_tol, pass_count=table.pass_count,
         ),
         clamped=clamped,
@@ -427,17 +412,14 @@ def tile_stats(
     largest gap, the sum and count of gaps, the covered point count and
     the latest first access.  Up to ``threads`` threads (default: one per
     usable core) reduce the tiles, so at most that many tiles are held at
-    once; tiles of fewer than MIN_THREADED_TILE_CELLS cells on average are
-    reduced on the calling thread alone.  The pool lives only for this
-    call.  The partials are folded in tile order, so the report is the
-    same on any number of threads.  ART adds the tiles' gap sums in tile
-    order, so it depends on where the tiles are cut: the engine and
-    `revisit_stats` cut at the same TILE_POINTS boundaries, and that is
-    what makes a table and its tiles give the same report.
+    once and the peak memory grows by one tile block per thread.  The pool
+    lives only for this call.  The partials are folded in tile order, so
+    the report is the same on any number of threads.  ART adds the tiles'
+    gap sums in tile order, so it depends on where the tiles are cut: the
+    engine and `revisit_stats` cut at the same TILE_POINTS boundaries, and
+    that is what makes a table and its tiles give the same report.
     """
     threads = min(usable_cores() if threads is None else threads, acc.count)
-    if acc.cells < MIN_THREADED_TILE_CELLS * acc.count:
-        threads = 1
     reduce = partial(_tile_partials, acc)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

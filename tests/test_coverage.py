@@ -1,8 +1,8 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +13,7 @@ from revisit import coverage, engine
 from revisit.coverage import (
     BINS_PER_CELL,
     AccessTable,
+    AccessTiles,
     LongitudeGrid,
     _branch_lens,
     access_tiles,
@@ -689,6 +690,26 @@ class TestEngineTable:
             tracemalloc.stop()
         assert peak < 0.25 * table_bytes
 
+    def test_threaded_peak_grows_by_one_tile_per_thread(self):
+        # Each thread holds the one tile it reduces, so the peak on four
+        # threads stays below four times the one-thread peak, and still
+        # below a quarter of the table.
+        args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
+                math.radians(40), rv.WalkerConfig(6, 6, 0), EngineSettings(window=10 * 86400.0))
+        table, _ = access_table(*args)
+        table_bytes = table.point.nbytes + table.start.nbytes + table.end.nbytes
+        del table
+        peaks = {}
+        for threads in (1, 4):
+            tracemalloc.start()
+            try:
+                analyze(*args, threads=threads)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[4] < 4 * peaks[1]
+        assert peaks[4] < 0.25 * table_bytes
+
     def test_zero_width_sensor_covers_nothing(self):
         el = make_orbit(600.0, 55.0)
         sensor = rv.SensorSpec.boresight(0.0)
@@ -698,8 +719,7 @@ class TestEngineTable:
         assert rep.mrt_hours is None
 
 
-# Six 1-degree tiles of about 38 000 cells each, from a 6/6/0 fleet: big
-# enough for the reduction to take more than one thread.
+# Six 1-degree tiles of about 38 000 cells each, from a 6/6/0 fleet.
 _MULTI_TILE_CASE = (
     _FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(6, 6, 0),
     EngineSettings(window=10 * _DAY, grid_res=math.radians(1.0)),
@@ -712,8 +732,6 @@ class TestThreadedReduction:
         # The partials are folded in tile order, so a reduction on any
         # number of threads, here up to more threads than tiles and with
         # thread switches forced often, gives the serial report bit for bit.
-        # The sparse table's tiles are small; they take threads too here.
-        monkeypatch.setattr(coverage, "MIN_THREADED_TILE_CELLS", 0)
         monkeypatch.setattr(coverage, "usable_cores", lambda: 1)
         serial = analyze(*_MULTI_TILE_CASE)
         assert serial.gap_count > 1000 and serial.coverage_fraction == 1.0
@@ -728,27 +746,23 @@ class TestThreadedReduction:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_only_large_tiles_take_threads(self, monkeypatch):
-        # Threads slow the reduction of small tiles down, so those stay on
-        # the calling thread.
-        pools = []
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_gap_sums_add_in_tile_order(self, threads):
+        # 2**53 + 1 rounds back to 2**53, so tile 0's gap sum absorbs each
+        # later tile's 1 s only when it is added first.  Tile 0 is built
+        # last on a pool, so a fold in completion order adds it last.
+        def build(k):
+            time.sleep(0.02 * (5 - k))
+            gap = 2.0**53 if k == 0 else 1.0
+            return np.array([[0.0, gap]]), np.array([[0.0, gap]])
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(coverage, "ThreadPoolExecutor", RecordingPool)
-        *args, st = _MULTI_TILE_CASE
-        small = replace(st, window=2 * _DAY)
-        acc, _ = engine._tiled_accesses(*args, small)
-        assert acc.cells < coverage.MIN_THREADED_TILE_CELLS * acc.count
-        monkeypatch.setattr(coverage, "usable_cores", lambda: 2)
-        analyze(*args, small)
-        revisit_stats(_sparse_table())
-        assert pools == []
-        analyze(*_MULTI_TILE_CASE)
-        assert pools == [2]
+        acc = AccessTiles(
+            build=build, count=5, grid=LongitudeGrid(spacing=1.0, lon=np.zeros(5)),
+            window=2.0**54, merge_tol=0.0, pass_count=10,
+        )
+        report = tile_stats(acc, threads=threads)
+        assert report.gap_count == 5 and report.coverage_fraction == 1.0
+        assert report.art_hours == 2.0**53 / 5 / 3600.0
 
     def test_tile_error_comes_out_of_analyze(self, monkeypatch):
         # An error raised on a worker thread reaches the caller as itself,
