@@ -10,7 +10,6 @@ import csv
 import io
 import itertools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -354,34 +353,23 @@ def case_row(
     return row
 
 
-def default_workers() -> int:
-    env = os.environ.get("REVISIT_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"REVISIT_WORKERS must be an integer, got {env!r}") from None
-        return max(1, workers)
-    return usable_cores()
-
-
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict[str, str]]:
     """Run every sweep cell; rows are returned in sweep-index order.
 
-    Cells are independent and fan out over processes; REVISIT_WORKERS
-    overrides the worker count (1 disables multiprocessing).  The workers
-    share the usable cores: each reduces its cells' tiles on at most
-    max(1, cores // workers) threads, where a serial sweep may take them
-    all.  Each reduction's threads end with it, so none is alive when the
-    pool forks its workers.
+    Cells are independent and fan out over processes, one per usable core
+    unless ``max_workers`` says otherwise (1 disables multiprocessing).
+    The workers share the usable cores: each reduces its cells' tiles on
+    max(1, cores // workers) threads, so a serial sweep takes them all.
+    Each reduction's threads end with it, so none is alive when the pool
+    forks its workers.
     """
     cells = spec.cells()
     ids = range(len(cells))
-    workers = max_workers if max_workers is not None else default_workers()
-    workers = max(1, min(workers, len(cells)))
+    cores = usable_cores()
+    workers = max(1, min(cores if max_workers is None else max_workers, len(cells)))
+    row = partial(case_row, threads=max(1, cores // workers))
     if workers == 1:
-        return list(map(case_row, ids, cells))
-    row = partial(case_row, threads=max(1, usable_cores() // workers))
+        return list(map(row, ids, cells))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunksize = max(1, len(cells) // (4 * workers))
         return list(pool.map(row, ids, cells, chunksize=chunksize))

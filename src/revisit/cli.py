@@ -99,6 +99,8 @@ def _report_lines(tag: str, report) -> list[str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _case_from_args(args)
+    if args.csv and args.oracle:
+        raise ConfigError("--csv and --oracle do not combine: the CSV has no oracle columns")
     rc = resolve_case(cfg)
     if args.csv:
         row = case_row(0, cfg, rc)
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a one- or two-axis parameter sweep")
     sweep_p.add_argument("--config", required=True, help="JSON file with case + sweep sections")
     sweep_p.add_argument("--workers", type=int, default=None,
-                         help="process count (default: REVISIT_WORKERS or all usable cores)")
+                         help="process count (default: all usable cores)")
     sweep_p.add_argument("--out", help="write the CSV to a file instead of stdout")
     return parser
 

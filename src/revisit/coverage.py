@@ -274,13 +274,14 @@ def access_tiles(
         x -= lam_c[sel]
         x -= x_min[sel]
         x /= bin_width
-        # Offsets off the lens land in its padding bins, which no sample sees.
+        # Offsets off the lens, j >= n_cand among them, land in its padding
+        # bins, which no sample sees; n_cand only picks the passes and laps.
         b = np.clip(np.rint(x, out=x), -1, top[sel], out=x).astype(np.int64)
         b += offset[sel] + 1
         st, en = first[b], last[b]
         st += epoch[sel]
         en += epoch[sel]
-        off = (j >= n_cand[sel]) | (en < 0.0) | (st > window)
+        off = (en < 0.0) | (st > window)
         del j, x, b
         np.clip(st, 0.0, window, out=st)
         np.clip(en, 0.0, window, out=en)

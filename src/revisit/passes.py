@@ -65,6 +65,9 @@ class WalkerConfig:
     phasing: int = 0
 
     def __post_init__(self) -> None:
+        counts = (self.total, self.planes, self.phasing)
+        if not all(isinstance(x, (int, np.integer)) for x in counts):
+            raise ValueError("satellite, plane and phasing counts must be integers")
         if self.total < 1 or self.planes < 1:
             raise ValueError("need at least one satellite and one plane")
         if self.total % self.planes != 0:
@@ -322,8 +325,8 @@ def ground_track_segment(
     if not ascending:
         u_lo, u_hi = math.pi - u_hi, math.pi - u_lo
         u_c = math.pi - u_c
-    # Split the samples at the crossing so the crossing itself is sampled
-    # exactly (odd n_points gives equal halves).
+    # Split the samples at the crossing: sample n_lo is the crossing itself,
+    # the origin of both offsets (odd n_points gives equal halves).
     n_lo = (n_points - 1) // 2
     u = np.concatenate(
         [
@@ -332,9 +335,8 @@ def ground_track_segment(
         ]
     )
     lat_k = np.arcsin(sin_i * np.sin(u))
-    d_ra = wrap_angle(node_relative_ra(u, el.inc) - node_relative_ra(u_c, el.inc))
-    nu_c = u_c - el.argp
-    frac_c = time_fraction_from_node(el, nu_c)
+    ra = node_relative_ra(u, el.inc)
+    d_ra = wrap_angle(ra - ra[n_lo])
     # time_fraction_from_node at every sample, step for step on the whole
     # array.  np.sin and np.cos give math's bits, but np.arctan2 does not
     # always, so atan2 stays math.atan2 element by element.
@@ -346,6 +348,6 @@ def ground_track_segment(
     )))
     d_mean = ecc_anom - el.e * np.sin(ecc_anom) - _mean_from_true(-el.argp, el.e)
     frac = (d_mean % TWO_PI) / TWO_PI
-    d_frac = wrap_angle((frac - frac_c) * TWO_PI) / TWO_PI
+    d_frac = wrap_angle((frac - frac[n_lo]) * TWO_PI) / TWO_PI
     lon_off = d_ra + d_frac * shift
     return TrackSegment(lat=lat_k, lon_off=np.asarray(lon_off), time_frac=d_frac)

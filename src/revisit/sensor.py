@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .earth import EARTH, EarthConstants, geodetic_radius
-from .errors import LatitudeUnreachableError, PoleOverlapError
+from .errors import ConfigError, LatitudeUnreachableError, PoleOverlapError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .passes import OrbitElements
@@ -147,9 +147,15 @@ def resolve_footprint(
     """Resolve a sensor spec into footprint half-sizes at one latitude.
 
     The surface radius is evaluated once at the target latitude; the same
-    footprint is reused for every pass at that latitude.
+    footprint is reused for every pass at that latitude.  An orbit that
+    does not clear the surface there is a ConfigError.
     """
     r_lat = geodetic_radius(lat, earth)
+    if r_s <= r_lat:
+        raise ConfigError(
+            f"satellite radius {r_s:.3f} km does not clear the surface radius "
+            f"{r_lat:.3f} km at latitude {math.degrees(lat):.2f} deg"
+        )
     clamped = False
     if sensor.mode == "elevation":
         theta = ground_range_from_elevation(r_lat, r_s, sensor.angle)

@@ -235,22 +235,6 @@ class TestSweep:
         assert row["mrt_h"] == ""
         assert row["coverage_frac"] != ""
 
-    def test_worker_env_override(self, monkeypatch):
-        from revisit.cases import default_workers
-
-        monkeypatch.setenv("REVISIT_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.delenv("REVISIT_WORKERS")
-        assert default_workers() >= 1
-
-    def test_bad_worker_env_is_named_config_error(self, tmp_path, capsys, monkeypatch):
-        case = {"altitude_km": 600.0, "inclination_deg": 55.0, "elevation_deg": 15.0, **FAST}
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"case": case, "sweep": {"latitude_deg": [0, 10, 10]}}))
-        monkeypatch.setenv("REVISIT_WORKERS", "abc")
-        assert main(["sweep", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: REVISIT_WORKERS ")
-
     def test_sweep_from_dict(self):
         spec = sweep_from_dict(
             {
@@ -283,6 +267,19 @@ class TestCli:
         assert code == 0
         assert out.splitlines()[0] == ",".join(CSV_COLUMNS)
         assert len(out.splitlines()) == 2
+
+    def test_csv_with_oracle_is_named_config_error(self, capsys):
+        # The CSV schema has no oracle columns, so the pair is refused
+        # rather than the oracle dropped.
+        code = main([
+            "run", "--walker", "3/3/0", "--altitude-km", "600", "--inclination-deg", "55",
+            "--elevation-deg", "15", "--window-days", "3", "--grid-res-deg", "1",
+            "--csv", "--oracle",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--csv" in captured.err and "--oracle" in captured.err
 
     def test_every_case_field_is_set_by_its_flag(self, capsys):
         argv = [

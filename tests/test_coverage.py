@@ -804,6 +804,14 @@ class TestBadEngineInput:
         with pytest.raises(rv.ConfigError, match=field):
             EngineSettings(**{field: value})
 
+    def test_orbit_below_the_surface_at_the_latitude_is_named_config_error(self):
+        # Perigee clears the polar radius, so OrbitElements takes the orbit,
+        # but not the equatorial surface under the target latitude.
+        el = rv.OrbitElements(a=6370.0, inc=math.radians(50))
+        st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
+        with pytest.raises(rv.ConfigError, match=r"6370\.000 km.*6378\.137 km.*latitude 0\.00"):
+            analyze(el, _ELEV_10, 0.0, settings=st)
+
     @pytest.mark.parametrize("lat", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("run", [analyze, rv.oracle_analyze], ids=["engine", "oracle"])
     def test_non_finite_latitude_is_named_config_error(self, run, lat):

@@ -1,5 +1,4 @@
 """Each demo script runs to completion against the package in src/."""
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +12,12 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # Some demos write CSV files into the working directory.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = (
+        f"import runpy, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        f"runpy.run_path({str(demo)!r}, run_name='__main__')"
+    )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-c", code], cwd=tmp_path,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
