@@ -13,6 +13,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from numbers import Integral
 from typing import Any
 
 import numpy as np
@@ -123,15 +124,8 @@ class CaseConfig:
             raise ConfigError(
                 f"grid_res_deg must be in [{MIN_GRID_RES_DEG:g}, 1], got {self.grid_res_deg:g}"
             )
-        if self.segment_samples < 3:
-            raise ConfigError(f"segment_samples must be at least 3, got {self.segment_samples}")
         if not 0.0 <= self.eccentricity < 1.0:
             raise ConfigError("eccentricity must be in [0, 1)")
-        t, p, f = self.walker
-        try:
-            WalkerConfig(t, p, f)
-        except ValueError as exc:
-            raise ConfigError(f"walker {t}/{p}/{f} is invalid: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -155,6 +149,11 @@ class ResolvedCase:
 def resolve_case(cfg: CaseConfig) -> ResolvedCase:
     """Validate and convert a case config to engine inputs."""
     cfg.validate()
+    t, p, f = cfg.walker
+    try:
+        walker = WalkerConfig(t, p, f)
+    except ConfigError as exc:
+        raise ConfigError(f"walker {t}/{p}/{f} is invalid: {exc}") from exc
     if cfg.semi_major_axis_km is not None:
         name, a = "semi_major_axis_km", cfg.semi_major_axis_km
     else:
@@ -168,22 +167,19 @@ def resolve_case(cfg: CaseConfig) -> ResolvedCase:
         inc = sso_inclination(a, cfg.eccentricity)
     else:
         inc = math.radians(float(cfg.inclination_deg))
-    try:
-        elements = OrbitElements(
-            a=a, e=cfg.eccentricity, inc=inc,
-            raan=math.radians(cfg.raan_deg),
-            argp=math.radians(cfg.argp_deg),
-            nu0=math.radians(cfg.nu0_deg),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    elements = OrbitElements(
+        a=a, e=cfg.eccentricity, inc=inc,
+        raan=math.radians(cfg.raan_deg),
+        argp=math.radians(cfg.argp_deg),
+        nu0=math.radians(cfg.nu0_deg),
+    )
     if cfg.boresight_deg is not None:
         name, angle, make = "boresight_deg", cfg.boresight_deg, SensorSpec.boresight
     else:
         name, angle, make = "elevation_deg", cfg.elevation_deg, SensorSpec.elevation
     try:
         sensor = make(math.radians(angle))
-    except ValueError as exc:
+    except ConfigError as exc:
         # No commas: the message lands in one CSV cell.
         raise ConfigError(f"{name}={angle:g} is outside the sensor's angle range") from exc
     settings = EngineSettings(
@@ -191,12 +187,11 @@ def resolve_case(cfg: CaseConfig) -> ResolvedCase:
         grid_res=math.radians(cfg.grid_res_deg),
         segment_samples=cfg.segment_samples,
     )
-    t, p, f = cfg.walker
     return ResolvedCase(
         elements=elements,
         sensor=sensor,
         lat=math.radians(cfg.latitude_deg),
-        walker=WalkerConfig(t, p, f),
+        walker=walker,
         settings=settings,
         inclination_deg=math.degrees(inc),
         altitude_km=a - EARTH.equatorial_radius,
@@ -363,10 +358,12 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict[str,
     Each reduction's threads end with it, so none is alive when the pool
     forks its workers.
     """
+    if max_workers is not None and not (isinstance(max_workers, Integral) and max_workers >= 1):
+        raise ConfigError(f"max_workers must be an integer of at least 1, got {max_workers!r}")
     cells = spec.cells()
     ids = range(len(cells))
     cores = usable_cores()
-    workers = max(1, min(cores if max_workers is None else max_workers, len(cells)))
+    workers = min(cores if max_workers is None else max_workers, len(cells))
     row = partial(case_row, threads=max(1, cores // workers))
     if workers == 1:
         return list(map(row, ids, cells))

@@ -119,7 +119,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.oracle:
         try:
             sim = oracle_analyze(**rc.inputs(), step=args.oracle_step)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"oracle_step {args.oracle_step:g} is invalid: {exc}") from exc
         lines += _report_lines("oracle_", sim)
         if report.mrt_hours is not None and sim.mrt_hours is not None:

@@ -33,9 +33,11 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
+from .errors import ConfigError
 from .passes import PassSet, TrackSegment
 from .sensor import FootprintAtLatitude
 
@@ -69,7 +71,7 @@ class LongitudeGrid:
 def build_grid(resolution: float) -> LongitudeGrid:
     """Build the longitude grid; resolution in rad, at most 1 degree."""
     if not 0.0 < resolution <= MAX_GRID_RESOLUTION + 1e-15:
-        raise ValueError("grid resolution must be in (0, 1 deg]")
+        raise ConfigError("grid resolution must be in (0, 1 deg]")
     n = int(round(TWO_PI / resolution))
     spacing = TWO_PI / n
     return LongitudeGrid(spacing=spacing, lon=-math.pi + spacing * np.arange(n))
@@ -420,6 +422,8 @@ def tile_stats(
     engine and `revisit_stats` cut at the same TILE_POINTS boundaries, and
     that is what makes a table and its tiles give the same report.
     """
+    if threads is not None and not (isinstance(threads, Integral) and threads >= 1):
+        raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
     threads = min(usable_cores() if threads is None else threads, acc.count)
     reduce = partial(_tile_partials, acc)
     if threads > 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SunSyncInfeasibleError
+from .errors import ConfigError, SunSyncInfeasibleError
 
 # Mean sun-synchronous node drift: one full revolution per tropical year.
 TROPICAL_YEAR_DAYS = 365.2421897
@@ -31,12 +31,12 @@ class EarthConstants:
 
     def __post_init__(self) -> None:
         if not (self.equatorial_radius > self.polar_radius > 0.0):
-            raise ValueError("require equatorial_radius > polar_radius > 0")
+            raise ConfigError("require equatorial_radius > polar_radius > 0")
         if self.rotation_rate <= 0.0 or self.mu <= 0.0:
-            raise ValueError("rotation_rate and mu must be positive")
+            raise ConfigError("rotation_rate and mu must be positive")
         # j2 = 0 is allowed so the unperturbed limit stays expressible.
         if not (0.0 <= self.j2 < 0.01):
-            raise ValueError("j2 outside plausible range [0, 0.01)")
+            raise ConfigError("j2 outside plausible range [0, 0.01)")
 
     @property
     def j2_squared(self) -> float:
@@ -46,12 +46,19 @@ class EarthConstants:
 EARTH = EarthConstants()
 
 
+def check_latitude(lat: float) -> None:
+    """The latitude rule of every function that takes one: a finite number."""
+    if not math.isfinite(lat):
+        raise ConfigError(f"latitude must be finite, got {lat}")
+
+
 def geodetic_radius(lat: float, earth: EarthConstants = EARTH) -> float:
     """Radius of the oblate spheroid at latitude ``lat``.
 
     Reduces to the equatorial radius at lat=0 and the polar radius at the
     poles; monotonically non-increasing in |lat|.
     """
+    check_latitude(lat)
     ra, rb = earth.equatorial_radius, earth.polar_radius
     c, s = math.cos(lat), math.sin(lat)
     num = (ra * ra * c) ** 2 + (rb * rb * s) ** 2

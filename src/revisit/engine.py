@@ -86,11 +86,6 @@ class EngineSettings:
             raise ConfigError(f"segment_samples must be at least 3, got {self.segment_samples}")
 
 
-def _check_lat(lat: float) -> None:
-    if not math.isfinite(lat):
-        raise ConfigError(f"target latitude must be finite, got {lat}")
-
-
 def build_pass_set(
     el: OrbitElements,
     lat: float,
@@ -114,7 +109,6 @@ def _tiled_accesses(
     settings: EngineSettings,
 ) -> tuple[AccessTiles, bool]:
     """Access tiles plus a flag noting a beyond-horizon footprint clamp."""
-    _check_lat(lat)
     pset = build_pass_set(el, lat, walker, settings=settings)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
     scale = settings.footprint_scale
@@ -173,7 +167,6 @@ def oracle_sim_config(
     step: float = 10.0,
 ) -> SimConfig:
     """Brute-force simulation setup matching the engine's conventions."""
-    _check_lat(lat)
     grid = build_grid(settings.grid_res)
     return SimConfig(
         elements=tuple(plane_elements(el, walker_planes(walker))),

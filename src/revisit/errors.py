@@ -5,8 +5,8 @@ class RevisitError(Exception):
     """Base class for all revisit-specific errors."""
 
 
-class ConfigError(RevisitError):
-    """Invalid or inconsistent case/sweep configuration."""
+class ConfigError(RevisitError, ValueError):
+    """Invalid input: a case field, a setting or an argument of any entry point."""
 
 
 class LatitudeUnreachableError(RevisitError):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coverage import AccessTable, LongitudeGrid, sorted_access_table
-from .earth import EARTH, EarthConstants, geodetic_radius
-from .errors import KeplerConvergenceError
+from .earth import EARTH, EarthConstants, check_latitude, geodetic_radius
+from .errors import ConfigError, KeplerConvergenceError
 from .passes import (
     OrbitElements,
     PlaneSpec,
@@ -108,6 +108,12 @@ def plane_elements(el: OrbitElements, planes: Sequence[PlaneSpec]) -> list[Orbit
     ]
 
 
+# Most time steps one simulation may take.  Each satellite holds a few
+# float arrays of one element per step, so this caps each at 32 MB; 60
+# days at 10 s is 518 401 steps.
+MAX_ORACLE_STEPS = 4_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Point-coverage simulation setup.
@@ -127,14 +133,20 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lons", np.asarray(self.lons, dtype=float))
+        check_latitude(self.lat)
         if self.lons.size == 0:
-            raise ValueError("lons must hold at least one longitude")
+            raise ConfigError("lons must hold at least one longitude")
         if not 0.0 < self.window < math.inf:
-            raise ValueError("analysis window must be positive and finite")
+            raise ConfigError("analysis window must be positive and finite")
         if not 0.0 < self.step < math.inf:
-            raise ValueError("time step must be positive and finite")
+            raise ConfigError("time step must be positive and finite")
         if not self.refine_tol < self.step:
-            raise ValueError("refinement tolerance must be below the step")
+            raise ConfigError("refinement tolerance must be below the step")
+        if self.window / self.step > MAX_ORACLE_STEPS:
+            raise ConfigError(
+                f"window / step makes {self.window / self.step:.0f} time steps; "
+                f"at most {MAX_ORACLE_STEPS} are allowed"
+            )
 
 
 def _visibility_margin(sensor, r_t, lat_t, lon_t, r_s, lat_s, lon_s):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .earth import EARTH, EarthConstants
+from .earth import EARTH, EarthConstants, check_latitude
 from .errors import ConfigError
 from .sensor import radius_at_latitude
 
@@ -49,11 +49,11 @@ class OrbitElements:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.e < 1.0:
-            raise ValueError("eccentricity must be in [0, 1)")
+            raise ConfigError("eccentricity must be in [0, 1)")
         if self.a * (1.0 - self.e) <= EARTH.polar_radius:
-            raise ValueError("perigee must be above the Earth surface")
+            raise ConfigError("perigee must be above the Earth surface")
         if not 0.0 <= self.inc <= math.pi:
-            raise ValueError("inclination must be in [0, pi]")
+            raise ConfigError("inclination must be in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,13 @@ class WalkerConfig:
     def __post_init__(self) -> None:
         counts = (self.total, self.planes, self.phasing)
         if not all(isinstance(x, (int, np.integer)) for x in counts):
-            raise ValueError("satellite, plane and phasing counts must be integers")
+            raise ConfigError("satellite, plane and phasing counts must be integers")
         if self.total < 1 or self.planes < 1:
-            raise ValueError("need at least one satellite and one plane")
+            raise ConfigError("need at least one satellite and one plane")
         if self.total % self.planes != 0:
-            raise ValueError("planes must divide the total satellite count")
+            raise ConfigError("planes must divide the total satellite count")
         if not 0 <= self.phasing < self.planes:
-            raise ValueError("phasing factor must be in [0, planes)")
+            raise ConfigError("phasing factor must be in [0, planes)")
 
     @property
     def per_plane(self) -> int:
@@ -126,8 +126,8 @@ class TrackSegment:
 
 def keplerian_period(a: float, earth: EarthConstants = EARTH) -> float:
     """Two-body orbital period, s."""
-    if a <= 0.0:
-        raise ValueError("semi-major axis must be positive")
+    if not a > 0.0:
+        raise ConfigError("semi-major axis must be positive")
     return TWO_PI * math.sqrt(a**3 / earth.mu)
 
 
@@ -176,8 +176,8 @@ def ground_track_shift(p_n: float, raan_rate: float, earth: EarthConstants = EAR
 
     Negative (westward) for all LEO orbits: Earth rotation dominates.
     """
-    if p_n <= 0.0:
-        raise ValueError("nodal period must be positive")
+    if not p_n > 0.0:
+        raise ConfigError("nodal period must be positive")
     return p_n * (-earth.rotation_rate + raan_rate)
 
 
@@ -251,8 +251,8 @@ def pass_series(
     latitude earlier by the matching fraction of the nodal period; its
     crossing longitudes follow the shifted drift line.
     """
-    if window <= 0.0:
-        raise ValueError("analysis window must be positive")
+    if not 0.0 < window < math.inf:
+        raise ConfigError("analysis window must be positive and finite")
     if not planes:
         raise ConfigError("need at least one plane spec")
     nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
@@ -312,7 +312,8 @@ def ground_track_segment(
     Earth-rotation accrual between samples.
     """
     if n_points < 3:
-        raise ValueError("need at least 3 segment samples")
+        raise ConfigError("need at least 3 segment samples")
+    check_latitude(lat)
     sin_i = math.sin(el.inc)
     span = (1.0 + pad) * reach
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .earth import EARTH, EarthConstants, geodetic_radius
+from .earth import EARTH, EarthConstants, check_latitude, geodetic_radius
 from .errors import ConfigError, LatitudeUnreachableError, PoleOverlapError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,12 +33,12 @@ class SensorSpec:
     def __post_init__(self) -> None:
         if self.mode == "boresight":
             if not 0.0 <= self.angle < math.pi / 2.0:
-                raise ValueError("boresight half-cone angle must be in [0, pi/2)")
+                raise ConfigError("boresight half-cone angle must be in [0, pi/2)")
         elif self.mode == "elevation":
             if not 0.0 <= self.angle <= math.pi / 2.0:
-                raise ValueError("minimum elevation must be in [0, pi/2]")
+                raise ConfigError("minimum elevation must be in [0, pi/2]")
         else:
-            raise ValueError(f"unknown sensor mode {self.mode!r}")
+            raise ConfigError(f"unknown sensor mode {self.mode!r}")
 
     @classmethod
     def boresight(cls, angle: float) -> "SensorSpec":
@@ -72,6 +72,7 @@ def radius_at_latitude(el: "OrbitElements", lat: float) -> tuple[float, float, f
     radii equal the semi-major axis.  Raises LatitudeUnreachableError when
     the ground track never reaches the latitude.
     """
+    check_latitude(lat)
     sin_ratio = math.sin(lat) / math.sin(el.inc) if math.sin(el.inc) != 0.0 else math.inf
     if abs(sin_ratio) > 1.0 + _ARG_EPS:
         raise LatitudeUnreachableError(
@@ -93,8 +94,8 @@ def ground_range_from_elevation(r_lat: float, r_s: float, elevation: float) -> f
     Zero at elevation pi/2 (nadir only); the horizon angle acos(r_lat/r_s)
     at elevation 0.
     """
-    if r_s <= r_lat:
-        raise ValueError("satellite radius must exceed the surface radius")
+    if not r_s > r_lat:
+        raise ConfigError("satellite radius must exceed the surface radius")
     return math.acos((r_lat / r_s) * math.cos(elevation)) - elevation
 
 
@@ -105,8 +106,8 @@ def ground_range_from_boresight(r_lat: float, r_s: float, half_cone: float) -> t
     range is clamped to the horizon angle and the flag is set, so wide
     field-of-regard sweeps keep running instead of aborting.
     """
-    if r_s <= r_lat:
-        raise ValueError("satellite radius must exceed the surface radius")
+    if not r_s > r_lat:
+        raise ConfigError("satellite radius must exceed the surface radius")
     sin_edge = r_s * math.sin(half_cone) / r_lat
     if sin_edge > 1.0:
         return math.acos(r_lat / r_s), True
@@ -125,6 +126,7 @@ def dihedral_half_angle(ground_range: float, lat: float) -> float:
     PoleOverlapError when the footprint reaches over the pole, i.e. when
     the ground range exceeds pi - 2|lat|.
     """
+    check_latitude(lat)
     c = math.cos(lat)
     if c * c < _ARG_EPS:
         if ground_range < _ARG_EPS:

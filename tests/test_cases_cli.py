@@ -336,12 +336,13 @@ class TestCli:
             (["--oracle", "--oracle-step", "0.05"], "oracle_step"),
             (["--oracle", "--oracle-step", "nan"], "oracle_step"),
             (["--oracle", "--oracle-step", "inf"], "oracle_step"),
+            (["--oracle", "--oracle-step", "0.06"], "oracle_step"),
         ],
         ids=[
             "alt_neg", "alt_nan", "sma_below", "window_inf", "grid_nan", "grid_5", "samples_2",
             "grid_1e-9", "window_1e9", "sma_1e9",
             "walker_divide", "walker_phasing", "walker_empty",
-            "step_0", "step_below_tol", "step_nan", "step_inf",
+            "step_0", "step_below_tol", "step_nan", "step_inf", "step_count",
         ],
     )
     def test_bad_number_is_named_config_error(self, capsys, flags, name):
@@ -419,6 +420,20 @@ class TestCli:
         assert main(["sweep", "--config", str(path), "--workers", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} ") and also in err
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_sweep_with_fewer_than_one_worker_is_named(self, tmp_path, capsys, workers):
+        path = tmp_path / "sweep.json"
+        sweep = {"latitude_deg": [0, 20, 10]}
+        path.write_text(json.dumps({"case": BASE.__dict__, "sweep": sweep}))
+        assert main(["sweep", "--config", str(path), "--workers", workers]) == 1
+        assert capsys.readouterr().err.startswith("error: max_workers must be an integer")
+
+    @pytest.mark.parametrize("workers", [0, -4, 2.5])
+    def test_run_sweep_rejects_a_bad_worker_count(self, workers):
+        spec = SweepSpec(base=BASE, axes={"latitude_deg": (0.0, 20.0, 10.0)})
+        with pytest.raises(ConfigError, match="^max_workers "):
+            run_sweep(spec, max_workers=workers)
 
     @pytest.mark.parametrize("axis", ["walker", "altitude"])
     def test_sweeping_a_field_that_cannot_be_swept_names_it(self, tmp_path, capsys, axis):

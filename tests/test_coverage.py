@@ -818,3 +818,9 @@ class TestBadEngineInput:
         st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
         with pytest.raises(rv.ConfigError, match="latitude"):
             run(make_orbit(700.0, 60.0), _ELEV_10, lat, settings=st)
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.5])
+    def test_bad_thread_count_is_named_config_error(self, threads):
+        st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
+        with pytest.raises(rv.ConfigError, match="threads"):
+            analyze(make_orbit(700.0, 60.0), _ELEV_10, 0.3, settings=st, threads=threads)

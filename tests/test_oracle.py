@@ -10,6 +10,7 @@ from revisit.earth import geodetic_radius
 from revisit.engine import EngineSettings, analyze, oracle_analyze
 from revisit.errors import KeplerConvergenceError
 from revisit.oracle import (
+    MAX_ORACLE_STEPS,
     SimConfig,
     _horizon_screen,
     _visibility_margin,
@@ -238,6 +239,20 @@ class TestSimulateCoverage:
                     elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
                     lons=np.array([0.0]), window=window,
                 )
+
+    def test_step_count_is_bounded_at_construction(self):
+        # SimConfig allocates nothing per step, so the oversized runs below
+        # are refused before any array of one element per step exists.
+        kw = dict(
+            elements=(make_orbit(500.0, 60.0),), sensor=rv.SensorSpec.elevation(0.2),
+            lat=0.0, lons=np.array([0.0]),
+        )
+        # The largest oracle run of the tests: 60 days at 10 s.
+        assert 60 * 8640 + 1 < MAX_ORACLE_STEPS // 4
+        SimConfig(**kw, window=MAX_ORACLE_STEPS * 10.0, step=10.0)
+        for window, step in ((3660 * 86400.0, 10.0), (60 * 86400.0, 0.11)):
+            with pytest.raises(rv.ConfigError, match="time steps; at most 4000000"):
+                SimConfig(**kw, window=window, step=step)
 
     def test_list_and_array_longitudes_give_equal_tables(self):
         el = make_orbit(650.0, 65.0)

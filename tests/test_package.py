@@ -1,6 +1,13 @@
+import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import revisit as rv
+from revisit.passes import ground_track_segment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -20,3 +27,100 @@ def test_import_loads_no_scipy_and_every_export_resolves():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_EL = rv.OrbitElements(a=7000.0, inc=math.radians(60.0))
+_ELEV = rv.SensorSpec.elevation(0.2)
+
+
+def _sim(**kw):
+    return rv.SimConfig(**{
+        "elements": (_EL,), "sensor": _ELEV, "lat": 0.0, "lons": [0.0], "window": 100.0, **kw,
+    })
+
+
+_BAD_INPUT = {
+    "orbit_eccentricity": lambda: rv.OrbitElements(a=7000.0, e=1.0),
+    "orbit_perigee": lambda: rv.OrbitElements(a=6000.0),
+    "orbit_inclination": lambda: rv.OrbitElements(a=7000.0, inc=4.0),
+    "walker_divide": lambda: rv.WalkerConfig(3, 2, 0),
+    "walker_empty": lambda: rv.WalkerConfig(0, 1, 0),
+    "walker_float": lambda: rv.WalkerConfig(1.5, 1, 0),
+    "sensor_boresight": lambda: rv.SensorSpec.boresight(2.0),
+    "sensor_elevation": lambda: rv.SensorSpec.elevation(-0.1),
+    "sensor_mode": lambda: rv.SensorSpec("laser", 0.1),
+    "earth_radii": lambda: rv.EarthConstants(polar_radius=7000.0),
+    "earth_mu": lambda: rv.EarthConstants(mu=0.0),
+    "earth_j2": lambda: rv.EarthConstants(j2=0.5),
+    "sim_lons": lambda: _sim(lons=[]),
+    "sim_step": lambda: _sim(step=-1.0),
+    "sim_steps": lambda: _sim(window=1e9),
+    "sim_lat_nan": lambda: _sim(lat=math.nan),
+    "sim_lat_inf": lambda: _sim(lat=math.inf),
+    "settings": lambda: rv.EngineSettings(window=0.0),
+    "grid": lambda: rv.build_grid(0.0),
+    "pass_series_window": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 0.0),
+    "pass_series_window_nan": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.nan),
+    "pass_series_window_inf": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.inf),
+    "pass_series_planes": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 86400.0, []),
+    "segment_samples": lambda: ground_track_segment(_EL, 0.3, -0.4, 2, reach=0.1),
+    "segment_lat": lambda: ground_track_segment(_EL, math.inf, -0.4, 100, reach=0.1),
+    "keplerian_period": lambda: rv.keplerian_period(-1.0),
+    "keplerian_period_nan": lambda: rv.keplerian_period(math.nan),
+    "ground_track_shift": lambda: rv.ground_track_shift(0.0, 0.0),
+    "ground_track_shift_nan": lambda: rv.ground_track_shift(math.nan, 0.0),
+    "range_elevation": lambda: rv.ground_range_from_elevation(7000.0, 6500.0, 0.1),
+    "range_elevation_nan": lambda: rv.ground_range_from_elevation(6378.0, math.nan, 0.1),
+    "range_boresight": lambda: rv.ground_range_from_boresight(7000.0, 6500.0, 0.1),
+    "range_boresight_nan": lambda: rv.ground_range_from_boresight(6378.0, math.nan, 0.1),
+    "dihedral_lat": lambda: rv.dihedral_half_angle(0.1, math.nan),
+    **{
+        f"{name}_{value}": call
+        for value in (math.nan, math.inf)
+        for name, call in (
+            ("radius_at_latitude", lambda lat=value: rv.radius_at_latitude(_EL, lat)),
+            ("geodetic_radius", lambda lat=value: rv.geodetic_radius(lat)),
+            ("resolve_footprint", lambda lat=value: rv.resolve_footprint(_ELEV, 7000.0, lat)),
+        )
+    },
+}
+
+
+def test_config_error_is_a_value_error():
+    assert issubclass(rv.ConfigError, ValueError)
+    assert issubclass(rv.ConfigError, rv.RevisitError)
+
+
+@pytest.mark.parametrize("call", _BAD_INPUT.values(), ids=_BAD_INPUT.keys())
+def test_every_public_entry_rejects_bad_input_with_config_error(call):
+    with pytest.raises(rv.ConfigError):
+        call()
+
+
+def _value_error_sites(node, func=None):
+    """(kind, enclosing function) of each raise or except of ValueError under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _value_error_sites(child, child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                yield "raise", func
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+            if any(isinstance(t, ast.Name) and t.id == "ValueError" for t in types):
+                yield "except", func
+        yield from _value_error_sites(child, func)
+
+
+def test_bad_input_is_raised_as_config_error_and_never_rewrapped():
+    # One input contract: each check raises ConfigError itself, so no
+    # module raises a bare ValueError or converts one.  The one catch is
+    # parse_walker's, around int(), which raises ValueError on its own.
+    sites = [
+        (path.name, kind, func)
+        for path in sorted((SRC / "revisit").glob("*.py"))
+        for kind, func in _value_error_sites(ast.parse(path.read_text()))
+    ]
+    assert sites == [("cases.py", "except", "parse_walker")]
