@@ -24,7 +24,7 @@ from .cases import (
     run_sweep,
     sweep_from_dict,
 )
-from .engine import analyze, oracle_analyze
+from .engine import analyze, oracle_report, oracle_sim_config
 from .errors import ConfigError, RevisitError
 
 
@@ -106,6 +106,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         row = case_row(0, cfg, rc)
         _emit(rows_to_csv([row]), args.out)
         return 0 if row["error"] in ("", WINDOW_EXCEEDED) else 1
+    if args.oracle:
+        # Built before the engine runs, so that a bad step fails fast.
+        try:
+            sim_cfg = oracle_sim_config(**rc.inputs(), step=args.oracle_step)
+        except ConfigError as exc:
+            raise ConfigError(f"oracle_step {args.oracle_step:g} is invalid: {exc}") from exc
     report = analyze(**rc.inputs())
     lines = [
         f"alt_km={rc.altitude_km:.3f}",
@@ -117,10 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("warning: field of regard reaches past the horizon; "
               "ground range clamped", file=sys.stderr)
     if args.oracle:
-        try:
-            sim = oracle_analyze(**rc.inputs(), step=args.oracle_step)
-        except ConfigError as exc:
-            raise ConfigError(f"oracle_step {args.oracle_step:g} is invalid: {exc}") from exc
+        sim = oracle_report(sim_cfg)
         lines += _report_lines("oracle_", sim)
         if report.mrt_hours is not None and sim.mrt_hours is not None:
             lines.append(f"mrt_diff_h={abs(report.mrt_hours - sim.mrt_hours):.4f}")

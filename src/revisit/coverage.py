@@ -9,10 +9,10 @@ the first/last visible sample of the pass.
 Because every pass of a branch shares the same track segment shape, the
 visibility lens (first/last visible sample time as a function of the
 longitude offset from the crossing) is precomputed once per branch on a
-fine offset grid and then looked up for every pass, which keeps a 60-day
-default case well under a second.  The lens folds every sample's range
-of offset bins into one row of bins at once, by min and max over
-power-of-two blocks, with no loop over the samples.
+fine offset grid, BINS_PER_CELL bins to a grid cell; a pass's grid points
+fall on every BINS_PER_CELL-th bin from one integer phase per pass.  The
+lens folds every sample's range of offset bins into one row of bins at
+once, by min and max over power-of-two blocks, with no loop over samples.
 
 The table is built one tile of TILE_POINTS grid points at a time.  A tile
 is one dense block, a row per grid point and a cell per (lap, pass) that
@@ -221,23 +221,21 @@ def access_tiles(
 
     segments/footprints are keyed by branch (True = ascending).  Pass k
     reaches the grid points base_k + j, j < n_cand (modulo the grid),
-    where n_cand covers its branch's lens.  For each point q of a tile
-    and each pass whose run meets the tile, the offsets j congruent to
-    q - base_k are evaluated in one (points, laps, passes) block; a run
-    longer than the grid reaches a point once per lap.  Cells outside a
-    run or the window become padding, one stable sort orders each point's
-    cells, and the columns that are padding in every row are cut.  Both
-    branches' lenses are joined, and each pass keeps its offset into them,
-    so one lookup serves every pass.  The lenses are built here; each tile
-    is built only when the returned `AccessTiles` builds it.
+    where n_cand covers its branch's lens.  The branches' lenses are
+    joined, and offset j of pass k reads the joined bin phase_k +
+    bins_per_cell * j, capped at its lens's padding.  For each point q of
+    a tile and each pass whose run meets the tile, the offsets j
+    congruent to q - base_k are evaluated in one integer (points, laps,
+    passes) block; a run longer than the grid reaches a point once per
+    lap.  Cells outside a run or the window become padding, one stable
+    sort orders each point's cells, and the columns that are padding in
+    every row are cut.  The lenses and the integer phases are computed
+    here; each tile only when the returned `AccessTiles` builds it.
     """
     n, window = grid.size, pset.window
     merge_tol = 0.0
     bin_width = grid.spacing / bins_per_cell
-    x_min = np.zeros(len(pset))
-    n_cand = np.zeros(len(pset), dtype=np.int64)
-    offset = np.zeros(len(pset), dtype=np.int64)
-    top = np.zeros(len(pset), dtype=np.int64)
+    n_cand, base, phase, last_row = (np.zeros(len(pset), dtype=np.int64) for _ in range(4))
     firsts, lasts = [np.empty(0)], [np.empty(0)]
     for is_asc in (True, False):
         seg = segments[is_asc]
@@ -249,18 +247,23 @@ def access_tiles(
             continue
         lo, hi, first, last = lens
         sel = pset.ascending == is_asc
-        x_min[sel] = lo
+        lam_c = pset.lon[sel]
         n_cand[sel] = int(math.floor((hi - lo) / grid.spacing)) + 2
-        offset[sel] = sum(f.size for f in firsts)
-        top[sel] = first.size - 2
+        base[sel] = np.ceil((lam_c + lo + math.pi) / grid.spacing)
+        # Offset j's lens bin, rint(((base + j) * spacing - pi - lam_c - lo) / bin_width),
+        # is its value at j = 0 plus bins_per_cell * j: bins_per_cell is even, so
+        # a half-bin tie rounds alike at every j.  base rounds up, so no bin is
+        # below lo's.  phase is the bin at j = 0 as a row of the joined lenses.
+        row = sum(f.size for f in firsts) + 1
+        phase[sel] = row + np.rint((base[sel] * grid.spacing - math.pi - lam_c - lo) / bin_width)
+        last_row[sel] = row + first.size - 2
         firsts.append(first)
         lasts.append(last)
     first, last = np.concatenate(firsts), np.concatenate(lasts)
     # Passes of a branch without a lens see nothing.
     keep = n_cand > 0
-    lam_c, epoch = pset.lon[keep], pset.epoch[keep]
-    x_min, n_cand, offset, top = x_min[keep], n_cand[keep], offset[keep], top[keep]
-    base = np.ceil((lam_c + x_min + math.pi) / grid.spacing).astype(np.int64)
+    epoch, n_cand, base = pset.epoch[keep], n_cand[keep], base[keep]
+    phase, last_row = phase[keep], last_row[keep]
     run_start = base % n
     laps = np.arange(-(-int(np.max(n_cand, initial=0)) // n))[:, None]
 
@@ -269,22 +272,18 @@ def access_tiles(
         p0 = k * TILE_POINTS
         q = np.arange(p0, min(p0 + TILE_POINTS, n))
         sel = ((run_start >= p0) & (run_start <= q[-1])) | ((p0 - run_start) % n < n_cand)
-        j = ((q[:, None] - base[sel]) % n)[:, None, :] + n * laps
-        # The lens bin of each offset, computed in place to spare the block copies.
-        x = (base[sel] + j) * grid.spacing
-        x -= math.pi
-        x -= lam_c[sel]
-        x -= x_min[sel]
-        x /= bin_width
-        # Offsets off the lens, j >= n_cand among them, land in its padding
-        # bins, which no sample sees; n_cand only picks the passes and laps.
-        b = np.clip(np.rint(x, out=x), -1, top[sel], out=x).astype(np.int64)
-        b += offset[sel] + 1
+        b = ((q[:, None] - base[sel]) % n)[:, None, :] + n * laps
+        # Each offset's joined bin, in place.  Offsets off the lens, j >= n_cand
+        # among them, read its padding, which no sample sees; n_cand only
+        # picks the passes and laps.
+        b *= bins_per_cell
+        b += phase[sel]
+        np.minimum(b, last_row[sel], out=b)
         st, en = first[b], last[b]
         st += epoch[sel]
         en += epoch[sel]
         off = (en < 0.0) | (st > window)
-        del j, x, b
+        del b
         np.clip(st, 0.0, window, out=st)
         np.clip(en, 0.0, window, out=en)
         st[off] = np.inf

@@ -187,5 +187,9 @@ def oracle_analyze(
     step: float = 10.0,
 ) -> RevisitReport:
     """Brute-force revisit report on the same grid and window."""
-    cfg = oracle_sim_config(el, sensor, lat, walker, settings, step)
+    return oracle_report(oracle_sim_config(el, sensor, lat, walker, settings, step))
+
+
+def oracle_report(cfg: SimConfig) -> RevisitReport:
+    """Brute-force revisit report of one simulation setup."""
     return revisit_stats(simulate_access_table(cfg))

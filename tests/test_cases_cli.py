@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import revisit as rv
+from revisit import cli
 from revisit.cases import (
     CSV_COLUMNS,
     CaseConfig,
@@ -524,6 +525,18 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"case": {"altitude_km": 500.0}}))
         assert main(["sweep", "--config", str(path)]) == 1
+
+    def test_bad_oracle_step_fails_before_the_engine_runs(self, capsys, monkeypatch):
+        def engine_ran(*args, **kwargs):
+            raise AssertionError("analyze() ran before the oracle step was checked")
+
+        monkeypatch.setattr(cli, "analyze", engine_ran)
+        code = main([
+            "run", "--altitude-km", "600", "--inclination-deg", "55", "--elevation-deg", "15",
+            "--window-days", "3", "--grid-res-deg", "1", "--oracle", "--oracle-step", "0",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: oracle_step 0 is invalid: ")
 
     def test_oracle_cross_check(self, capsys):
         code = main([

@@ -19,6 +19,7 @@ from revisit.coverage import (
     access_tiles,
     accesses_for_passes,
     build_grid,
+    join_tiles,
     revisit_stats,
     tile_stats,
 )
@@ -500,6 +501,107 @@ class TestTilesAgainstDense:
             assert pset.lon[0] == pytest.approx(-math.pi + math.radians(0.01), abs=1e-9)
             first_pass = np.abs(dense.start - pset.epoch[0]) < 0.1 * pset.nodal_period
             assert {0, grid.size - 1} <= set(dense.point[first_pass].tolist())
+
+
+def _phase_and_float_bins(pset, segs, fps, grid, lat):
+    """Yield (phase, bins) for each branch with a lens.
+
+    ``phase`` is each pass's lens bin at offset 0, computed as in
+    `access_tiles`.  ``bins`` has one row per pass.  It holds the float
+    form that tiles used to evaluate cell by cell, at every offset
+    j < n_cand: rint(((base + j) * spacing - pi - lam - x_min) / bin_width).
+    """
+    bin_width = grid.spacing / BINS_PER_CELL
+    for asc in (True, False):
+        seg = segs[asc]
+        lens = _branch_lens(seg, seg.time_frac * pset.nodal_period, fps[asc], lat, bin_width)
+        if lens is None:
+            continue
+        x_min, x_max, _, _ = lens
+        lam = pset.lon[pset.ascending == asc][:, None]
+        n_cand = int(math.floor((x_max - x_min) / grid.spacing)) + 2
+        base = np.ceil((lam + x_min + math.pi) / grid.spacing).astype(np.int64)
+        phase = np.rint((base * grid.spacing - math.pi - lam - x_min) / bin_width)
+        j = np.arange(n_cand)
+        yield phase, np.rint(((base + j) * grid.spacing - math.pi - lam - x_min) / bin_width)
+
+
+def _half_bin_lon(pset, segs, fps, grid, lat):
+    """A longitude for pass 0 that keeps its base and puts its phase
+    argument exactly on a half bin m + 1/2, with m even.
+
+    It is the first exact tie found within 64 ulps of each even m.
+    """
+    asc = bool(pset.ascending[0])
+    bin_width = grid.spacing / BINS_PER_CELL
+    seg = segs[asc]
+    x_min = _branch_lens(seg, seg.time_frac * pset.nodal_period, fps[asc], lat, bin_width)[0]
+    base = math.ceil((pset.lon[0] + x_min + math.pi) / grid.spacing)
+    for m in range(0, BINS_PER_CELL, 2):
+        near = base * grid.spacing - math.pi - x_min - (m + 0.5) * bin_width
+        for lam in near + math.ulp(near) * np.arange(-64, 65):
+            tie = (base * grid.spacing - math.pi - lam - x_min) / bin_width == m + 0.5
+            if tie and math.ceil((lam + x_min + math.pi) / grid.spacing) == base:
+                return float(lam)
+    raise AssertionError("no longitude puts the phase argument on a half bin")
+
+
+_ELEV_30 = rv.SensorSpec.elevation(math.radians(30.0))
+_PHASE_CASES = {
+    # name: (orbit, sensor, lat, walker)
+    "sso_500km_lat0": (_SSO_500, _ELEV_30, 0.0, rv.WalkerConfig()),
+    "sso_500km_lat40": (_SSO_500, _ELEV_30, _LAT_40, rv.WalkerConfig()),
+    "sso_500km_lat70": (_SSO_500, _ELEV_30, math.radians(70.0), rv.WalkerConfig()),
+    "walker_6_6_0": (_FLEET_ORBIT, _ELEV_10, _LAT_40, rv.WalkerConfig(6, 6, 0)),
+    "eccentric_0p02": (
+        make_orbit(700.0, 60.0, e=0.02, argp=1.0), _ELEV_10, _LAT_40, rv.WalkerConfig(3, 3, 1),
+    ),
+}
+
+
+class TestPassPhase:
+    @pytest.mark.parametrize("res_deg", [1.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(_PHASE_CASES))
+    def test_phase_plus_whole_cells_is_the_float_bin(self, name, res_deg):
+        # A tile reads offset j's lens bin as phase + BINS_PER_CELL * j, an
+        # integer per pass, where it once evaluated the float form per cell.
+        # The two must agree at every (pass, j < n_cand) of a 60-day window.
+        el, sensor, lat, walker = _PHASE_CASES[name]
+        st = EngineSettings(grid_res=math.radians(res_deg))
+        pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st, walker)
+        pairs = 0
+        for phase, bins in _phase_and_float_bins(pset, segs, fps, grid, lat):
+            assert np.array_equal(phase + BINS_PER_CELL * np.arange(bins.shape[1]), bins)
+            pairs += bins.size
+        assert pairs > 20000
+
+    def test_half_bin_phase_rounds_every_offset_like_offset_0(self):
+        # BINS_PER_CELL (64) is even, so when offset 0's phase argument is
+        # exactly m + 1/2 with m even, the offset j argument is exactly
+        # m + 1/2 + 64 j, also with an even integer part.  Rounding half to
+        # even then takes offset 0 to m and every offset j to m + 64 j, in
+        # the float form and in phase + 64 j alike.  But the float form
+        # computes the argument at j > 0 with its own rounding error, about
+        # 1e-12 of a bin, which breaks the tie either way.  On this pass it
+        # keeps the tie at 12 of 67 offsets, and 11 of its 65 accesses
+        # then move by one track sample.  So the pass's tiles are compared
+        # with the float form just below the tie, which rounds every
+        # offset down.  Just above the tie, the table differs, which shows
+        # that the tie decides accesses.
+        st = EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0))
+        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        lam = _half_bin_lon(pset, segs, fps, grid, _LAT_40)
+
+        def dense(lon0):
+            moved = replace(pset, lon=np.r_[lon0, pset.lon[1:]])
+            return _canonical_rows(dense_access_table(moved, segs, fps, grid, _LAT_40)[0])
+
+        acc = access_tiles(replace(pset, lon=np.r_[lam, pset.lon[1:]]), segs, fps, grid, _LAT_40)
+        tiled = _canonical_rows(join_tiles(acc))
+        # 1e-12 rad is about 4e-9 of a bin, far above the float form's error.
+        below, above = dense(lam + 1e-12), dense(lam - 1e-12)
+        assert all(np.array_equal(got, want) for got, want in zip(tiled, below))
+        assert not all(np.array_equal(got, want) for got, want in zip(tiled, above))
 
 
 def _table(point, start, end, n_grid=360, window=100 * 3600.0, merge_tol=1.0, passes=0):
