@@ -1,10 +1,11 @@
 """Brute-force numerical point-coverage simulation.
 
 Independent cross-check for the semi-analytical engine: secular-J2
-element propagation plus time-stepped visibility testing of ground
-points, with access boundaries refined by bisection.  Shares the Earth
-model and secular rates with the engine so that differences between the
-two isolate method error rather than model error.
+propagation; at each time step, the grid points that see a satellite,
+one range of the sorted longitudes, whose differences between steps give
+the access edges; and edges refined by bisection of the exact visibility
+margin.  Shares the Earth model and secular rates, not the footprint,
+with the engine, so differences isolate method error from model error.
 """
 from __future__ import annotations
 
@@ -82,9 +83,9 @@ def propagate_j2(el: OrbitElements, t, earth: EarthConstants = EARTH):
     )
     r = el.a * (1.0 - el.e * np.cos(ecc_anom))
     u = el.argp + argp_dot * t + nu
-    sin_lat = math.sin(el.inc) * np.sin(u)
-    lat = np.arcsin(np.clip(sin_lat, -1.0, 1.0))
-    ra = el.raan + raan_dot * t + np.arctan2(np.sin(u) * math.cos(el.inc), np.cos(u))
+    sin_u = np.sin(u)
+    lat = np.arcsin(np.clip(math.sin(el.inc) * sin_u, -1.0, 1.0))
+    ra = el.raan + raan_dot * t + np.arctan2(sin_u * math.cos(el.inc), np.cos(u))
     lon = wrap_angle(ra - earth.rotation_rate * t)
     return r, lat, lon
 
@@ -170,44 +171,44 @@ def _visibility_margin(sensor, r_t, lat_t, lon_t, r_s, lat_s, lon_s):
     return np.minimum(sensor.angle - cone, elev)
 
 
-# Visibility margins per block of screened (grid point, step) pairs; a
-# block spans whole steps.
-BLOCK_MARGINS = 2**19
-# Slack of the horizon screen against rounding, in radians of elevation
-# and of longitude, and on the cosine of the central angle.
-SCREEN_PAD = 1e-6
-
-
 def _visible(cfg: SimConfig, lon_t, state) -> np.ndarray:
     r, lat_s, lon_s = state
     r_t = geodetic_radius(cfg.lat, cfg.earth)
     return _visibility_margin(cfg.sensor, r_t, cfg.lat, lon_t, r, lat_s, lon_s) >= 0.0
 
 
-def _horizon_screen(cfg: SimConfig, state):
-    """Grid points that can see the satellite, per step, as index ranges.
+def _step_ranges(cfg: SimConfig, state):
+    """Grid points that see the satellite, per step, as index ranges.
 
-    A visible pair has elevation at least eps: the mask in elevation mode,
-    0 in boresight mode.  So its central angle from the sub-satellite point
-    is at most h = acos(r_t cos(eps) / r) - eps, hence |lat_s - lat| <= h,
-    and its longitude offset is at most asin(sin h / cos lat) unless
-    h + |lat| reaches the pole.  Returns (lo, count, order): step k's
-    candidates are ``order[(lo[k] + np.arange(count[k])) % n]``, a range
-    of the sorted, wrapped longitudes tiled at -2 pi, 0 and +2 pi.
+    A point sees the satellite exactly when its central angle from the
+    sub-satellite point is at most h: acos(r_t cos(eps) / r) - eps above a
+    mask eps; for a boresight of half-angle a, the horizon acos(r_t / r) or
+    the cone's edge pi/2 - acos(r sin(a) / r_t) - a if nearer.  That is,
+    when cos(dlon) >= q = (cos h - sin(lat) sin(lat_s)) / (cos(lat)
+    cos(lat_s)): never if q > 1 or h < 0, always if q <= -1.  Returns (lo,
+    count, order): step k's points are ``order[(lo[k] + np.arange(count[k]))
+    % n]``, a range of the sorted, wrapped longitudes tiled at -2 pi, 0, 2 pi.
     """
     r, lat_s, lon_s = state
     r_t = geodetic_radius(cfg.lat, cfg.earth)
-    eps = (cfg.sensor.angle if cfg.sensor.mode == "elevation" else 0.0) - SCREEN_PAD
-    h = np.arccos(np.minimum(r_t * math.cos(eps) / r, 1.0) - SCREEN_PAD) - eps
-    half = np.arcsin(np.clip(np.sin(h) / math.cos(cfg.lat), -1.0, 1.0)) + SCREEN_PAD
+    angle = cfg.sensor.angle
+    if cfg.sensor.mode == "elevation":
+        h = np.arccos(np.minimum(r_t * math.cos(angle) / r, 1.0)) - angle
+    else:
+        h = np.arccos(np.minimum(r_t / r, 1.0))
+        edge = r * math.sin(angle) / r_t
+        cone = 0.5 * math.pi - np.arccos(np.minimum(edge, 1.0)) - angle
+        h = np.where(edge < 1.0, np.minimum(h, cone), h)
+    num = np.cos(h) - math.sin(cfg.lat) * np.sin(lat_s)
+    den = math.cos(cfg.lat) * np.cos(lat_s)
+    empty, full = (num > den) | (h < 0.0), num <= -den
+    half = np.arccos(np.divide(num, den, out=np.zeros_like(num), where=~(empty | full)))
     lon = wrap_angle(cfg.lons)
     order = np.argsort(lon, kind="stable")
     tiled = np.concatenate([lon[order] - TWO_PI, lon[order], lon[order] + TWO_PI])
-    n = lon.size
-    full = h + abs(cfg.lat) >= 0.5 * math.pi
-    lo = np.where(full, n, np.searchsorted(tiled, lon_s - half, "left"))
-    hi = np.where(full, 2 * n, np.searchsorted(tiled, lon_s + half, "right"))
-    return lo, np.where(np.abs(lat_s - cfg.lat) <= h, hi - lo, 0), order
+    lo = np.searchsorted(tiled, lon_s - half, "left")
+    hi = np.searchsorted(tiled, lon_s + half, "right")
+    return lo, np.where(empty, 0, np.where(full, lon.size, hi - lo)), order
 
 
 def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times, lo_vis: bool) -> np.ndarray:
@@ -235,24 +236,23 @@ def _step_edges(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
     state = propagate_j2(el, times, cfg.earth)
     side = np.sign(state[1] - cfg.lat)
     crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
-    n_t = times.size
-    lo, count, order = _horizon_screen(cfg, state)
-    first = np.concatenate([[0], np.cumsum(count)])
-    cuts = np.flatnonzero(np.diff(first[:-1] // BLOCK_MARGINS)) + 1
-    # Key p * (n_t + 1) + c names point p at step or column c.  With V the
-    # keys of the visible pairs, visibility changes at the keys V xor V + 1.
-    # A run that spans a block boundary leaves its boundary key in both
-    # blocks, and the pair cancels.
-    keys = []
-    for s0, s1 in zip(np.r_[0, cuts], np.r_[cuts, n_t]):
-        step = np.repeat(np.arange(s0, s1), count[s0:s1])
-        k = np.arange(first[s0], first[s1]) + np.repeat(lo[s0:s1] - first[s0:s1], count[s0:s1])
-        pt = order[k % cfg.lons.size]
-        vis = _visible(cfg, cfg.lons[pt], tuple(x[step] for x in state))
-        key = pt[vis] * (n_t + 1) + step[vis]
-        keys.append(np.setxor1d(key, key + 1, assume_unique=True))
-    key, seen = np.unique(np.concatenate(keys), return_counts=True)
-    return *np.divmod(key[seen == 1], n_t + 1), crossings
+    n_t, n = times.size, cfg.lons.size
+    lo, count, order = _step_ranges(cfg, state)
+    # Column c rises on X minus Y with X = V_c and Y = V_(c-1), the ranges
+    # of steps c and c - 1, and falls on Y minus X; none is seen before or
+    # after the steps.  Moved by whole turns to start at y, in (x - n, x],
+    # Y leaves X the pieces [y + y_len, y + n) and [y + n + y_len, x_end).
+    lo, count = np.r_[0, lo, 0], np.r_[0, count, 0]
+    x, x_len = np.r_[lo[1:], lo[:-1]], np.r_[count[1:], count[:-1]]
+    y, y_len = np.r_[lo[:-1], lo[1:]], np.r_[count[:-1], count[1:]]
+    y = x - (x - y) % n
+    start = np.r_[np.maximum(x, y + y_len), y + n + y_len]
+    length = np.maximum(np.r_[np.minimum(x + x_len, y + n), x + x_len] - start, 0)
+    total = np.cumsum(length)
+    index = np.arange(total[-1]) + np.repeat(start - total + length, length)
+    col = np.repeat(np.arange(start.size) % (n_t + 1), length)
+    key = np.sort(order[index % n] * (n_t + 1) + col)  # point p, column c
+    return *np.divmod(key, n_t + 1), crossings
 
 
 def _sat_intervals(el: OrbitElements, cfg: SimConfig, times: np.ndarray):

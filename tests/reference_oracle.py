@@ -1,11 +1,14 @@
-"""Unscreened time-stepped visibility scan: the reference for the horizon screen.
+"""Dense time-stepped visibility scan: the reference for the oracle's step ranges.
 
-The oracle (`revisit.oracle.simulate_access_table`) evaluates the
-visibility margin only on the (grid point, step) pairs its horizon screen
-keeps.  This module evaluates every pair, in blocks of grid points over
-all steps, and finds the edges of the dense visibility matrix, so tests
-can check that the screened scan gives a bit-identical access table.
-Both share the bisection (`_refine`) and the table assembly.
+The oracle (`revisit.oracle.simulate_access_table`) takes each step's
+visible grid points as one range of the sorted longitudes, from the
+sensor's cap radius, and finds rises and falls as differences of
+consecutive ranges; it never evaluates the visibility margin on the step
+grid.  This module evaluates the margin at every (grid point, step) pair,
+in blocks of grid points over all steps, and finds the edges of the
+dense visibility matrix, so tests can check that the oracle gives a
+bit-identical access table.  Both share the bisection (`_refine`) and
+the table assembly.
 """
 from __future__ import annotations
 

@@ -5,7 +5,9 @@ the `RevisitReport` that `analyze()` gives, every float to its last bit.
 The cases are the benchmark's 1/1/0 and 6/6/0 Walker fleets (700 km,
 60 deg, 10 deg elevation, latitude 40 deg, 60 days, 0.1 deg) and its
 three criterion-4 cross-check cases (1 deg, 10 days), all unrotated.
-The 24/6/0 fleet is left out to keep the test's wall time bounded.  A
+The cross-check cases also carry the `oracle_report` of the time-stepped
+simulation, on lines named `oracle_<case>`.  The 24/6/0 fleet is left
+out to keep the test's wall time bounded.  A
 change that is meant to keep every number must leave the file's bytes as
 they are; one that is meant to move them regenerates it with
 
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from revisit.cases import case_from_dict, resolve_case
-from revisit.engine import analyze
+from revisit.engine import analyze, oracle_analyze
 
 GOLDEN = Path(__file__).with_name("golden_reports.txt")
 
@@ -39,11 +41,16 @@ CASES = {
 }
 
 
+ORACLE_CASES = ("400km_i60_e10", "w330_700km_i90_e0", "w331_1500km_i96_e20")
+
+
 def golden_reports() -> str:
-    """One line per case of `CASES`: its name and its report's repr."""
+    """One line per engine case of `CASES` and per oracle case of
+    `ORACLE_CASES`: its name and its report's repr."""
+    inputs = {name: resolve_case(case_from_dict(case)).inputs() for name, case in CASES.items()}
     return "".join(
-        f"{name} {analyze(**resolve_case(case_from_dict(case)).inputs())!r}\n"
-        for name, case in CASES.items()
+        [f"{name} {analyze(**kw)!r}\n" for name, kw in inputs.items()]
+        + [f"oracle_{name} {oracle_analyze(**inputs[name])!r}\n" for name in ORACLE_CASES]
     )
 
 

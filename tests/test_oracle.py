@@ -12,9 +12,8 @@ from revisit.errors import KeplerConvergenceError
 from revisit.oracle import (
     MAX_ORACLE_STEPS,
     SimConfig,
-    _horizon_screen,
+    _step_ranges,
     _visibility_margin,
-    _visible,
     plane_elements,
     propagate_j2,
     secular_rates,
@@ -269,10 +268,11 @@ class TestSimulateCoverage:
             assert np.array_equal(got, want)
 
 
-def _sim(el, sensor, lat_deg, lons, window, walker=rv.WalkerConfig()):
+def _sim(el, sensor, lat_deg, lons, window, walker=rv.WalkerConfig(), step=10.0):
     return SimConfig(
         elements=tuple(plane_elements(el, walker_planes(walker))), sensor=sensor,
         lat=math.radians(lat_deg), lons=np.asarray(lons, dtype=float), window=window,
+        step=step,
     )
 
 
@@ -310,14 +310,32 @@ _SCREEN_CASES = {
                    25.0, _GRID_4, 3 * 86400.0, rv.WalkerConfig(6, 3, 2)),
     "window_off_step": (make_orbit(500.0, 97.4), rv.SensorSpec.elevation(math.radians(15)),
                         -35.0, _GRID_1, 2 * 86400.0 + 3.7, rv.WalkerConfig()),
+    # Targets at the poles, where every longitude is one point.
+    "pole_north_elevation": (make_orbit(700.0, 98.0), rv.SensorSpec.elevation(math.radians(10)),
+                             90.0, _GRID_4, 3 * 86400.0, rv.WalkerConfig()),
+    "pole_south_boresight": (make_orbit(800.0, 97.0), rv.SensorSpec.boresight(math.radians(45)),
+                             -90.0, _GRID_4, 3 * 86400.0, rv.WalkerConfig()),
+    "retrograde_140": (make_orbit(600.0, 140.0), rv.SensorSpec.elevation(math.radians(5)),
+                       30.0, _GRID_1, 3 * 86400.0, rv.WalkerConfig()),
+    # Long steps: at 1800 s the track moves by more than pi between steps.
+    "step_600": (make_orbit(500.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
+                 20.0, _GRID_1, 10 * 86400.0, rv.WalkerConfig(), 600.0),
+    "step_1800": (make_orbit(1200.0, 70.0), rv.SensorSpec.boresight(math.radians(50)),
+                  -30.0, _GRID_1, 20 * 86400.0, rv.WalkerConfig(), 1800.0),
+    "near_geo": (rv.OrbitElements(a=42164.0, e=0.0002, inc=math.radians(3.0), nu0=0.4),
+                 rv.SensorSpec.elevation(math.radians(10)), 40.0, _GRID_1, 3 * 86400.0,
+                 rv.WalkerConfig()),
+    "molniya": (rv.OrbitElements(a=26600.0, e=0.74, inc=math.radians(63.4),
+                                 argp=math.radians(270.0)),
+                rv.SensorSpec.elevation(math.radians(10)), 60.0, _GRID_4, 3 * 86400.0,
+                rv.WalkerConfig()),
 }
 
 
 class TestHorizonScreen:
     @pytest.mark.parametrize("case", list(_SCREEN_CASES))
     def test_access_table_is_bit_identical_to_the_unscreened_scan(self, case):
-        el, sensor, lat_deg, lons, window, walker = _SCREEN_CASES[case]
-        cfg = _sim(el, sensor, lat_deg, lons, window, walker)
+        cfg = _sim(*_SCREEN_CASES[case])
         got, want = simulate_access_table(cfg), dense_access_table(cfg)
         assert want.point.size > 0
         for name in ("point", "start", "end"):
@@ -328,8 +346,19 @@ class TestHorizonScreen:
         el, sensor, lat_deg, lons, window, _ = _SCREEN_CASES["high_lat_full_window"]
         cfg = _sim(el, sensor, lat_deg, lons, window)
         times = np.arange(0.0, 6000.0, 10.0)
-        _, count, _ = _horizon_screen(cfg, propagate_j2(el, times))
+        _, count, _ = _step_ranges(cfg, propagate_j2(el, times))
         assert np.any(count == lons.size) and np.any(count == 0)
+        assert np.any((count > 0) & (count < lons.size))
+
+    @pytest.mark.parametrize(
+        "sensor", [rv.SensorSpec.elevation(math.radians(5)), rv.SensorSpec.boresight(0.5)]
+    )
+    def test_satellite_below_the_target_radius_sees_nothing(self, sensor):
+        # Perigee above the polar radius is accepted, yet this orbit runs
+        # below the equator's surface: every elevation there is negative.
+        el = rv.OrbitElements(a=rv.EARTH.equatorial_radius - 8.0, inc=math.radians(50.0))
+        tab = simulate_access_table(_sim(el, sensor, 0.0, _GRID_4, 86400.0))
+        assert tab.point.size == 0
 
     @given(
         r=st.floats(min_value=rv.EARTH.equatorial_radius + 150.0, max_value=50000.0),
@@ -347,15 +376,24 @@ class TestHorizonScreen:
     def test_every_visible_pair_passes_the_screen(
         self, r, lat, lon_s, reach, turns, boresight, angle
     ):
-        # Satellite latitudes and target longitudes at random, and within
-        # 3e-8 rad of the edge of the cap of central angles that can reach
-        # elevation eps: on the target's meridian, and at the cap's widest
-        # longitude offset.  Target longitudes are shifted by whole turns.
+        # A pair is in its step's range exactly when its visibility margin
+        # is >= 0, wherever the margin is clear of 0 by more than 1e-12 rad
+        # and its own rounding: the margin reads the central angle c from
+        # cos c, which fixes c only to about 1e-16 / sin c, and it moves by
+        # up to r / (r - r_t) per radian of c.  Satellite latitudes and
+        # target longitudes at random, and within 3e-8 rad of the edge of
+        # the cap of visible central angles: on the target's meridian, and
+        # at the cap's widest longitude offset.  Target longitudes are
+        # shifted by whole turns.
+        r_t = geodetic_radius(lat)
         if boresight:
-            sensor, eps = rv.SensorSpec.boresight(min(angle, math.pi / 2 - 1e-6)), 0.0
+            sensor = rv.SensorSpec.boresight(min(angle, math.pi / 2 - 1e-6))
+            cap = math.acos(r_t / r)
+            if r * math.sin(sensor.angle) < r_t:
+                cap = min(cap, math.asin(r * math.sin(sensor.angle) / r_t) - sensor.angle)
         else:
-            sensor, eps = rv.SensorSpec.elevation(angle), angle
-        cap = math.acos(geodetic_radius(lat) * math.cos(eps) / r) - eps
+            sensor = rv.SensorSpec.elevation(angle)
+            cap = math.acos(r_t * math.cos(angle) / r) - angle
         edge = cap + 1e-8 * np.arange(-3, 4)
         wide = math.asin(min(math.sin(cap) / math.cos(lat), 1.0)) + 1e-8 * np.arange(-3, 4)
         widest_at = math.asin(float(np.clip(math.sin(lat) / math.cos(cap), -1.0, 1.0)))
@@ -368,10 +406,12 @@ class TestHorizonScreen:
         )
         cfg = SimConfig(elements=(), sensor=sensor, lat=lat, lons=lons, window=10.0)
         state = (np.full(lat_s.size, r), lat_s, np.full(lat_s.size, lon_s))
-        lo, count, order = _horizon_screen(cfg, state)
+        lo, count, order = _step_ranges(cfg, state)
         kept = np.zeros((lons.size, lat_s.size), dtype=bool)
         for k in range(lat_s.size):
             pts = order[(lo[k] + np.arange(count[k])) % lons.size]
             assert np.unique(pts).size == pts.size
             kept[pts, k] = True
-        assert not (_visible(cfg, lons[:, None], state) & ~kept).any()
+        margin = _visibility_margin(sensor, r_t, lat, lons[:, None], *state)
+        clear = np.abs(margin) > 1e-12 + 1e-15 * r / (r - r_t) / max(math.sin(cap), 1e-8)
+        assert np.array_equal(kept[clear], margin[clear] >= 0.0)
