@@ -2,10 +2,11 @@
 
 Independent cross-check for the semi-analytical engine: secular-J2
 propagation; at each time step, the grid points that see a satellite,
-one range of the sorted longitudes, whose differences between steps give
-the access edges; and edges refined by bisection of the exact visibility
-margin.  Shares the Earth model and secular rates, not the footprint,
-with the engine, so differences isolate method error from model error.
+one range of the sorted longitudes whose rounding slack the exact
+visibility margin decides, with access edges from the differences
+between steps; and edges refined by bisection of the margin.  Shares
+the Earth model and secular rates, not the footprint, with the engine,
+so differences isolate method error from model error.
 """
 from __future__ import annotations
 
@@ -177,17 +178,22 @@ def _visible(cfg: SimConfig, lon_t, state) -> np.ndarray:
     return _visibility_margin(cfg.sensor, r_t, cfg.lat, lon_t, r, lat_s, lon_s) >= 0.0
 
 
+# Slack of the step ranges against rounding, on the cap radius and on cos c;
+# acos of an argument near 1 moves h by up to about 3e-8 rad.
+RANGE_PAD = 1e-7
+
+
 def _step_ranges(cfg: SimConfig, state):
     """Grid points that see the satellite, per step, as index ranges.
 
-    A point sees the satellite exactly when its central angle from the
-    sub-satellite point is at most h: acos(r_t cos(eps) / r) - eps above a
-    mask eps; for a boresight of half-angle a, the horizon acos(r_t / r) or
-    the cone's edge pi/2 - acos(r sin(a) / r_t) - a if nearer.  That is,
-    when cos(dlon) >= q = (cos h - sin(lat) sin(lat_s)) / (cos(lat)
-    cos(lat_s)): never if q > 1 or h < 0, always if q <= -1.  Returns (lo,
-    count, order): step k's points are ``order[(lo[k] + np.arange(count[k]))
-    % n]``, a range of the sorted, wrapped longitudes tiled at -2 pi, 0, 2 pi.
+    A point sees the satellite when its central angle from the sub-satellite
+    point is at most h (acos(r_t cos(eps) / r) - eps above a mask eps; for a
+    boresight of half-angle a, the horizon acos(r_t / r) or the cone's edge
+    pi/2 - acos(r sin(a) / r_t) - a if nearer), so when cos(dlon) >= (cos h -
+    sin(lat) sin(lat_s)) / (cos(lat) cos(lat_s)).  With h and cos h moved by
+    RANGE_PAD, returns (lo, count) of the inner ranges, whose points all see
+    it, and of the outer ranges, which hold every point that does; and order:
+    a range's points at step k are ``order[(lo[k] + arange(count[k])) % n]``.
     """
     r, lat_s, lon_s = state
     r_t = geodetic_radius(cfg.lat, cfg.earth)
@@ -199,16 +205,31 @@ def _step_ranges(cfg: SimConfig, state):
         edge = r * math.sin(angle) / r_t
         cone = 0.5 * math.pi - np.arccos(np.minimum(edge, 1.0)) - angle
         h = np.where(edge < 1.0, np.minimum(h, cone), h)
-    num = np.cos(h) - math.sin(cfg.lat) * np.sin(lat_s)
     den = math.cos(cfg.lat) * np.cos(lat_s)
-    empty, full = (num > den) | (h < 0.0), num <= -den
-    half = np.arccos(np.divide(num, den, out=np.zeros_like(num), where=~(empty | full)))
     lon = wrap_angle(cfg.lons)
     order = np.argsort(lon, kind="stable")
     tiled = np.concatenate([lon[order] - TWO_PI, lon[order], lon[order] + TWO_PI])
-    lo = np.searchsorted(tiled, lon_s - half, "left")
-    hi = np.searchsorted(tiled, lon_s + half, "right")
-    return lo, np.where(empty, 0, np.where(full, lon.size, hi - lo)), order
+    ranges = []
+    for pad in (-RANGE_PAD, RANGE_PAD):
+        num = np.cos(np.clip(h + pad, 0.0, math.pi)) - pad - math.sin(cfg.lat) * np.sin(lat_s)
+        half = np.arccos(np.clip(num / den, -1.0, 1.0))  # den >= cos(pi / 2) ** 2 > 0
+        lo = np.searchsorted(tiled, lon_s - half, "left")
+        hi = np.searchsorted(tiled, lon_s + half, "right")
+        ranges.append((lo, np.where(num > den, 0, np.minimum(hi - lo, lon.size))))
+    return *ranges, order
+
+
+def _difference(x, x_len, y, y_len, n: int):
+    """Indices of circular index ranges X minus Y, and the pair each is from.
+
+    Y moved by whole turns to start in (x - n, x] leaves X the pieces
+    [y + y_len, y + n) and [y + n + y_len, x + x_len).
+    """
+    y = x - (x - y) % n
+    start = np.r_[np.maximum(x, y + y_len), y + n + y_len]
+    length = np.maximum(np.r_[np.minimum(x + x_len, y + n), x + x_len] - start, 0)
+    index = np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
+    return index % n, np.repeat(np.arange(start.size) % x.size, length)
 
 
 def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times, lo_vis: bool) -> np.ndarray:
@@ -237,22 +258,22 @@ def _step_edges(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
     side = np.sign(state[1] - cfg.lat)
     crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
     n_t, n = times.size, cfg.lons.size
-    lo, count, order = _step_ranges(cfg, state)
-    # Column c rises on X minus Y with X = V_c and Y = V_(c-1), the ranges
-    # of steps c and c - 1, and falls on Y minus X; none is seen before or
-    # after the steps.  Moved by whole turns to start at y, in (x - n, x],
-    # Y leaves X the pieces [y + y_len, y + n) and [y + n + y_len, x_end).
+    (lo, count), outer, order = _step_ranges(cfg, state)
+    # Key p * (n_t + 1) + c names point p at step or column c.  The margin
+    # decides E, the few pairs in an outer range and not in the inner one.
+    index, step = _difference(*outer, lo, count, n)
+    seen = _visible(cfg, cfg.lons[order[index]], tuple(x[step] for x in state))
+    fringe = order[index[seen]] * (n_t + 1) + step[seen]
+    # The inner ranges C rise at column c on range c minus range c - 1 and
+    # fall on the reverse; none is seen before or after the steps.
     lo, count = np.r_[0, lo, 0], np.r_[0, count, 0]
-    x, x_len = np.r_[lo[1:], lo[:-1]], np.r_[count[1:], count[:-1]]
-    y, y_len = np.r_[lo[:-1], lo[1:]], np.r_[count[:-1], count[1:]]
-    y = x - (x - y) % n
-    start = np.r_[np.maximum(x, y + y_len), y + n + y_len]
-    length = np.maximum(np.r_[np.minimum(x + x_len, y + n), x + x_len] - start, 0)
-    total = np.cumsum(length)
-    index = np.arange(total[-1]) + np.repeat(start - total + length, length)
-    col = np.repeat(np.arange(start.size) % (n_t + 1), length)
-    key = np.sort(order[index % n] * (n_t + 1) + col)  # point p, column c
-    return *np.divmod(key, n_t + 1), crossings
+    index, col = _difference(*(np.r_[v[1:], v[:-1]] for v in (lo, count)),
+                             *(np.r_[v[:-1], v[1:]] for v in (lo, count)), n)
+    # Visibility, C xor E, changes at the keys met an odd number of times
+    # among C's changes, E and E + 1.
+    key = np.r_[order[index] * (n_t + 1) + col % (n_t + 1), fringe, fringe + 1]
+    key, met = np.unique(key, return_counts=True)
+    return *np.divmod(key[met % 2 == 1], n_t + 1), crossings
 
 
 def _sat_intervals(el: OrbitElements, cfg: SimConfig, times: np.ndarray):

@@ -2,13 +2,13 @@
 
 The oracle (`revisit.oracle.simulate_access_table`) takes each step's
 visible grid points as one range of the sorted longitudes, from the
-sensor's cap radius, and finds rises and falls as differences of
-consecutive ranges; it never evaluates the visibility margin on the step
-grid.  This module evaluates the margin at every (grid point, step) pair,
-in blocks of grid points over all steps, and finds the edges of the
-dense visibility matrix, so tests can check that the oracle gives a
-bit-identical access table.  Both share the bisection (`_refine`) and
-the table assembly.
+sensor's cap radius, evaluates the visibility margin only on the few
+points within the range's rounding slack, and finds rises and falls as
+differences of consecutive ranges.  This module evaluates the margin at
+every (grid point, step) pair, in blocks of grid points over all steps,
+and finds the edges of the dense visibility matrix, so tests can check
+that the oracle gives a bit-identical access table.  Both share the
+bisection (`_refine`) and the table assembly.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ def dense_sat_intervals(el, cfg: SimConfig, times: np.ndarray):
 
 
 def dense_access_table(cfg: SimConfig) -> AccessTable:
-    """`oracle.simulate_access_table` over the unscreened scan."""
+    """`oracle.simulate_access_table` over the dense scan, with no step ranges."""
     n_steps = int(math.floor(cfg.window / cfg.step))
     times = np.arange(n_steps + 1, dtype=float) * cfg.step
     if times[-1] < cfg.window - 1e-9:
