@@ -19,9 +19,9 @@ is one dense block, a row per grid point and a cell per (lap, pass) that
 can reach it, with each row sorted by start and its unreached cells
 padded last.  Tiles are independent: a thread pool, one thread per usable
 core, builds each tile and reduces it to a few partial statistics on the
-same thread, and the partials are folded in tile order.  So
-`engine.analyze` never holds the whole table, only one tile per thread,
-and the report does not depend on the thread count.
+same thread.  So `engine.analyze` never holds the whole table, only one
+tile per thread.  ART adds each grid point's gaps on their own, so no
+report depends on where the tiles are cut or on the thread count.
 `accesses_for_passes` joins the tiles, without their padding, when a
 caller wants the table itself.
 """
@@ -106,7 +106,8 @@ class AccessTiles:
     (points, cells) arrays.  Row i holds the intervals of point
     k * TILE_POINTS + i sorted by start, then padding cells with start +inf
     and end -inf.  A build only reads the shared inputs, so tiles may be
-    built in any order, again, or on several threads at once.
+    built in any order, again, or on several threads at once.  A tile
+    holds whole rows, so where the tiles are cut changes no report.
     """
 
     build: Callable[[int], tuple[np.ndarray, np.ndarray]]
@@ -355,10 +356,9 @@ def sorted_access_table(
 def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     """Revisit report of a table sorted by (point, start).
 
-    The table is cut at the TILE_POINTS boundaries of the engine's tiles,
-    and each cut is padded into a tile as `access_tiles` gives it for
-    `tile_stats`.  ART sums the gaps tile by tile, so this common cut is
-    what makes a table and its tiles give the same report.
+    The table is cut every TILE_POINTS grid points, and each cut is padded
+    into a tile as `access_tiles` gives it for `tile_stats`.  The cuts only
+    bound the memory of one padded block.
     """
     n = table.grid.size
     bounds = np.searchsorted(table.point, np.r_[0:n:TILE_POINTS, n])
@@ -385,17 +385,23 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     )
 
 
-def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, float, int, int, float]:
-    """Tile k's longest gap, gap sum and count, covered points and latest first access."""
+def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, np.ndarray, int, int, float]:
+    """Tile k's longest gap, each point's gap sum, gap count, covered points
+    and latest first access."""
     start, end = acc.build(k)
     # Running max of each point's interval ends along its row, so that it
     # only compares values and the ends come back unrounded.  A padding
     # cell starts at +inf, so its raw gap is +inf.
     raw = start[:, 1:] - np.maximum.accumulate(end, axis=1)[:, :-1]
-    gaps = raw[(raw > acc.merge_tol) & (raw < np.inf)]
+    keep = (raw > acc.merge_tol) & (raw < np.inf)
+    gaps = raw[keep]
+    # A point's gaps are one run of `gaps`, so its sum depends on that
+    # point alone, not on the tile's width or on which tile holds it.
+    counts = np.count_nonzero(keep, axis=1)
+    offsets = (np.cumsum(counts) - counts)[counts > 0]
     first = start[:, :1][start[:, :1] < np.inf]
     return (
-        float(np.max(gaps, initial=-math.inf)), float(np.sum(gaps)), gaps.size,
+        float(np.max(gaps, initial=-math.inf)), np.add.reduceat(gaps, offsets), gaps.size,
         first.size, float(np.max(first, initial=-math.inf)),
     )
 
@@ -411,15 +417,14 @@ def tile_stats(
     are treated as one access.
 
     Each tile is built and reduced to five partials on one thread: the
-    largest gap, the sum and count of gaps, the covered point count and
-    the latest first access.  Up to ``threads`` threads (default: one per
-    usable core) reduce the tiles, so at most that many tiles are held at
-    once and the peak memory grows by one tile block per thread.  The pool
-    lives only for this call.  The partials are folded in tile order, so
-    the report is the same on any number of threads.  ART adds the tiles'
-    gap sums in tile order, so it depends on where the tiles are cut: the
-    engine and `revisit_stats` cut at the same TILE_POINTS boundaries, and
-    that is what makes a table and its tiles give the same report.
+    largest gap, each point's gap sum, the gap count, the covered point
+    count and the latest first access.  Up to ``threads`` threads (default:
+    one per usable core) reduce the tiles, so at most that many tiles are
+    held at once and the peak memory grows by one tile block per thread.
+    The pool lives only for this call.  ART's numerator is the correctly
+    rounded sum of the points' gap sums, and the other partials are maxima
+    and integer counts, so the report depends neither on the thread count
+    nor on where the tiles are cut.
     """
     if threads is not None and not (isinstance(threads, Integral) and threads >= 1):
         raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
@@ -432,14 +437,17 @@ def tile_stats(
         partials = list(map(reduce, range(acc.count)))
     n_grid = acc.grid.size
     longest = latest = -math.inf
-    total = 0.0
     n_gaps = covered = 0
-    for tile_longest, tile_total, tile_gaps, tile_covered, tile_latest in partials:
+    point_sums = []
+    for tile_longest, tile_sums, tile_gaps, tile_covered, tile_latest in partials:
         longest = max(longest, tile_longest)
-        total += tile_total
+        point_sums.append(tile_sums)
         n_gaps += tile_gaps
         covered += tile_covered
         latest = max(latest, tile_latest)
+    # The correctly rounded sum of the points' gap sums: no order of tiles
+    # or threads can change it.
+    total = math.fsum(np.concatenate(point_sums).tolist())
     ttc = latest / 3600.0 if covered == n_grid else None
     mrt = longest / 3600.0 if n_gaps else None
     art = total / n_gaps / 3600.0 if n_gaps else None

@@ -49,6 +49,8 @@ DEFAULT_SEGMENT_SAMPLES = 1000
 MAX_WINDOW_DAYS = 3660.0
 # Finest grid spacing: a 360 000-point grid.  The coarsest is 1 degree.
 MIN_GRID_RES_DEG = 0.001
+# Most samples of a track segment; each holds about 190 B while a case runs.
+MAX_SEGMENT_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,11 @@ class EngineSettings:
             )
         if not isinstance(self.segment_samples, Integral):
             raise ConfigError(f"segment_samples must be an integer, got {self.segment_samples!r}")
-        if self.segment_samples < 3:
-            raise ConfigError(f"segment_samples must be at least 3, got {self.segment_samples}")
+        if not 3 <= self.segment_samples <= MAX_SEGMENT_SAMPLES:
+            raise ConfigError(
+                f"segment_samples must be in [3, {MAX_SEGMENT_SAMPLES}], "
+                f"got {self.segment_samples}"
+            )
 
 
 def build_pass_set(

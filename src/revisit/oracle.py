@@ -138,6 +138,8 @@ class SimConfig:
         check_latitude(self.lat)
         if self.lons.size == 0:
             raise ConfigError("lons must hold at least one longitude")
+        if not np.all(np.isfinite(self.lons)):
+            raise ConfigError("lons must be finite")
         if not 0.0 < self.window < math.inf:
             raise ConfigError("analysis window must be positive and finite")
         if not 0.0 < self.step < math.inf:

@@ -48,6 +48,9 @@ class OrbitElements:
     nu0: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "raan", "argp", "nu0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.e < 1.0:
             raise ConfigError("eccentricity must be in [0, 1)")
         if self.a * (1.0 - self.e) <= EARTH.polar_radius:

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -702,10 +701,10 @@ class TestRevisitStats:
         # Over a 60-day window at 0.1 deg, a running max of
         # end + point * (window + 1) rounds the ends of point 3599 by up to
         # 1.9 us.  Each gap must be the exact difference of two table times,
-        # as a merge of each point's rows alone gives it.  ART adds each
-        # tile's gap sum in tile order.  A second, sparse table pads its
-        # tiles unevenly: a few far-apart points hold 1 to 700 rows, and
-        # whole tiles are empty.
+        # as a merge of each point's rows alone gives it.  ART is the fsum
+        # of each point's gap sum.  A second, sparse table pads its tiles
+        # unevenly: a few far-apart points hold 1 to 700 rows, and whole
+        # tiles are empty.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40))
         table, _ = access_table(*args)
@@ -713,13 +712,11 @@ class TestRevisitStats:
         assert analyze(*args) == revisit_stats(table)
         for table in (table, _sparse_table()):
             point, gaps = point_by_point_gaps(table)
-            tile = point // coverage.TILE_POINTS
-            n_tiles = -(-table.grid.size // coverage.TILE_POINTS)
-            tile_sums = [float(np.sum(gaps[tile == k])) for k in range(n_tiles)]
+            point_sums = [np.sum(gaps[point == p]) for p in np.unique(point)]
             rep = revisit_stats(table)
             assert rep.gap_count == gaps.size
             assert rep.mrt_hours == float(np.max(gaps)) / 3600.0
-            assert rep.art_hours == sum(tile_sums) / gaps.size / 3600.0
+            assert rep.art_hours == math.fsum(point_sums) / gaps.size / 3600.0
         assert rep.uncovered_count == 3600 - len(_SPARSE_COUNTS)
 
     def test_art_not_above_mrt(self):
@@ -831,9 +828,10 @@ _MULTI_TILE_CASE = (
 class TestThreadedReduction:
     @pytest.mark.parametrize("threads", [2, 3, 8])
     def test_threads_give_the_serial_report(self, threads, monkeypatch):
-        # The partials are folded in tile order, so a reduction on any
-        # number of threads, here up to more threads than tiles and with
-        # thread switches forced often, gives the serial report bit for bit.
+        # No partial depends on the order the tiles finish in, so a
+        # reduction on any number of threads, here up to more threads than
+        # tiles and with thread switches forced often, gives the serial
+        # report bit for bit.
         monkeypatch.setattr(coverage, "usable_cores", lambda: 1)
         serial = analyze(*_MULTI_TILE_CASE)
         assert serial.gap_count > 1000 and serial.coverage_fraction == 1.0
@@ -849,22 +847,47 @@ class TestThreadedReduction:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
-    def test_gap_sums_add_in_tile_order(self, threads):
-        # 2**53 + 1 rounds back to 2**53, so tile 0's gap sum absorbs each
-        # later tile's 1 s only when it is added first.  Tile 0 is built
-        # last on a pool, so a fold in completion order adds it last.
-        def build(k):
-            time.sleep(0.02 * (5 - k))
-            gap = 2.0**53 if k == 0 else 1.0
-            return np.array([[0.0, gap]]), np.array([[0.0, gap]])
+    def test_gap_sums_add_in_point_order(self, threads):
+        # 2**53 + 1 rounds back to 2**53, so a running sum from point 0 on
+        # absorbs each later point's 1 s.  The points' gap sums are added
+        # exactly, whether the five points share one tile or have one each.
+        gaps = np.array([[2.0**53], [1.0], [1.0], [1.0], [1.0]])
+        start = np.hstack([np.zeros((5, 1)), gaps])
 
-        acc = AccessTiles(
-            build=build, count=5, grid=LongitudeGrid(spacing=1.0, lon=np.zeros(5)),
-            window=2.0**54, merge_tol=0.0, pass_count=10,
-        )
-        report = tile_stats(acc, threads=threads)
-        assert report.gap_count == 5 and report.coverage_fraction == 1.0
-        assert report.art_hours == 2.0**53 / 5 / 3600.0
+        def tiles(points):
+            def build(k):
+                rows = slice(k * points, (k + 1) * points)
+                return start[rows], start[rows]
+
+            return AccessTiles(
+                build=build, count=5 // points, grid=LongitudeGrid(spacing=1.0, lon=np.zeros(5)),
+                window=2.0**54, merge_tol=0.0, pass_count=10,
+            )
+
+        for points in (5, 1):
+            report = tile_stats(tiles(points), threads=threads)
+            assert report.gap_count == 5 and report.coverage_fraction == 1.0
+            assert report.art_hours == (2.0**53 + 4.0) / 5 / 3600.0
+
+    def test_no_report_depends_on_the_tile_size_or_the_thread_count(self, monkeypatch):
+        # One point a tile, 7, the default 64 and the whole grid in one
+        # tile, each on 1, 2 and 5 threads: the engine, `revisit_stats` of
+        # its joined table and `revisit_stats` of the unevenly padded
+        # sparse table each give one report.
+        joined, _ = access_table(*_MULTI_TILE_CASE)
+        sparse = _sparse_table()
+        engine_reports, sparse_reports = set(), set()
+        for tile_points in (1, 7, 64, None):
+            for threads in (1, 2, 5):
+                monkeypatch.setattr(coverage, "usable_cores", lambda: threads)
+                monkeypatch.setattr(coverage, "TILE_POINTS", tile_points or joined.grid.size)
+                engine_reports.add(analyze(*_MULTI_TILE_CASE))
+                engine_reports.add(revisit_stats(joined))
+                monkeypatch.setattr(coverage, "TILE_POINTS", tile_points or sparse.grid.size)
+                sparse_reports.add(revisit_stats(sparse))
+        assert len(engine_reports) == 1 and len(sparse_reports) == 1
+        (report,) = engine_reports
+        assert report.gap_count > 1000 and report.coverage_fraction == 1.0
 
     def test_tile_error_comes_out_of_analyze(self, monkeypatch):
         # An error raised on a worker thread reaches the caller as itself,
@@ -898,11 +921,12 @@ class TestBadEngineInput:
         ("grid_res", 1e-9),
         ("footprint_scale", math.nan), ("footprint_scale", -1.0), ("footprint_scale", 0.0),
         ("segment_samples", 2), ("segment_samples", 10.5),
+        ("segment_samples", engine.MAX_SEGMENT_SAMPLES + 1),
     ])
     def test_bad_setting_is_named_config_error(self, field, value):
         # Library callers get a ConfigError naming the field, not an
         # OverflowError deep in the pass comb, a silent 0% coverage, or a
-        # window or grid too large to allocate.
+        # window, grid or track segment too large to allocate.
         with pytest.raises(rv.ConfigError, match=field):
             EngineSettings(**{field: value})
 

@@ -239,6 +239,16 @@ class TestSimulateCoverage:
                     lons=np.array([0.0]), window=window,
                 )
 
+    @pytest.mark.parametrize("lons", [[math.nan, 0.0], [math.inf], [0.0, -math.inf]])
+    def test_non_finite_longitude_is_named_config_error(self, lons):
+        # A NaN longitude would count as covered, and an infinite one would
+        # warn inside wrap_angle; both are refused at construction.
+        with pytest.raises(rv.ConfigError, match="lons must be finite"):
+            SimConfig(
+                elements=(make_orbit(500.0, 60.0),), sensor=rv.SensorSpec.elevation(0.2),
+                lat=0.0, lons=lons, window=86400.0,
+            )
+
     def test_step_count_is_bounded_at_construction(self):
         # SimConfig allocates nothing per step, so the oversized runs below
         # are refused before any array of one element per step exists.

@@ -34,6 +34,18 @@ def _single_sat_schedule(alt_km, inc_deg, lat_deg, window, **orbit_kw):
     return el, p_n, shift, pass_series(el, math.radians(lat_deg), shift, p_n, window)
 
 
+class TestOrbitElements:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "raan", "argp", "nu0"])
+    def test_non_finite_element_is_named_config_error(self, field, value):
+        # A NaN passes the perigee check and an infinite semi-major axis
+        # clears it; either would reach the engine or the oracle as a stray
+        # IndexError, a bare ValueError or a report of a satellite nowhere.
+        elements = {"a": 7078.0, "inc": math.radians(60.0), field: value}
+        with pytest.raises(rv.ConfigError, match=f"^{field} must be finite"):
+            rv.OrbitElements(**elements)
+
+
 class TestPeriods:
     def test_keplerian_geostationary_inversion(self):
         a = (rv.EARTH.mu * (DAY_SIDEREAL / (2 * math.pi)) ** 2) ** (1.0 / 3.0)
