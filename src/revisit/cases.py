@@ -13,7 +13,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from numbers import Integral
 from typing import Any
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .coverage import RevisitReport, usable_cores
 from .earth import EARTH, sso_inclination
 from .engine import MAX_WINDOW_DAYS, MIN_GRID_RES_DEG, EngineSettings, analyze
-from .errors import ConfigError, RevisitError
+from .errors import ConfigError, RevisitError, is_count
 from .passes import OrbitElements, WalkerConfig
 from .sensor import SensorSpec
 
@@ -55,10 +54,6 @@ EITHER_OR = (
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def json_object(name: str, value: Any) -> dict[str, Any]:
@@ -103,11 +98,11 @@ class CaseConfig:
                     raise ConfigError(f"{f.name} must be a number, got {value!r}")
                 if not math.isfinite(value):
                     raise ConfigError(f"{f.name} must be finite, got {value}")
-            elif f.type == "int" and not _is_int(value):
+            elif f.type == "int" and not is_count(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             elif f.type == "bool" and not isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be true or false, got {value!r}")
-        if not all(_is_int(x) for x in self.walker):
+        if not all(is_count(x) for x in self.walker):
             raise ConfigError(f"walker entries must be integers, got {list(self.walker)}")
         unset = CaseConfig()
         for pair in EITHER_OR:
@@ -358,7 +353,7 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict[str,
     Each reduction's threads end with it, so none is alive when the pool
     forks its workers.
     """
-    if max_workers is not None and not (isinstance(max_workers, Integral) and max_workers >= 1):
+    if max_workers is not None and not (is_count(max_workers) and max_workers >= 1):
         raise ConfigError(f"max_workers must be an integer of at least 1, got {max_workers!r}")
     cells = spec.cells()
     ids = range(len(cells))

@@ -26,6 +26,7 @@ from .cases import (
 )
 from .engine import analyze, oracle_report, oracle_sim_config
 from .errors import ConfigError, RevisitError
+from .oracle import DEFAULT_STEP
 
 
 # Help of the case flags that have one; every CaseConfig field is a flag.
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_case_flags(run_p)
     run_p.add_argument("--oracle", action="store_true",
                        help="also run the brute-force simulation cross-check")
-    run_p.add_argument("--oracle-step", type=float, default=10.0)
+    run_p.add_argument("--oracle-step", type=float, default=DEFAULT_STEP)
     run_p.add_argument("--csv", action="store_true",
                        help=f"emit one CSV row ({', '.join(CSV_COLUMNS)})")
     run_p.add_argument("--out", help="write output to a file instead of stdout")

@@ -33,11 +33,10 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_count
 from .passes import PassSet, TrackSegment
 from .sensor import FootprintAtLatitude
 
@@ -79,20 +78,20 @@ def build_grid(resolution: float) -> LongitudeGrid:
 
 @dataclass(frozen=True)
 class AccessTable:
-    """Per-grid-point visibility intervals over the analysis window.
+    """Visibility intervals of the points 0 to grid_size - 1 of a grid.
 
-    Parallel arrays sorted by (point index, start time); intervals may
-    still overlap within a point and are merged during statistics.  The
-    engine's table is its tiles' rows joined without their padding, so
-    rows with equal (point, start) come in (lap, pass-epoch) order, which
-    may differ from the order of an untiled sort.
+    Parallel arrays sorted by (point index, start time), with times in
+    seconds inside the analysis window; intervals may still overlap
+    within a point and are merged during statistics.  The engine's table
+    is its tiles' rows joined without their padding, so rows with equal
+    (point, start) come in (lap, pass-epoch) order, which may differ from
+    the order of an untiled sort.
     """
 
     point: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    grid: LongitudeGrid
-    window: float
+    grid_size: int
     merge_tol: float
     pass_count: int
 
@@ -102,18 +101,17 @@ class AccessTiles:
     """The access table as `count` tiles, each built on demand.
 
     ``build(k)`` returns tile k: grid points k * TILE_POINTS onwards,
-    TILE_POINTS of them (fewer in the last tile), as two dense
-    (points, cells) arrays.  Row i holds the intervals of point
-    k * TILE_POINTS + i sorted by start, then padding cells with start +inf
-    and end -inf.  A build only reads the shared inputs, so tiles may be
+    TILE_POINTS of them (fewer in the last tile, which ends at point
+    grid_size - 1), as two dense (points, cells) arrays.  Row i holds the
+    intervals of point k * TILE_POINTS + i sorted by start, then padding
+    cells with start +inf and end -inf.  A build only reads the shared inputs, so tiles may be
     built in any order, again, or on several threads at once.  A tile
     holds whole rows, so where the tiles are cut changes no report.
     """
 
     build: Callable[[int], tuple[np.ndarray, np.ndarray]]
     count: int
-    grid: LongitudeGrid
-    window: float
+    grid_size: int
     merge_tol: float
     pass_count: int
 
@@ -174,12 +172,14 @@ def _branch_lens(
     latitude.  Bins no sample sees, including one padding bin at each
     end, hold first = inf and last = -inf.
     """
-    theta = footprint.ground_range
     lam = footprint.lon_half_width
-    dlat = (segment.lat - lat) / theta if theta > 0.0 else np.full_like(segment.lat, np.inf)
+    if lam <= 0.0:
+        return None
+    # lam > 0 implies a positive ground range.
+    dlat = (segment.lat - lat) / footprint.ground_range
     w2 = 1.0 - dlat * dlat
     valid = w2 >= 0.0
-    if not np.any(valid) or lam <= 0.0:
+    if not np.any(valid):
         return None
     w = lam * np.sqrt(w2[valid])
     left = segment.lon_off[valid] - w
@@ -241,8 +241,7 @@ def access_tiles(
     for is_asc in (True, False):
         seg = segments[is_asc]
         t = seg.time_frac * pset.nodal_period
-        if t.size > 1:
-            merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
+        merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
         lens = _branch_lens(seg, t, footprints[is_asc], lat, bin_width)
         if lens is None:
             continue
@@ -299,8 +298,8 @@ def access_tiles(
         return st.ravel()[order], en.ravel()[order]
 
     return AccessTiles(
-        build=tile, count=-(-n // TILE_POINTS), grid=grid, window=window,
-        merge_tol=merge_tol, pass_count=len(pset),
+        build=tile, count=-(-n // TILE_POINTS), grid_size=n, merge_tol=merge_tol,
+        pass_count=len(pset),
     )
 
 
@@ -329,7 +328,7 @@ def join_tiles(acc: AccessTiles) -> AccessTable:
         p0 += start.shape[0]
     return AccessTable(
         point=np.concatenate(points), start=np.concatenate(starts), end=np.concatenate(ends),
-        grid=acc.grid, window=acc.window, merge_tol=acc.merge_tol, pass_count=acc.pass_count,
+        grid_size=acc.grid_size, merge_tol=acc.merge_tol, pass_count=acc.pass_count,
     )
 
 
@@ -337,7 +336,7 @@ def sorted_access_table(
     points: list[np.ndarray],
     starts: list[np.ndarray],
     ends: list[np.ndarray],
-    *, grid: LongitudeGrid, window: float, merge_tol: float, pass_count: int,
+    *, grid_size: int, merge_tol: float, pass_count: int,
 ) -> AccessTable:
     """Concatenate interval parts into a table sorted by (point, start).
 
@@ -348,8 +347,8 @@ def sorted_access_table(
     end = np.concatenate([np.empty(0), *ends])
     order = np.lexsort((start, point))
     return AccessTable(
-        point=point[order], start=start[order], end=end[order], grid=grid,
-        window=window, merge_tol=merge_tol, pass_count=pass_count,
+        point=point[order], start=start[order], end=end[order], grid_size=grid_size,
+        merge_tol=merge_tol, pass_count=pass_count,
     )
 
 
@@ -360,7 +359,7 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     into a tile as `access_tiles` gives it for `tile_stats`.  The cuts only
     bound the memory of one padded block.
     """
-    n = table.grid.size
+    n = table.grid_size
     bounds = np.searchsorted(table.point, np.r_[0:n:TILE_POINTS, n])
 
     def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,8 +377,8 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
 
     return tile_stats(
         AccessTiles(
-            build=tile, count=bounds.size - 1, grid=table.grid,
-            window=table.window, merge_tol=table.merge_tol, pass_count=table.pass_count,
+            build=tile, count=bounds.size - 1, grid_size=n, merge_tol=table.merge_tol,
+            pass_count=table.pass_count,
         ),
         clamped=clamped,
     )
@@ -426,7 +425,7 @@ def tile_stats(
     and integer counts, so the report depends neither on the thread count
     nor on where the tiles are cut.
     """
-    if threads is not None and not (isinstance(threads, Integral) and threads >= 1):
+    if threads is not None and not (is_count(threads) and threads >= 1):
         raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
     threads = min(usable_cores() if threads is None else threads, acc.count)
     reduce = partial(_tile_partials, acc)
@@ -435,21 +434,14 @@ def tile_stats(
             partials = list(pool.map(reduce, range(acc.count)))
     else:
         partials = list(map(reduce, range(acc.count)))
-    n_grid = acc.grid.size
-    longest = latest = -math.inf
-    n_gaps = covered = 0
-    point_sums = []
-    for tile_longest, tile_sums, tile_gaps, tile_covered, tile_latest in partials:
-        longest = max(longest, tile_longest)
-        point_sums.append(tile_sums)
-        n_gaps += tile_gaps
-        covered += tile_covered
-        latest = max(latest, tile_latest)
+    n_grid = acc.grid_size
+    longest, point_sums, n_gaps, covered, latest = zip(*partials)
+    n_gaps, covered = sum(n_gaps), sum(covered)
     # The correctly rounded sum of the points' gap sums: no order of tiles
     # or threads can change it.
     total = math.fsum(np.concatenate(point_sums).tolist())
-    ttc = latest / 3600.0 if covered == n_grid else None
-    mrt = longest / 3600.0 if n_gaps else None
+    ttc = max(latest) / 3600.0 if covered == n_grid else None
+    mrt = max(longest) / 3600.0 if n_gaps else None
     art = total / n_gaps / 3600.0 if n_gaps else None
     return RevisitReport(
         mrt_hours=mrt, art_hours=art, coverage_fraction=covered / n_grid,

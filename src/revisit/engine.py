@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 from typing import ClassVar
 
 from .coverage import (
@@ -23,8 +22,8 @@ from .coverage import (
     revisit_stats,
     tile_stats,
 )
-from .errors import ConfigError
-from .oracle import SimConfig, plane_elements, simulate_access_table
+from .errors import ConfigError, is_count
+from .oracle import DEFAULT_STEP, SimConfig, plane_elements, simulate_access_table
 from .passes import (
     SEGMENT_PAD,
     OrbitElements,
@@ -82,7 +81,7 @@ class EngineSettings:
             raise ConfigError(
                 f"grid_res must be in [{MIN_GRID_RES_DEG:g}, 1] deg, got {self.grid_res:g} rad"
             )
-        if not isinstance(self.segment_samples, Integral):
+        if not is_count(self.segment_samples):
             raise ConfigError(f"segment_samples must be an integer, got {self.segment_samples!r}")
         if not 3 <= self.segment_samples <= MAX_SEGMENT_SAMPLES:
             raise ConfigError(
@@ -139,10 +138,9 @@ def access_table(
     lat: float,
     walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
-) -> tuple[AccessTable, bool]:
-    """Access table plus a flag noting a beyond-horizon footprint clamp."""
-    acc, clamped = _tiled_accesses(el, sensor, lat, walker, settings)
-    return join_tiles(acc), clamped
+) -> AccessTable:
+    """The whole access table that `analyze` reduces tile by tile."""
+    return join_tiles(_tiled_accesses(el, sensor, lat, walker, settings)[0])
 
 
 def analyze(
@@ -169,7 +167,7 @@ def oracle_sim_config(
     lat: float,
     walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
-    step: float = 10.0,
+    step: float = DEFAULT_STEP,
 ) -> SimConfig:
     """Brute-force simulation setup matching the engine's conventions."""
     grid = build_grid(settings.grid_res)
@@ -189,7 +187,7 @@ def oracle_analyze(
     lat: float,
     walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
-    step: float = 10.0,
+    step: float = DEFAULT_STEP,
 ) -> RevisitReport:
     """Brute-force revisit report on the same grid and window."""
     return oracle_report(oracle_sim_config(el, sensor, lat, walker, settings, step))

@@ -1,4 +1,10 @@
-"""Exception types raised by the revisit analysis chain."""
+"""Exception types raised by the revisit analysis chain, and the rule for a count."""
+import numpy as np
+
+
+def is_count(value: object) -> bool:
+    """Whether ``value`` may stand for a count: an int or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class RevisitError(Exception):

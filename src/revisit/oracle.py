@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coverage import AccessTable, LongitudeGrid, sorted_access_table
+from .coverage import AccessTable, sorted_access_table
 from .earth import EARTH, EarthConstants, check_latitude, geodetic_radius
 from .errors import ConfigError, KeplerConvergenceError
 from .passes import (
@@ -110,6 +110,8 @@ def plane_elements(el: OrbitElements, planes: Sequence[PlaneSpec]) -> list[Orbit
     ]
 
 
+# Time step of the simulation unless a caller sets one, s.
+DEFAULT_STEP = 10.0
 # Most time steps one simulation may take.  Each satellite holds a few
 # float arrays of one element per step, so this caps each at 32 MB; 60
 # days at 10 s is 518 401 steps.
@@ -129,7 +131,7 @@ class SimConfig:
     lat: float
     lons: np.ndarray
     window: float
-    step: float = 10.0
+    step: float = DEFAULT_STEP
     refine_tol: float = 0.1
     earth: EarthConstants = field(default=EARTH)
 
@@ -144,8 +146,8 @@ class SimConfig:
             raise ConfigError("analysis window must be positive and finite")
         if not 0.0 < self.step < math.inf:
             raise ConfigError("time step must be positive and finite")
-        if not self.refine_tol < self.step:
-            raise ConfigError("refinement tolerance must be below the step")
+        if not 0.0 < self.refine_tol < self.step:
+            raise ConfigError("refinement tolerance must be positive and below the step")
         if self.window / self.step > MAX_ORACLE_STEPS:
             raise ConfigError(
                 f"window / step makes {self.window / self.step:.0f} time steps; "
@@ -304,8 +306,7 @@ def simulate_access_table(cfg: SimConfig) -> AccessTable:
         times = np.append(times, cfg.window)
     parts = [_sat_intervals(el, cfg, times) for el in cfg.elements]
     points, starts, ends, crossings = ([part[k] for part in parts] for k in range(4))
-    grid = LongitudeGrid(spacing=TWO_PI / cfg.lons.size, lon=cfg.lons)
     return sorted_access_table(
-        points, starts, ends, grid=grid, window=cfg.window,
-        merge_tol=cfg.refine_tol, pass_count=sum(crossings),
+        points, starts, ends, grid_size=cfg.lons.size, merge_tol=cfg.refine_tol,
+        pass_count=sum(crossings),
     )

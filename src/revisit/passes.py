@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .earth import EARTH, EarthConstants, check_latitude
-from .errors import ConfigError
+from .errors import ConfigError, is_count
 from .sensor import radius_at_latitude
 
 TWO_PI = 2.0 * math.pi
@@ -69,7 +69,7 @@ class WalkerConfig:
 
     def __post_init__(self) -> None:
         counts = (self.total, self.planes, self.phasing)
-        if not all(isinstance(x, (int, np.integer)) for x in counts):
+        if not all(is_count(x) for x in counts):
             raise ConfigError("satellite, plane and phasing counts must be integers")
         if self.total < 1 or self.planes < 1:
             raise ConfigError("need at least one satellite and one plane")

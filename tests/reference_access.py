@@ -173,8 +173,7 @@ def dense_access_table(
         starts.append(np.clip(st[ok], 0.0, window))
         ends.append(np.clip(en[ok], 0.0, window))
     table = sorted_access_table(
-        points, starts, ends, grid=grid, window=window,
-        merge_tol=merge_tol, pass_count=len(pset),
+        points, starts, ends, grid_size=grid.size, merge_tol=merge_tol, pass_count=len(pset),
     )
     return table, cand
 

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from revisit.coverage import AccessTable, LongitudeGrid, sorted_access_table
-from revisit.oracle import TWO_PI, SimConfig, _refine, _visible, propagate_j2
+from revisit.coverage import AccessTable, sorted_access_table
+from revisit.oracle import SimConfig, _refine, _visible, propagate_j2
 
 # Visibility margins per block of grid points; a block spans every step.
 BLOCK_MARGINS = 2**21
@@ -60,9 +60,7 @@ def dense_access_table(cfg: SimConfig) -> AccessTable:
         times = np.append(times, cfg.window)
     parts = [dense_sat_intervals(el, cfg, times) for el in cfg.elements]
     points, starts, ends, crossings = ([part[k] for part in parts] for k in range(4))
-    spacing = TWO_PI / cfg.lons.size if cfg.lons.size else 0.0
-    grid = LongitudeGrid(spacing=spacing, lon=np.asarray(cfg.lons, dtype=float))
     return sorted_access_table(
-        points, starts, ends, grid=grid, window=cfg.window,
-        merge_tol=cfg.refine_tol, pass_count=sum(crossings),
+        points, starts, ends, grid_size=cfg.lons.size, merge_tol=cfg.refine_tol,
+        pass_count=sum(crossings),
     )

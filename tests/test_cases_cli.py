@@ -81,7 +81,7 @@ class TestCaseConfig:
             case_from_dict({"no_such_field": 1})
         with pytest.raises(ConfigError, match=r"t/p/f.*\[t, p, f\]"):
             case_from_dict({"altitude_km": 500.0, "walker": {"t": 3, "p": 3, "f": 1}})
-        for walker in (["a", "b", "c"], [1.5, 1, 0]):
+        for walker in (["a", "b", "c"], [1.5, 1, 0], [True, True, False]):
             cfg = case_from_dict({"altitude_km": 500.0, "walker": walker})
             with pytest.raises(ConfigError, match=r"^walker entries must be integers"):
                 resolve_case(cfg)
@@ -430,7 +430,7 @@ class TestCli:
         assert main(["sweep", "--config", str(path), "--workers", workers]) == 1
         assert capsys.readouterr().err.startswith("error: max_workers must be an integer")
 
-    @pytest.mark.parametrize("workers", [0, -4, 2.5])
+    @pytest.mark.parametrize("workers", [0, -4, 2.5, True])
     def test_run_sweep_rejects_a_bad_worker_count(self, workers):
         spec = SweepSpec(base=BASE, axes={"latitude_deg": (0.0, 20.0, 10.0)})
         with pytest.raises(ConfigError, match="^max_workers "):

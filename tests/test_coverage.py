@@ -13,7 +13,6 @@ from revisit.coverage import (
     BINS_PER_CELL,
     AccessTable,
     AccessTiles,
-    LongitudeGrid,
     _branch_lens,
     access_tiles,
     accesses_for_passes,
@@ -603,17 +602,14 @@ class TestPassPhase:
         assert not all(np.array_equal(got, want) for got, want in zip(tiled, above))
 
 
-def _table(point, start, end, n_grid=360, window=100 * 3600.0, merge_tol=1.0, passes=0):
-    grid = LongitudeGrid(
-        spacing=2 * math.pi / n_grid, lon=-math.pi + 2 * math.pi / n_grid * np.arange(n_grid)
-    )
+def _table(point, start, end, n_grid=360, merge_tol=1.0, passes=0):
     point = np.asarray(point, dtype=np.int64)
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     order = np.lexsort((start, point))
     return AccessTable(
-        point=point[order], start=start[order], end=end[order], grid=grid,
-        window=window, merge_tol=merge_tol, pass_count=passes,
+        point=point[order], start=start[order], end=end[order], grid_size=n_grid,
+        merge_tol=merge_tol, pass_count=passes,
     )
 
 
@@ -627,7 +623,7 @@ def _sparse_table() -> AccessTable:
     point = np.repeat(list(_SPARSE_COUNTS), list(_SPARSE_COUNTS.values()))
     start = rng.uniform(0.0, 1e6, point.size)
     return _table(point, start, start + rng.uniform(0.0, 2e3, point.size), n_grid=3600,
-                  window=1e6 + 2e3, merge_tol=100.0)
+                  merge_tol=100.0)
 
 
 class TestRevisitStats:
@@ -707,8 +703,8 @@ class TestRevisitStats:
         # tiles are empty.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40))
-        table, _ = access_table(*args)
-        assert table.window == 60 * 86400.0 and table.grid.size == 3600
+        table = access_table(*args)
+        assert table.grid_size == 3600
         assert analyze(*args) == revisit_stats(table)
         for table in (table, _sparse_table()):
             point, gaps = point_by_point_gaps(table)
@@ -733,8 +729,8 @@ class TestEngineTable:
         el = make_orbit(600.0, 55.0)
         sensor = rv.SensorSpec.elevation(math.radians(15))
         st = EngineSettings(window=3 * 86400.0, grid_res=math.radians(1.0))
-        t1, _ = access_table(el, sensor, math.radians(20), settings=st)
-        t2, _ = access_table(el, sensor, math.radians(20), settings=st)
+        t1 = access_table(el, sensor, math.radians(20), settings=st)
+        t2 = access_table(el, sensor, math.radians(20), settings=st)
         assert np.array_equal(t1.point, t2.point)
         assert np.array_equal(t1.start, t2.start)
         assert np.array_equal(t1.end, t2.end)
@@ -743,11 +739,11 @@ class TestEngineTable:
         el = make_orbit(600.0, 55.0)
         sensor = rv.SensorSpec.elevation(math.radians(15))
         st = EngineSettings(window=3 * 86400.0, grid_res=math.radians(1.0))
-        tab, _ = access_table(el, sensor, math.radians(20), settings=st)
+        tab = access_table(el, sensor, math.radians(20), settings=st)
         assert np.all(tab.start >= 0.0)
-        assert np.all(tab.end <= tab.window)
+        assert np.all(tab.end <= st.window)
         assert np.all(tab.start <= tab.end)
-        key = tab.point * (tab.window + 1) + tab.start
+        key = tab.point * (st.window + 1) + tab.start
         assert np.all(np.diff(key) >= 0.0)
 
     def test_rotation_by_whole_cells_preserves_mrt(self):
@@ -777,7 +773,7 @@ class TestEngineTable:
         # stays below a quarter of the table's bytes.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40), rv.WalkerConfig(6, 6, 0), EngineSettings(window=10 * 86400.0))
-        table, _ = access_table(*args)
+        table = access_table(*args)
         table_bytes = table.point.nbytes + table.start.nbytes + table.end.nbytes
         assert table.point.size > 1_000_000
         del table
@@ -795,7 +791,7 @@ class TestEngineTable:
         # below a quarter of the table.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40), rv.WalkerConfig(6, 6, 0), EngineSettings(window=10 * 86400.0))
-        table, _ = access_table(*args)
+        table = access_table(*args)
         table_bytes = table.point.nbytes + table.start.nbytes + table.end.nbytes
         del table
         peaks = {}
@@ -859,10 +855,8 @@ class TestThreadedReduction:
                 rows = slice(k * points, (k + 1) * points)
                 return start[rows], start[rows]
 
-            return AccessTiles(
-                build=build, count=5 // points, grid=LongitudeGrid(spacing=1.0, lon=np.zeros(5)),
-                window=2.0**54, merge_tol=0.0, pass_count=10,
-            )
+            return AccessTiles(build=build, count=5 // points, grid_size=5, merge_tol=0.0,
+                               pass_count=10)
 
         for points in (5, 1):
             report = tile_stats(tiles(points), threads=threads)
@@ -874,16 +868,16 @@ class TestThreadedReduction:
         # tile, each on 1, 2 and 5 threads: the engine, `revisit_stats` of
         # its joined table and `revisit_stats` of the unevenly padded
         # sparse table each give one report.
-        joined, _ = access_table(*_MULTI_TILE_CASE)
+        joined = access_table(*_MULTI_TILE_CASE)
         sparse = _sparse_table()
         engine_reports, sparse_reports = set(), set()
         for tile_points in (1, 7, 64, None):
             for threads in (1, 2, 5):
                 monkeypatch.setattr(coverage, "usable_cores", lambda: threads)
-                monkeypatch.setattr(coverage, "TILE_POINTS", tile_points or joined.grid.size)
+                monkeypatch.setattr(coverage, "TILE_POINTS", tile_points or joined.grid_size)
                 engine_reports.add(analyze(*_MULTI_TILE_CASE))
                 engine_reports.add(revisit_stats(joined))
-                monkeypatch.setattr(coverage, "TILE_POINTS", tile_points or sparse.grid.size)
+                monkeypatch.setattr(coverage, "TILE_POINTS", tile_points or sparse.grid_size)
                 sparse_reports.add(revisit_stats(sparse))
         assert len(engine_reports) == 1 and len(sparse_reports) == 1
         (report,) = engine_reports
@@ -920,7 +914,7 @@ class TestBadEngineInput:
         ("grid_res", math.nan), ("grid_res", -0.01), ("grid_res", math.radians(2)),
         ("grid_res", 1e-9),
         ("footprint_scale", math.nan), ("footprint_scale", -1.0), ("footprint_scale", 0.0),
-        ("segment_samples", 2), ("segment_samples", 10.5),
+        ("segment_samples", 2), ("segment_samples", 10.5), ("segment_samples", True),
         ("segment_samples", engine.MAX_SEGMENT_SAMPLES + 1),
     ])
     def test_bad_setting_is_named_config_error(self, field, value):
@@ -945,7 +939,7 @@ class TestBadEngineInput:
         with pytest.raises(rv.ConfigError, match="latitude"):
             run(make_orbit(700.0, 60.0), _ELEV_10, lat, settings=st)
 
-    @pytest.mark.parametrize("threads", [0, -3, 2.5])
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True])
     def test_bad_thread_count_is_named_config_error(self, threads):
         st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
         with pytest.raises(rv.ConfigError, match="threads"):

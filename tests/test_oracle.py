@@ -274,7 +274,7 @@ class TestSimulateCoverage:
             for given in (lons, np.array(lons))
         ]
         assert tables[0].point.size > 0
-        for got, want in zip(*((t.point, t.start, t.end, t.grid.lon) for t in tables)):
+        for got, want in zip(*((t.point, t.start, t.end) for t in tables)):
             assert np.array_equal(got, want)
 
 

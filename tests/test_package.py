@@ -46,6 +46,7 @@ _BAD_INPUT = {
     "walker_divide": lambda: rv.WalkerConfig(3, 2, 0),
     "walker_empty": lambda: rv.WalkerConfig(0, 1, 0),
     "walker_float": lambda: rv.WalkerConfig(1.5, 1, 0),
+    "walker_bool": lambda: rv.WalkerConfig(True, True, False),
     "sensor_boresight": lambda: rv.SensorSpec.boresight(2.0),
     "sensor_elevation": lambda: rv.SensorSpec.elevation(-0.1),
     "sensor_mode": lambda: rv.SensorSpec("laser", 0.1),
@@ -55,6 +56,8 @@ _BAD_INPUT = {
     "sim_lons": lambda: _sim(lons=[]),
     "sim_step": lambda: _sim(step=-1.0),
     "sim_steps": lambda: _sim(window=1e9),
+    "sim_refine_tol_zero": lambda: _sim(refine_tol=0.0),
+    "sim_refine_tol_negative": lambda: _sim(refine_tol=-1.0),
     "sim_lat_nan": lambda: _sim(lat=math.nan),
     "sim_lat_inf": lambda: _sim(lat=math.inf),
     "settings": lambda: rv.EngineSettings(window=0.0),
@@ -124,3 +127,35 @@ def test_bad_input_is_raised_as_config_error_and_never_rewrapped():
         for kind, func in _value_error_sites(ast.parse(path.read_text()))
     ]
     assert sites == [("cases.py", "except", "parse_walker")]
+
+
+def _calls(tree, test):
+    """Name of the top-level function or class (None at module level) that
+    holds each call under ``tree`` that ``test`` accepts."""
+    for node in tree.body:
+        name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for child in ast.walk(node):
+            if isinstance(child, ast.Call) and test(child):
+                yield name
+
+
+def _is_count_check(call) -> bool:
+    # isinstance(x, Integral) or isinstance(x, (..., np.integer, ...)).
+    if not (isinstance(call.func, ast.Name) and call.func.id == "isinstance"):
+        return False
+    kinds = ast.dump(call.args[1]) if len(call.args) == 2 else ""
+    return "'Integral'" in kinds or "attr='integer'" in kinds
+
+
+def test_grids_and_count_checks_each_have_one_home():
+    # A table or tile carries its grid's point count, not a grid, so only
+    # build_grid makes a LongitudeGrid.  And a count (an int or a numpy
+    # integer, never a bool) is checked by errors.is_count alone.
+    grids, counts = [], []
+    for path in sorted((SRC / "revisit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        grids += [(path.name, f) for f in _calls(
+            tree, lambda c: isinstance(c.func, ast.Name) and c.func.id == "LongitudeGrid")]
+        counts += [(path.name, f) for f in _calls(tree, _is_count_check)]
+    assert grids == [("coverage.py", "build_grid")]
+    assert counts == [("errors.py", "is_count")]
