@@ -16,13 +16,17 @@ once, by min and max over power-of-two blocks, with no loop over samples.
 
 The table is built one tile of TILE_POINTS grid points at a time.  A tile
 is one dense block, a row per grid point and a cell per (lap, pass) that
-can reach it, with each row sorted by start and its unreached cells
-padded last.  Tiles are independent: a thread pool, one thread per usable
-core, builds each tile and reduces it to a few partial statistics on the
-same thread.  So `engine.analyze` never holds the whole table, only one
-tile per thread.  ART adds each grid point's gaps on their own, so no
-report depends on where the tiles are cut or on the thread count.
-`accesses_for_passes` joins the tiles, without their padding, when a
+can reach it, with its unreached cells padded (+inf, +inf).  Tiles are
+independent: a thread pool, one thread per usable core, builds each tile
+and reduces it to a few partial statistics on the same thread.  So
+`engine.analyze` never holds the whole table, only one tile per thread.
+The reduction sorts each row's starts and each row's ends on their own:
+as no interval ends before it starts, a point has a gap after its i-th
+interval exactly when its i-th least end is below its (i+1)-th least
+start, and that difference is the gap (see `_tile_partials`).  ART adds
+each grid point's gaps on their own, so no report depends on where the
+tiles are cut or on the thread count.  `accesses_for_passes` sorts each
+tile's rows by start and joins them, without their padding, when a
 caller wants the table itself.
 """
 from __future__ import annotations
@@ -80,10 +84,11 @@ def build_grid(resolution: float) -> LongitudeGrid:
 class AccessTable:
     """Visibility intervals of the points 0 to grid_size - 1 of a grid.
 
-    Parallel arrays sorted by (point index, start time), with times in
-    seconds inside the analysis window; intervals may still overlap
-    within a point and are merged during statistics.  The engine's table
-    is its tiles' rows joined without their padding, so rows with equal
+    Parallel arrays sorted by (point index, start time), with finite
+    times in seconds inside the analysis window and start <= end in every
+    row; intervals may still overlap within a point and are merged during
+    statistics.  The engine's table is its tiles' rows, each sorted by one
+    stable sort on start, joined without their padding, so rows with equal
     (point, start) come in (lap, pass-epoch) order, which may differ from
     the order of an untiled sort.
     """
@@ -103,10 +108,12 @@ class AccessTiles:
     ``build(k)`` returns tile k: grid points k * TILE_POINTS onwards,
     TILE_POINTS of them (fewer in the last tile, which ends at point
     grid_size - 1), as two dense (points, cells) arrays.  Row i holds the
-    intervals of point k * TILE_POINTS + i sorted by start, then padding
-    cells with start +inf and end -inf.  A build only reads the shared inputs, so tiles may be
-    built in any order, again, or on several threads at once.  A tile
-    holds whole rows, so where the tiles are cut changes no report.
+    intervals of point k * TILE_POINTS + i, each with start <= end, and
+    padding cells with start and end +inf, in any order.  Each build
+    returns new arrays, which the reduction sorts in place.  A build only
+    reads the shared inputs, so tiles may be built in any order, again, or
+    on several threads at once.  A tile holds whole rows, so where the
+    tiles are cut changes no report.
     """
 
     build: Callable[[int], tuple[np.ndarray, np.ndarray]]
@@ -228,10 +235,10 @@ def access_tiles(
     a tile and each pass whose run meets the tile, the offsets j
     congruent to q - base_k are evaluated in one integer (points, laps,
     passes) block; a run longer than the grid reaches a point once per
-    lap.  Cells outside a run or the window become padding, one stable
-    sort orders each point's cells, and the columns that are padding in
-    every row are cut.  The lenses and the integer phases are computed
-    here; each tile only when the returned `AccessTiles` builds it.
+    lap.  Cells outside a run or the window become padding, and each row
+    keeps its cells in (lap, pass) order, unsorted.  The lenses and the
+    integer phases are computed here; each tile only when the returned
+    `AccessTiles` builds it.
     """
     n, window = grid.size, pset.window
     merge_tol = 0.0
@@ -268,7 +275,7 @@ def access_tiles(
     laps = np.arange(-(-int(np.max(n_cand, initial=0)) // n))[:, None]
 
     def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(start, end) of tile k, each row sorted."""
+        """(start, end) of tile k, each row in (lap, pass) order."""
         p0 = k * TILE_POINTS
         q = np.arange(p0, min(p0 + TILE_POINTS, n))
         sel = ((run_start >= p0) & (run_start <= q[-1])) | ((p0 - run_start) % n < n_cand)
@@ -287,15 +294,8 @@ def access_tiles(
         np.clip(st, 0.0, window, out=st)
         np.clip(en, 0.0, window, out=en)
         st[off] = np.inf
-        en[off] = -np.inf
-        width = off[0].size - int(np.min(np.count_nonzero(off, axis=(1, 2))))
-        st, en = st.reshape(q.size, -1), en.reshape(q.size, -1)
-        # A stable sort keeps each point's equal starts in (lap, pass)
-        # order and moves the padding last; width, the most real cells of
-        # any row, cuts off the columns that hold only padding.
-        order = np.argsort(st, axis=1, kind="stable")[:, :width]
-        order += np.arange(q.size)[:, None] * st.shape[1]
-        return st.ravel()[order], en.ravel()[order]
+        en[off] = np.inf
+        return st.reshape(q.size, -1), en.reshape(q.size, -1)
 
     return AccessTiles(
         build=tile, count=-(-n // TILE_POINTS), grid_size=n, merge_tol=merge_tol,
@@ -316,11 +316,16 @@ def accesses_for_passes(
 
 
 def join_tiles(acc: AccessTiles) -> AccessTable:
-    """Build the tiles in point order and join them into one table without padding."""
+    """Build the tiles in point order and join them into one table sorted by
+    (point, start), without padding."""
     points, starts, ends = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
     p0 = 0
     for k in range(acc.count):
         start, end = acc.build(k)
+        # A stable sort keeps each point's equal starts in (lap, pass) order
+        # and moves the padding last.
+        order = np.argsort(start, axis=1, kind="stable")
+        start, end = (np.take_along_axis(a, order, axis=1) for a in (start, end))
         real = start < np.inf
         points.append(p0 + np.nonzero(real)[0])
         starts.append(start[real])
@@ -353,13 +358,35 @@ def sorted_access_table(
 
 
 def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
-    """Revisit report of a table sorted by (point, start).
+    """Revisit report of a table ordered by point.
+
+    The table must keep the `AccessTable` rules that the reduction relies
+    on: grid_size is a count of at least 1, points are integers,
+    non-decreasing and in [0, grid_size), times are finite, no interval
+    ends before it starts, and merge_tol is at least 0.  A table that
+    breaks one raises `ConfigError`.  The order of a point's rows does not
+    matter.
 
     The table is cut every TILE_POINTS grid points, and each cut is padded
     into a tile as `access_tiles` gives it for `tile_stats`.  The cuts only
     bound the memory of one padded block.
     """
     n = table.grid_size
+    if not (is_count(n) and n >= 1):
+        raise ConfigError(f"table grid_size must be an integer of at least 1, got {n!r}")
+    point, start, end = table.point, table.start, table.end
+    if not point.size == start.size == end.size:
+        raise ConfigError("table point, start and end must have one entry a row")
+    if not np.issubdtype(point.dtype, np.integer):
+        raise ConfigError(f"table points must be integers, got {point.dtype}")
+    if point.size and not (0 <= point[0] and point[-1] < n and np.all(point[1:] >= point[:-1])):
+        raise ConfigError(f"table points must be non-decreasing and in [0, {n})")
+    if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
+        raise ConfigError("table start and end times must be finite")
+    if np.any(end < start):
+        raise ConfigError("no table interval may end before it starts")
+    if not table.merge_tol >= 0.0:
+        raise ConfigError(f"table merge_tol must be at least 0, got {table.merge_tol!r}")
     bounds = np.searchsorted(table.point, np.r_[0:n:TILE_POINTS, n])
 
     def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +394,7 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
         cut = table.point[a:z] - k * TILE_POINTS
         counts = np.bincount(cut, minlength=min(TILE_POINTS, n - k * TILE_POINTS))
         start = np.full((counts.size, int(np.max(counts))), np.inf)
-        end = np.full(start.shape, -np.inf)
+        end = np.full(start.shape, np.inf)
         # Row r of point p goes to row p, column r - (p's first row).
         first_row = np.cumsum(counts) - counts
         cell = cut * start.shape[1] + np.arange(z - a) - first_row[cut]
@@ -386,12 +413,26 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
 
 def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, np.ndarray, int, int, float]:
     """Tile k's longest gap, each point's gap sum, gap count, covered points
-    and latest first access."""
+    and latest first access.
+
+    Each row's starts S and ends E are sorted on their own, padding last.
+    No interval ends before it starts, so a point has a gap after its i-th
+    interval in start order exactly when E[i] < S[i + 1], and then E[i] is
+    the greatest end of its first i + 1 intervals: S[i + 1] - E[i] is the
+    exact difference of two table times that a running max of the ends in
+    start order gives.  Where there is no gap, both differences are at
+    most 0, so neither counts.
+    """
     start, end = acc.build(k)
-    # Running max of each point's interval ends along its row, so that it
-    # only compares values and the ends come back unrounded.  A padding
-    # cell starts at +inf, so its raw gap is +inf.
-    raw = start[:, 1:] - np.maximum.accumulate(end, axis=1)[:, :-1]
+    start.sort(axis=1)
+    end.sort(axis=1)
+    # width, the most real cells of any row, cuts the columns that hold
+    # only padding.  Past a row's last interval the raw gap is inf - E[i]
+    # = inf, then inf - inf = NaN; neither passes `keep`.
+    width = int(np.max(np.count_nonzero(start < np.inf, axis=1), initial=0))
+    start, end = start[:, :width], end[:, :width]
+    with np.errstate(invalid="ignore"):
+        raw = start[:, 1:] - end[:, :-1]
     keep = (raw > acc.merge_tol) & (raw < np.inf)
     gaps = raw[keep]
     # A point's gaps are one run of `gaps`, so its sum depends on that
@@ -415,7 +456,8 @@ def tile_stats(
     Intervals closer than the merge tolerance (one segment-sample step)
     are treated as one access.
 
-    Each tile is built and reduced to five partials on one thread: the
+    Each tile is built, its rows' starts and ends sorted on their own, and
+    reduced to five partials on one thread (see `_tile_partials`): the
     largest gap, each point's gap sum, the gap count, the covered point
     count and the latest first access.  Up to ``threads`` threads (default:
     one per usable core) reduce the tiles, so at most that many tiles are

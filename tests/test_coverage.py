@@ -462,9 +462,10 @@ class TestTilesAgainstDense:
 
     @pytest.mark.parametrize("name", sorted(_TILE_CASES))
     def test_tiled_table_equals_the_dense_table(self, name):
-        # Each streamed tile holds TILE_POINTS grid points, each row sorted
-        # with its padding last.  The tiled table must hold the rows of the
-        # untiled dense table, sorted by (point, start), and both tables
+        # Each streamed tile holds TILE_POINTS grid points, each row its
+        # point's cells and padding cells (+inf, +inf), in no set order.
+        # The tiles and the tiled table must hold the rows of the untiled
+        # dense table, the table sorted by (point, start), and both tables
         # and the streamed tiles must give the same report.
         el, sensor, lat, walker, st, select, least_cand = _TILE_CASES[name]
         pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st, walker)
@@ -475,16 +476,24 @@ class TestTilesAgainstDense:
         rows = [min(coverage.TILE_POINTS, grid.size - p0)
                 for p0 in range(0, grid.size, coverage.TILE_POINTS)]
         assert [start.shape[0] for start, _ in tiles] == rows
-        n_real = 0
-        for start, end in tiles:
-            # Sorted rows, with the +inf starts of the padding last.
-            assert np.all(start[:, :-1] <= start[:, 1:])
-            assert np.array_equal(start < np.inf, end > -np.inf)
-            n_real += np.count_nonzero(start < np.inf)
+        points, starts, ends = [], [], []
+        for k, (start, end) in enumerate(tiles):
+            real = start < np.inf
+            assert np.array_equal(real, end < np.inf)
+            assert np.all(start[~real] == np.inf) and np.all(end[~real] == np.inf)
+            points.append(k * coverage.TILE_POINTS + np.nonzero(real)[0])
+            starts.append(start[real])
+            ends.append(end[real])
+        cells = AccessTable(
+            point=np.concatenate(points), start=np.concatenate(starts), end=np.concatenate(ends),
+            grid_size=grid.size, merge_tol=acc.merge_tol, pass_count=acc.pass_count,
+        )
         tiled = accesses_for_passes(pset, segs, fps, grid, lat)
         dense, n_cand = dense_access_table(pset, segs, fps, grid, lat)
         assert np.sum(n_cand) >= least_cand * len(pset)
-        assert dense.point.size == tiled.point.size == n_real
+        assert dense.point.size == tiled.point.size == cells.point.size
+        for got, want in zip(_canonical_rows(cells), _canonical_rows(dense)):
+            assert np.array_equal(got, want)
         assert np.all(np.diff(tiled.point) >= 0)
         same_point = tiled.point[1:] == tiled.point[:-1]
         assert np.all(np.diff(tiled.start)[same_point] >= 0.0)
@@ -722,6 +731,36 @@ class TestRevisitStats:
         )
         rep = revisit_stats(t)
         assert rep.art_hours <= rep.mrt_hours
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("grid_size", 0, "grid_size"),
+        ("grid_size", -1, "grid_size"),
+        ("grid_size", 360.0, "grid_size"),
+        ("grid_size", True, "grid_size"),
+        ("point", [0, 360], "points"),
+        ("point", [-1, 0], "points"),
+        ("point", [1, 0], "points"),
+        ("point", np.zeros(2), "points"),
+        ("start", [0.0, math.nan], "finite"),
+        ("start", [-math.inf, 100.0], "finite"),
+        ("end", [50.0, math.inf], "finite"),
+        ("end", [50.0, math.nan], "finite"),
+        # A gap of 50 s by a running max of the ends, 80 s by the ends
+        # sorted on their own.
+        ("end", [50.0, 20.0], "end before it starts"),
+        ("end", [50.0], "one entry a row"),
+        ("merge_tol", -1.0, "merge_tol"),
+        ("merge_tol", math.nan, "merge_tol"),
+    ])
+    def test_table_breaking_the_contract_is_named_config_error(self, field, value, match):
+        # Points at or above grid_size used to be dropped without a word,
+        # and grid_size 0 raised a bare ValueError.
+        good = _table([0, 0], [0.0, 100.0], [50.0, 200.0])
+        assert revisit_stats(good).gap_count == 1
+        if isinstance(value, list):
+            value = np.array(value, dtype=getattr(good, field).dtype)
+        with pytest.raises(rv.ConfigError, match=match):
+            revisit_stats(replace(good, **{field: value}))
 
 
 class TestEngineTable:

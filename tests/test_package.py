@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import revisit as rv
@@ -62,6 +63,9 @@ _BAD_INPUT = {
     "sim_lat_inf": lambda: _sim(lat=math.inf),
     "settings": lambda: rv.EngineSettings(window=0.0),
     "grid": lambda: rv.build_grid(0.0),
+    "revisit_stats_grid_size": lambda: rv.revisit_stats(
+        rv.AccessTable(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), 0, 0.0, 0)
+    ),
     "pass_series_window": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 0.0),
     "pass_series_window_nan": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.nan),
     "pass_series_window_inf": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.inf),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import revisit as rv
+from revisit.coverage import AccessTable, revisit_stats
 from revisit.engine import EngineSettings, analyze
 from revisit.sensor import (
     SensorSpec,
@@ -16,6 +17,7 @@ from revisit.sensor import (
 )
 
 from conftest import make_orbit
+from reference_access import point_by_point_gaps
 
 R_EQ = 6378.137
 
@@ -132,3 +134,106 @@ def test_grid_determinism_and_independence_of_pass_order():
     st_ = EngineSettings(window=4 * 86400.0, grid_res=math.radians(1.0))
     reps = {analyze(el, sensor, math.radians(20), settings=st_) for _ in range(3)}
     assert len(reps) == 1
+
+
+def _table_pair(point, start, end, n_grid, merge_tol, shuffle):
+    """A table sorted by (point, start), and the same rows with each point's
+    rows in the order of the keys ``shuffle``."""
+    point, start, end = np.asarray(point), np.asarray(start), np.asarray(end)
+
+    def table(order):
+        return AccessTable(
+            point=point[order], start=start[order], end=end[order], grid_size=n_grid,
+            merge_tol=merge_tol, pass_count=0,
+        )
+
+    return table(np.lexsort((start, point))), table(np.lexsort((shuffle, point)))
+
+
+# How an interval is placed against the one drawn before it in its row.
+_KINDS = ("free", "nested", "same_start", "zero", "at_tol", "ulp_above")
+_TICK = 0.5
+
+
+@st.composite
+def _tables(draw):
+    """`_table_pair` of a random table.
+
+    Times lie on a 0.5 s lattice, so a gap placed at merge_tol is exactly
+    merge_tol, and one placed an ulp of its start above it is the next
+    float.  A point holds 1 to 40 intervals, so the rows of one tile
+    differ in length and the shorter ones end in padding.
+    """
+    merge_tol = draw(st.sampled_from([0.0, _TICK, 10.0, 600.0]))
+    n_grid = draw(st.integers(1, 150))
+    point, start, end = [], [], []
+    for p in draw(st.lists(st.integers(0, n_grid - 1), max_size=6, unique=True)):
+        size = draw(st.sampled_from([1, 2, 8, 40]))
+        prev = None
+        for kind in draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=size)):
+            span = draw(st.integers(0, 2000)) * _TICK
+            if prev is None or kind == "free":
+                s = draw(st.integers(0, 20000)) * _TICK
+                e = s + span
+            elif kind == "nested":
+                quarter = (prev[1] - prev[0]) / 4
+                s, e = prev[0] + quarter, prev[1] - quarter
+            elif kind == "same_start":
+                s, e = prev[0], prev[0] + span
+            elif kind == "zero":
+                s = e = draw(st.integers(0, 20000)) * _TICK
+            else:
+                s = prev[1] + merge_tol
+                if kind == "ulp_above":
+                    s = float(np.nextafter(s, math.inf))
+                e = s + span
+            prev = (s, e)
+            point.append(p)
+            start.append(s)
+            end.append(e)
+    shuffle = draw(st.permutations(range(len(point))))
+    return _table_pair(
+        np.array(point, dtype=np.int64), np.array(start, dtype=float),
+        np.array(end, dtype=float), n_grid, merge_tol, np.array(shuffle, dtype=np.int64),
+    )
+
+
+@given(tables=_tables())
+@example(tables=_table_pair(
+    # Point 0: equal starts with other ends, a nested and a zero-length
+    # interval, a gap at merge_tol (110 - 100), one an ulp above it and one
+    # at it again (210 - 200).  Point 1 has one interval, so its row of the
+    # tile is mostly padding.
+    [0, 0, 0, 0, 0, 0, 1],
+    [0.0, 0.0, 20.0, 110.0, float(np.nextafter(120.0, math.inf)), 210.0, 5000.0],
+    [50.0, 100.0, 30.0, 110.0, 200.0, 300.0, 5010.0],
+    n_grid=2, merge_tol=10.0, shuffle=[6, 5, 4, 3, 2, 1, 0],
+))
+@example(tables=_table_pair(
+    # Gaps 2048, 2048.5 - 2**-41 and 2**-40: added left to right they make
+    # 4096.5 + 2**-40, the first plus the sum of the rest 4096.5.
+    [0, 0, 0, 0], [0.0, 2048.0, 4097.0, 4097.0 + 2.0**-40],
+    [0.0, 2048.5 + 2.0**-41, 4097.0, 4097.0 + 2.0**-40],
+    n_grid=1, merge_tol=0.0, shuffle=[3, 2, 1, 0],
+))
+@settings(max_examples=300, deadline=None)
+def test_gaps_of_sorted_ends_equal_the_running_max(tables):
+    # The reduction sorts each point's starts and ends on their own.  Its
+    # gaps, their count, MRT and ART must equal, bit for bit, those of a
+    # running max of the ends in start order, merged one point at a time,
+    # and must not depend on the order of a point's rows.  Each point's
+    # gaps are summed by np.add.reduceat, as the engine sums them: it adds
+    # the first gap to the sum of the rest, which np.sum of three gaps
+    # does not, so only the gaps themselves are compared.
+    table, shuffled = tables
+    point, gaps = point_by_point_gaps(table)
+    rep = revisit_stats(table)
+    assert rep.gap_count == gaps.size
+    assert rep.coverage_fraction == np.unique(table.point).size / table.grid_size
+    if gaps.size:
+        sums = np.add.reduceat(gaps, np.flatnonzero(np.r_[True, np.diff(point) != 0]))
+        assert rep.mrt_hours == float(np.max(gaps)) / 3600.0
+        assert rep.art_hours == math.fsum(sums.tolist()) / gaps.size / 3600.0
+    else:
+        assert rep.mrt_hours is None and rep.art_hours is None
+    assert revisit_stats(shuffled) == rep
