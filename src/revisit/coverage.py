@@ -14,11 +14,16 @@ fall on every BINS_PER_CELL-th bin from one integer phase per pass.  The
 lens folds every sample's range of offset bins into one row of bins at
 once, by min and max over power-of-two blocks, with no loop over samples.
 
-The table is built one tile of TILE_POINTS grid points at a time.  A tile
-is one dense block, a row per grid point and a cell per (lap, pass) that
-can reach it, with its unreached cells padded (+inf, +inf).  Tiles are
-independent: a thread pool, one thread per usable core, builds each tile
-and reduces it to a few partial statistics on the same thread.  So
+The table is built one tile of TILE_POINTS grid points at a time.  Both
+branches' lenses are laid out once in one (first, last) pair of arrays,
+whose unseen bins and trailing padding hold (+inf, +inf).  A tile is one
+dense block, a row per grid point and a column per run of a pass's
+offsets that meets the tile, one run a lap.  A cell's bin is its run's
+first bin plus one integer add, read by one gather from the layout; only
+the passes whose accesses can reach past the window's ends are clipped.
+Cells that no pass reaches read padding.  Tiles are independent: a
+thread pool, one thread per usable core, builds each tile and reduces it
+to a few partial statistics on the same thread.  So
 `engine.analyze` never holds the whole table, only one tile per thread.
 The reduction sorts each row's starts and each row's ends on their own:
 as no interval ends before it starts, a point has a gap after its i-th
@@ -89,7 +94,7 @@ class AccessTable:
     row; intervals may still overlap within a point and are merged during
     statistics.  The engine's table is its tiles' rows, each sorted by one
     stable sort on start, joined without their padding, so rows with equal
-    (point, start) come in (lap, pass-epoch) order, which may differ from
+    (point, start) come in (pass-epoch, lap) order, which may differ from
     the order of an untiled sort.
     """
 
@@ -113,7 +118,8 @@ class AccessTiles:
     returns new arrays, which the reduction sorts in place.  A build only
     reads the shared inputs, so tiles may be built in any order, again, or
     on several threads at once.  A tile holds whole rows, so where the
-    tiles are cut changes no report.
+    tiles are cut changes no report.  The build of `access_tiles` raises
+    `ConfigError` for a k that is not an integer in [0, count).
     """
 
     build: Callable[[int], tuple[np.ndarray, np.ndarray]]
@@ -217,6 +223,19 @@ def _branch_lens(
     return x_min, x_max, first, last
 
 
+def _laid_out(parts: list[tuple[int, np.ndarray]], size: int) -> np.ndarray:
+    """`size` bins of +inf with each (row, bins) part of `parts` copied in
+    from its row on, except the part's -inf bins, which stay +inf.
+
+    The parts are popped as they are copied, so none outlives its copy.
+    """
+    out = np.full(size, np.inf)
+    while parts:
+        row, bins = parts.pop()
+        np.copyto(out[row:row + bins.size], bins, where=bins > -np.inf)
+    return out
+
+
 def access_tiles(
     pset: PassSet,
     segments: dict[bool, TrackSegment],
@@ -229,22 +248,37 @@ def access_tiles(
 
     segments/footprints are keyed by branch (True = ascending).  Pass k
     reaches the grid points base_k + j, j < n_cand (modulo the grid),
-    where n_cand covers its branch's lens.  The branches' lenses are
-    joined, and offset j of pass k reads the joined bin phase_k +
-    bins_per_cell * j, capped at its lens's padding.  For each point q of
-    a tile and each pass whose run meets the tile, the offsets j
-    congruent to q - base_k are evaluated in one integer (points, laps,
-    passes) block; a run longer than the grid reaches a point once per
-    lap.  Cells outside a run or the window become padding, and each row
-    keeps its cells in (lap, pass) order, unsorted.  The lenses and the
-    integer phases are computed here; each tile only when the returned
-    `AccessTiles` builds it.
+    where n_cand covers its branch's lens, and offset j reads lens bin
+    phase_k + bins_per_cell * j.  Both branches' lenses are laid out once
+    in one (first, last) pair.  There every bin that no sample sees holds
+    (+inf, +inf), and so does each branch's trailing padding, long enough
+    that any offset of a tile past its lens reads it.
+
+    A tile's rows are the grid points p0 to p0 + rows - 1.  Lap m of pass
+    k meets them as the run of offsets j_m + row, with j_m = ((p0 -
+    base_k) mod n) - n + m * n; a run longer than the grid reaches a
+    point once per lap.  Each run that meets [0, n_cand) is one column, in
+    (pass, lap) order: where no pass reaches a point twice, that is pass
+    order.  A cell's bin is its column's first bin plus bins_per_cell *
+    row, one integer add.  A run that starts inside the tile has offsets
+    below 0 in its first rows; those cells read a padding bin.  Only the
+    passes whose accesses can leave [0, window], found once for the whole
+    set, have their columns clipped to the window and the cells wholly
+    off it blanked.  The lenses, the layout and the integer phases are
+    computed here; each tile only when the returned `AccessTiles` builds
+    it.
     """
     n, window = grid.size, pset.window
+    # Read once, so the layout's padding and every tile agree on it.
+    tile_points = TILE_POINTS
+    most_rows = min(tile_points, n)
     merge_tol = 0.0
     bin_width = grid.spacing / bins_per_cell
-    n_cand, base, phase, last_row = (np.zeros(len(pset), dtype=np.int64) for _ in range(4))
-    firsts, lasts = [np.empty(0)], [np.empty(0)]
+    n_cand, base, phase = (np.zeros(len(pset), dtype=np.int64) for _ in range(3))
+    edge = np.zeros(len(pset), dtype=bool)
+    firsts: list[tuple[int, np.ndarray]] = []
+    lasts: list[tuple[int, np.ndarray]] = []
+    size = 0
     for is_asc in (True, False):
         seg = segments[is_asc]
         t = seg.time_frac * pset.nodal_period
@@ -252,54 +286,82 @@ def access_tiles(
         lens = _branch_lens(seg, t, footprints[is_asc], lat, bin_width)
         if lens is None:
             continue
-        lo, hi, first, last = lens
+        lo, hi = lens[:2]
         sel = pset.ascending == is_asc
-        lam_c = pset.lon[sel]
-        n_cand[sel] = int(math.floor((hi - lo) / grid.spacing)) + 2
+        lam_c, epoch = pset.lon[sel], pset.epoch[sel]
+        cand = int(math.floor((hi - lo) / grid.spacing)) + 2
+        n_cand[sel] = cand
         base[sel] = np.ceil((lam_c + lo + math.pi) / grid.spacing)
         # Offset j's lens bin, rint(((base + j) * spacing - pi - lam_c - lo) / bin_width),
         # is its value at j = 0 plus bins_per_cell * j: bins_per_cell is even, so
         # a half-bin tie rounds alike at every j.  base rounds up, so no bin is
-        # below lo's.  phase is the bin at j = 0 as a row of the joined lenses.
-        row = sum(f.size for f in firsts) + 1
-        phase[sel] = row + np.rint((base[sel] * grid.spacing - math.pi - lam_c - lo) / bin_width)
-        last_row[sel] = row + first.size - 2
-        firsts.append(first)
-        lasts.append(last)
-    first, last = np.concatenate(firsts), np.concatenate(lasts)
+        # below lo's.  phase is the bin at j = 0 as a row of the laid-out lenses,
+        # at most size + 1 + bins_per_cell.
+        phase[sel] = size + 1 + np.rint(
+            (base[sel] * grid.spacing - math.pi - lam_c - lo) / bin_width
+        )
+        # Adding an epoch rounds monotonically, so a pass whose earliest first
+        # and latest last bin land in [0, window] has every access there.
+        edge[sel] = (epoch + np.min(lens[2]) < 0.0) | (epoch + np.max(lens[3]) > window)
+        firsts.append((size, lens[2]))
+        lasts.append((size, lens[3]))
+        # A tile reads offsets up to n_cand + most_rows - 2, so bins up to
+        # size + 1 + bins_per_cell * (n_cand + most_rows - 1).  That covers
+        # the lens's at most (hi - lo) / bin_width + 4 bins too, as
+        # bins_per_cell * n_cand >= (hi - lo) / bin_width + bins_per_cell.
+        size += 2 + bins_per_cell * (cand + most_rows - 1)
+    # The lists now hold the only references to the branch lenses, so each
+    # is freed once it is laid out.
+    del lens
+    first = _laid_out(firsts, size)
+    last = _laid_out(lasts, size)
     # Passes of a branch without a lens see nothing.
     keep = n_cand > 0
-    epoch, n_cand, base = pset.epoch[keep], n_cand[keep], base[keep]
-    phase, last_row = phase[keep], last_row[keep]
-    run_start = base % n
-    laps = np.arange(-(-int(np.max(n_cand, initial=0)) // n))[:, None]
+    epoch, n_cand, phase, edge = pset.epoch[keep], n_cand[keep], phase[keep], edge[keep]
+    run_start = base[keep] % n
+    # The first offset of lap m's run is ((p0 - base) mod n) - n + m * n.
+    lap_shift = n * np.arange(-(-int(np.max(n_cand, initial=0)) // n) + 1) - n
+    row_bins = bins_per_cell * np.arange(most_rows)[:, None]
+    count = -(-n // tile_points)
 
     def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(start, end) of tile k, each row in (lap, pass) order."""
-        p0 = k * TILE_POINTS
-        q = np.arange(p0, min(p0 + TILE_POINTS, n))
-        sel = ((run_start >= p0) & (run_start <= q[-1])) | ((p0 - run_start) % n < n_cand)
-        b = ((q[:, None] - base[sel]) % n)[:, None, :] + n * laps
-        # Each offset's joined bin, in place.  Offsets off the lens, j >= n_cand
-        # among them, read its padding, which no sample sees; n_cand only
-        # picks the passes and laps.
-        b *= bins_per_cell
-        b += phase[sel]
-        np.minimum(b, last_row[sel], out=b)
-        st, en = first[b], last[b]
-        st += epoch[sel]
-        en += epoch[sel]
-        off = (en < 0.0) | (st > window)
-        del b
-        np.clip(st, 0.0, window, out=st)
-        np.clip(en, 0.0, window, out=en)
-        st[off] = np.inf
-        en[off] = np.inf
-        return st.reshape(q.size, -1), en.reshape(q.size, -1)
+        """(start, end) of tile k, each row's cells in (pass, lap) order."""
+        if not (is_count(k) and 0 <= k < count):
+            raise ConfigError(f"tile index must be an integer in [0, {count}), got {k!r}")
+        p0 = k * tile_points
+        rows = min(tile_points, n - p0)
+        j = ((p0 - run_start) % n)[:, None] + lap_shift
+        meets = (j > -rows) & (j < n_cand[:, None])
+        col = np.nonzero(meets)[0]
+        j = j[meets]
+        at = phase[col] + bins_per_cell * j + row_bins[:rows]
+        # A run that starts inside the tile has -j rows at offsets below 0.
+        # Their cells read row 0 of the layout, a padding bin: the bin at
+        # offset -1 may be the lens's first.
+        neg = np.flatnonzero(j < 0)
+        below = -j[neg]
+        row = np.arange(np.sum(below)) - np.repeat(np.cumsum(below) - below, below)
+        at.ravel()[row * at.shape[1] + np.repeat(neg, below)] = 0
+        # Every index is in range, and mode="clip" keeps take from buffering
+        # `out`, so the starts are gathered into the index block itself,
+        # after the ends.
+        en = last.take(at, mode="clip")
+        st = first.take(at, mode="clip", out=at.view(np.float64))
+        ep = epoch[col]
+        st += ep
+        en += ep
+        clip = np.flatnonzero(edge[col])
+        s, e = st[:, clip], en[:, clip]
+        off = (e < 0.0) | (s > window)
+        np.clip(s, 0.0, window, out=s)
+        np.clip(e, 0.0, window, out=e)
+        s[off] = np.inf
+        e[off] = np.inf
+        st[:, clip], en[:, clip] = s, e
+        return st, en
 
     return AccessTiles(
-        build=tile, count=-(-n // TILE_POINTS), grid_size=n, merge_tol=merge_tol,
-        pass_count=len(pset),
+        build=tile, count=count, grid_size=n, merge_tol=merge_tol, pass_count=len(pset),
     )
 
 

@@ -509,6 +509,45 @@ class TestTilesAgainstDense:
             first_pass = np.abs(dense.start - pset.epoch[0]) < 0.1 * pset.nodal_period
             assert {0, grid.size - 1} <= set(dense.point[first_pass].tolist())
 
+    def test_passes_at_the_window_edges_are_clipped(self):
+        # A tile clips only the passes whose accesses can leave [0, window].
+        # Here the first pass crosses at t = 0 and the last at the window's
+        # end, so some of their accesses are cut at an edge and some lie
+        # wholly outside the window.
+        st = EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0))
+        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        pset = replace(pset, epoch=np.r_[0.0, pset.epoch[1:-1], st.window])
+        dense, _ = dense_access_table(pset, segs, fps, grid, _LAT_40)
+        assert np.count_nonzero(dense.start == 0.0) > 10
+        assert np.count_nonzero(dense.end == st.window) > 10
+        tiled = join_tiles(access_tiles(pset, segs, fps, grid, _LAT_40))
+        for got, want in zip(_canonical_rows(tiled), _canonical_rows(dense)):
+            assert np.array_equal(got, want)
+
+    def test_run_from_phase_65_inside_a_tile(self):
+        # Pass 0's offset 0 lies 63.75 bins past its lens's first bin, so its
+        # phase rounds to 64 bins, and offset -1 would read the lens's first
+        # bin, which a sample sees.  Its run starts at grid point 100, inside
+        # tile 1, so that tile's rows for points 64 to 99 hold its offsets
+        # -36 to -1.  None of them is an access of the pass.
+        st = EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0))
+        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        asc = bool(pset.ascending[0])
+        bin_width = grid.spacing / BINS_PER_CELL
+        seg = segs[asc]
+        x_min, _, first, _ = _branch_lens(seg, seg.time_frac * pset.nodal_period, fps[asc],
+                                          _LAT_40, bin_width)
+        assert first[1] < np.inf
+        lam = wrap_angle(100 * grid.spacing - math.pi - x_min - 63.75 * bin_width)
+        assert math.ceil((lam + x_min + math.pi) / grid.spacing) == 100
+        assert np.rint((100 * grid.spacing - math.pi - lam - x_min) / bin_width) == BINS_PER_CELL
+        assert 100 % coverage.TILE_POINTS
+        pset = replace(pset, lon=np.r_[lam, pset.lon[1:]])
+        dense, _ = dense_access_table(pset, segs, fps, grid, _LAT_40)
+        tiled = join_tiles(access_tiles(pset, segs, fps, grid, _LAT_40))
+        for got, want in zip(_canonical_rows(tiled), _canonical_rows(dense)):
+            assert np.array_equal(got, want)
+
 
 def _phase_and_float_bins(pset, segs, fps, grid, lat):
     """Yield (phase, bins) for each branch with a lens.
@@ -707,9 +746,10 @@ class TestRevisitStats:
         # end + point * (window + 1) rounds the ends of point 3599 by up to
         # 1.9 us.  Each gap must be the exact difference of two table times,
         # as a merge of each point's rows alone gives it.  ART is the fsum
-        # of each point's gap sum.  A second, sparse table pads its tiles
-        # unevenly: a few far-apart points hold 1 to 700 rows, and whole
-        # tiles are empty.
+        # of each point's gap sum, summed by np.add.reduceat as the engine
+        # sums it: np.sum adds some gaps in another order.  A second, sparse
+        # table pads its tiles unevenly: a few far-apart points hold 1 to
+        # 700 rows, and whole tiles are empty.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40))
         table = access_table(*args)
@@ -717,11 +757,11 @@ class TestRevisitStats:
         assert analyze(*args) == revisit_stats(table)
         for table in (table, _sparse_table()):
             point, gaps = point_by_point_gaps(table)
-            point_sums = [np.sum(gaps[point == p]) for p in np.unique(point)]
+            point_sums = np.add.reduceat(gaps, np.flatnonzero(np.r_[True, np.diff(point) != 0]))
             rep = revisit_stats(table)
             assert rep.gap_count == gaps.size
             assert rep.mrt_hours == float(np.max(gaps)) / 3600.0
-            assert rep.art_hours == math.fsum(point_sums) / gaps.size / 3600.0
+            assert rep.art_hours == math.fsum(point_sums.tolist()) / gaps.size / 3600.0
         assert rep.uncovered_count == 3600 - len(_SPARSE_COUNTS)
 
     def test_art_not_above_mrt(self):
@@ -983,3 +1023,15 @@ class TestBadEngineInput:
         st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
         with pytest.raises(rv.ConfigError, match="threads"):
             analyze(make_orbit(700.0, 60.0), _ELEV_10, 0.3, settings=st, threads=threads)
+
+    @pytest.mark.parametrize("k", [-1, 6, 2.5, True, np.int64(-1)])
+    def test_bad_tile_index_is_named_config_error(self, k):
+        # A 360-point grid has tiles 0 to 5.  Tile -1 was once read as a
+        # tile of other points' cells, and 6 and 2.5 raised a bare IndexError.
+        st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
+        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        acc = access_tiles(pset, segs, fps, grid, _LAT_40)
+        assert acc.count == 6
+        assert acc.build(np.int64(5))[0].shape[0] == 360 - 5 * coverage.TILE_POINTS
+        with pytest.raises(rv.ConfigError, match=r"tile index .*\[0, 6\)"):
+            acc.build(k)

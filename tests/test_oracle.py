@@ -342,7 +342,7 @@ _SCREEN_CASES = {
 }
 
 
-class TestHorizonScreen:
+class TestAgainstDenseScan:
     @pytest.mark.parametrize("case", list(_SCREEN_CASES))
     def test_access_table_is_bit_identical_to_the_unscreened_scan(self, case):
         cfg = _sim(*_SCREEN_CASES[case])
