@@ -17,9 +17,12 @@ from typing import Any
 
 import numpy as np
 
-from .coverage import RevisitReport, usable_cores
+from .coverage import MAX_GRID_RES_DEG, RevisitReport, usable_cores
 from .earth import EARTH, sso_inclination
-from .engine import MAX_WINDOW_DAYS, MIN_GRID_RES_DEG, EngineSettings, analyze
+from .engine import (
+    DEFAULT_GRID_RES_DEG, DEFAULT_SEGMENT_SAMPLES, DEFAULT_WINDOW_DAYS, MAX_WINDOW_DAYS,
+    MIN_GRID_RES_DEG, EngineSettings, analyze,
+)
 from .errors import ConfigError, RevisitError, is_count
 from .passes import OrbitElements, WalkerConfig
 from .sensor import SensorSpec
@@ -83,9 +86,9 @@ class CaseConfig:
     raan_deg: float = 0.0
     argp_deg: float = 0.0
     nu0_deg: float = 0.0
-    window_days: float = 60.0
-    grid_res_deg: float = 0.1
-    segment_samples: int = 1000
+    window_days: float = DEFAULT_WINDOW_DAYS
+    grid_res_deg: float = DEFAULT_GRID_RES_DEG
+    segment_samples: int = DEFAULT_SEGMENT_SAMPLES
 
     def validate(self) -> None:
         # Field types as annotated: JSON configs can carry any type.
@@ -115,9 +118,10 @@ class CaseConfig:
                 f"window_days must be positive and at most {MAX_WINDOW_DAYS:g}, "
                 f"got {self.window_days:g}"
             )
-        if not MIN_GRID_RES_DEG <= self.grid_res_deg <= 1.0:
+        if not MIN_GRID_RES_DEG <= self.grid_res_deg <= MAX_GRID_RES_DEG:
             raise ConfigError(
-                f"grid_res_deg must be in [{MIN_GRID_RES_DEG:g}, 1], got {self.grid_res_deg:g}"
+                f"grid_res_deg must be in [{MIN_GRID_RES_DEG:g}, {MAX_GRID_RES_DEG:g}], "
+                f"got {self.grid_res_deg:g}"
             )
         if not 0.0 <= self.eccentricity < 1.0:
             raise ConfigError("eccentricity must be in [0, 1)")
@@ -363,8 +367,7 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict[str,
     if workers == 1:
         return list(map(row, ids, cells))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunksize = max(1, len(cells) // (4 * workers))
-        return list(pool.map(row, ids, cells, chunksize=chunksize))
+        return list(pool.map(row, ids, cells))
 
 
 def rows_to_csv(rows: list[dict[str, str]]) -> str:

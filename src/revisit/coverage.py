@@ -46,11 +46,11 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, is_count
-from .passes import PassSet, TrackSegment
+from .passes import TWO_PI, PassSet, TrackSegment
 from .sensor import FootprintAtLatitude
 
-TWO_PI = 2.0 * math.pi
-MAX_GRID_RESOLUTION = math.radians(1.0)
+MAX_GRID_RES_DEG = 1.0
+MAX_GRID_RESOLUTION = math.radians(MAX_GRID_RES_DEG)
 # Lens bins per longitude grid cell.
 BINS_PER_CELL = 64
 # Grid points per tile of the access table.
@@ -79,7 +79,7 @@ class LongitudeGrid:
 def build_grid(resolution: float) -> LongitudeGrid:
     """Build the longitude grid; resolution in rad, at most 1 degree."""
     if not 0.0 < resolution <= MAX_GRID_RESOLUTION + 1e-15:
-        raise ConfigError("grid resolution must be in (0, 1 deg]")
+        raise ConfigError(f"grid resolution must be in (0, {MAX_GRID_RES_DEG:g} deg]")
     n = int(round(TWO_PI / resolution))
     spacing = TWO_PI / n
     return LongitudeGrid(spacing=spacing, lon=-math.pi + spacing * np.arange(n))

@@ -12,6 +12,7 @@ from typing import ClassVar
 
 from .coverage import (
     BINS_PER_CELL,
+    MAX_GRID_RES_DEG,
     MAX_GRID_RESOLUTION,
     AccessTable,
     AccessTiles,
@@ -39,14 +40,14 @@ from .passes import (
 )
 from .sensor import SensorSpec, radius_at_latitude, resolve_footprint
 
-DEFAULT_WINDOW = 60.0 * 86400.0
-DEFAULT_GRID_RES = math.radians(0.1)
+DEFAULT_WINDOW_DAYS = 60.0
+DEFAULT_GRID_RES_DEG = 0.1
 DEFAULT_SEGMENT_SAMPLES = 1000
 
 # Bounds that keep a case's arrays allocatable.
 # Longest window: ten years.
 MAX_WINDOW_DAYS = 3660.0
-# Finest grid spacing: a 360 000-point grid.  The coarsest is 1 degree.
+# Finest grid spacing: a 360 000-point grid.  The coarsest is MAX_GRID_RES_DEG.
 MIN_GRID_RES_DEG = 0.001
 # Most samples of a track segment; each holds about 190 B while a case runs.
 MAX_SEGMENT_SAMPLES = 1_000_000
@@ -56,8 +57,8 @@ MAX_SEGMENT_SAMPLES = 1_000_000
 class EngineSettings:
     """Tunable discretisation of the semi-analytical engine."""
 
-    window: float = DEFAULT_WINDOW
-    grid_res: float = DEFAULT_GRID_RES
+    window: float = DEFAULT_WINDOW_DAYS * 86400.0
+    grid_res: float = math.radians(DEFAULT_GRID_RES_DEG)
     segment_samples: int = DEFAULT_SEGMENT_SAMPLES
     # Fixed discretisation; class attributes, not settings, so that the
     # staged benchmark chain (perfbench/staged.py) can read them here.
@@ -79,7 +80,8 @@ class EngineSettings:
             )
         if not math.radians(MIN_GRID_RES_DEG) <= self.grid_res <= MAX_GRID_RESOLUTION:
             raise ConfigError(
-                f"grid_res must be in [{MIN_GRID_RES_DEG:g}, 1] deg, got {self.grid_res:g} rad"
+                f"grid_res must be in [{MIN_GRID_RES_DEG:g}, {MAX_GRID_RES_DEG:g}] deg, "
+                f"got {self.grid_res:g} rad"
             )
         if not is_count(self.segment_samples):
             raise ConfigError(f"segment_samples must be an integer, got {self.segment_samples!r}")

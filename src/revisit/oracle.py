@@ -20,6 +20,7 @@ from .coverage import AccessTable, sorted_access_table
 from .earth import EARTH, EarthConstants, check_latitude, geodetic_radius
 from .errors import ConfigError, KeplerConvergenceError
 from .passes import (
+    TWO_PI,
     OrbitElements,
     PlaneSpec,
     _mean_from_true,
@@ -27,8 +28,6 @@ from .passes import (
     wrap_angle,
 )
 from .sensor import SensorSpec
-
-TWO_PI = 2.0 * math.pi
 
 
 def solve_kepler(mean_anom, e: float, tol: float = 1e-12, max_iter: int = 50):

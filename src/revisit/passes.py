@@ -184,20 +184,26 @@ def ground_track_shift(p_n: float, raan_rate: float, earth: EarthConstants = EAR
     return p_n * (-earth.rotation_rate + raan_rate)
 
 
-def _mean_from_true(nu: float, e: float) -> float:
-    """Mean anomaly for true anomaly ``nu`` (rad, same revolution)."""
-    ecc_anom = 2.0 * math.atan2(
-        math.sqrt(1.0 - e) * math.sin(0.5 * nu),
-        math.sqrt(1.0 + e) * math.cos(0.5 * nu),
-    )
-    return ecc_anom - e * math.sin(ecc_anom)
+def _mean_from_true(nu, e: float):
+    """Mean anomaly for true anomaly ``nu`` (rad, same revolution), a float or an array.
+
+    np.sin and np.cos give math's bits, but np.arctan2 does not always,
+    so atan2 stays math.atan2, element by element.
+    """
+    half_nu = 0.5 * np.asarray(nu)
+    y = np.ravel(math.sqrt(1.0 - e) * np.sin(half_nu)).tolist()
+    x = np.ravel(math.sqrt(1.0 + e) * np.cos(half_nu)).tolist()
+    ecc_anom = 2.0 * np.reshape(list(map(math.atan2, y, x)), half_nu.shape)
+    mean = ecc_anom - e * np.sin(ecc_anom)
+    return mean if mean.ndim else float(mean)
 
 
-def time_fraction_from_node(el: OrbitElements, nu: float) -> float:
+def time_fraction_from_node(el: OrbitElements, nu):
     """Fraction of a revolution from the ascending node to true anomaly nu.
 
-    In [0, 1).  Uses the mean anomaly, so it is exact for eccentric orbits
-    and reduces to (argp + nu) / 2pi for circular ones.
+    In [0, 1), for a float or an array of nu.  Uses the mean anomaly, so
+    it is exact for eccentric orbits and reduces to (argp + nu) / 2pi for
+    circular ones.
     """
     d_mean = _mean_from_true(nu, el.e) - _mean_from_true(-el.argp, el.e)
     return (d_mean % TWO_PI) / TWO_PI
@@ -341,17 +347,6 @@ def ground_track_segment(
     lat_k = np.arcsin(sin_i * np.sin(u))
     ra = node_relative_ra(u, el.inc)
     d_ra = wrap_angle(ra - ra[n_lo])
-    # time_fraction_from_node at every sample, step for step on the whole
-    # array.  np.sin and np.cos give math's bits, but np.arctan2 does not
-    # always, so atan2 stays math.atan2 element by element.
-    half_nu = 0.5 * (u - el.argp)
-    ecc_anom = 2.0 * np.array(list(map(
-        math.atan2,
-        (math.sqrt(1.0 - el.e) * np.sin(half_nu)).tolist(),
-        (math.sqrt(1.0 + el.e) * np.cos(half_nu)).tolist(),
-    )))
-    d_mean = ecc_anom - el.e * np.sin(ecc_anom) - _mean_from_true(-el.argp, el.e)
-    frac = (d_mean % TWO_PI) / TWO_PI
+    frac = time_fraction_from_node(el, u - el.argp)
     d_frac = wrap_angle((frac - frac[n_lo]) * TWO_PI) / TWO_PI
-    lon_off = d_ra + d_frac * shift
-    return TrackSegment(lat=lat_k, lon_off=np.asarray(lon_off), time_frac=d_frac)
+    return TrackSegment(lat=lat_k, lon_off=d_ra + d_frac * shift, time_frac=d_frac)

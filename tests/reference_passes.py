@@ -6,9 +6,13 @@ on a time grid and bisects each crossing of the target latitude, so tests
 can check the combs against it.
 
 `per_sample_track_segment` samples a track segment as the engine does, but
-takes each sample's time from the ascending node with one scalar
-`time_fraction_from_node` call, the reference for the array expression
-of `revisit.passes.ground_track_segment`.
+takes each sample's time from the ascending node with one scalar call of
+``time_fraction`` (by default the library's `time_fraction_from_node`),
+the reference for the array call of `revisit.passes.ground_track_segment`.
+
+`math_time_fraction` is that conversion by `math` alone, one float at a
+time: the exact counterpart of the library's, which runs np.sin and
+np.cos over an array.
 """
 from __future__ import annotations
 
@@ -65,6 +69,21 @@ def crossing_events(
     return events
 
 
+def math_mean_from_true(nu: float, e: float) -> float:
+    """Mean anomaly for true anomaly ``nu`` (rad, same revolution), by `math` alone."""
+    ecc_anom = 2.0 * math.atan2(
+        math.sqrt(1.0 - e) * math.sin(0.5 * nu),
+        math.sqrt(1.0 + e) * math.cos(0.5 * nu),
+    )
+    return ecc_anom - e * math.sin(ecc_anom)
+
+
+def math_time_fraction(el: OrbitElements, nu: float) -> float:
+    """Fraction of a revolution from the ascending node to true anomaly nu, by `math` alone."""
+    d_mean = math_mean_from_true(nu, el.e) - math_mean_from_true(-el.argp, el.e)
+    return (d_mean % TWO_PI) / TWO_PI
+
+
 def per_sample_track_segment(
     el: OrbitElements,
     lat: float,
@@ -73,6 +92,7 @@ def per_sample_track_segment(
     reach: float,
     ascending: bool = True,
     pad: float = SEGMENT_PAD,
+    time_fraction=time_fraction_from_node,
 ) -> TrackSegment:
     """`revisit.passes.ground_track_segment`, one scalar time fraction per sample."""
     sin_i = math.sin(el.inc)
@@ -92,7 +112,7 @@ def per_sample_track_segment(
     )
     lat_k = np.arcsin(sin_i * np.sin(u))
     d_ra = wrap_angle(node_relative_ra(u, el.inc) - node_relative_ra(u_c, el.inc))
-    frac_c = time_fraction_from_node(el, u_c - el.argp)
-    frac = np.array([time_fraction_from_node(el, uk - el.argp) for uk in u])
+    frac_c = time_fraction(el, u_c - el.argp)
+    frac = np.array([time_fraction(el, uk - el.argp) for uk in u])
     d_frac = wrap_angle((frac - frac_c) * TWO_PI) / TWO_PI
     return TrackSegment(lat=lat_k, lon_off=d_ra + d_frac * shift, time_frac=d_frac)

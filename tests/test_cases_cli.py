@@ -98,6 +98,47 @@ class TestCaseConfig:
         assert walker == single
 
 
+def _refusal(make, **kwargs) -> str | None:
+    """The ConfigError message of make(**kwargs), or None when it accepts them."""
+    try:
+        make(**kwargs)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+class TestSettingsHaveOneHome:
+    def test_a_case_that_sets_no_engine_field_runs_the_engine_defaults(self):
+        unset = CaseConfig(altitude_km=700.0, inclination_deg=60.0, elevation_deg=10.0)
+        assert resolve_case(unset).settings == EngineSettings()
+
+    @pytest.mark.parametrize("case_field, engine_field, to_engine, accepts", [
+        ("window_days", "window", lambda d: d * 86400.0, {
+            0.0: False, 5e-324: True, 3660.0: True, float(np.nextafter(3660.0, 4e3)): False,
+        }),
+        ("grid_res_deg", "grid_res", math.radians, {
+            float(np.nextafter(0.001, 0.0)): False, 0.001: True,
+            1.0: True, float(np.nextafter(1.0, 2.0)): False,
+        }),
+        ("segment_samples", "segment_samples", lambda n: n, {
+            2: False, 3: True, 1_000_000: True, 1_000_001: False,
+        }),
+    ], ids=["window", "grid", "samples"])
+    def test_case_and_engine_share_each_bound(self, case_field, engine_field, to_engine, accepts):
+        # At each bound and one step past it, a case and the engine's own
+        # settings accept and refuse alike, each naming its own field.
+        def case(value):
+            return resolve_case(replace(BASE, **{case_field: value}))
+
+        for value, accepted in accepts.items():
+            by_case = _refusal(case, value=value)
+            by_engine = _refusal(EngineSettings, **{engine_field: to_engine(value)})
+            assert (by_case is None, by_engine is None) == (accepted, accepted), value
+            if not accepted:
+                assert by_case.startswith(f"{case_field} "), by_case
+                assert by_engine.startswith(f"{engine_field} "), by_engine
+
+
 class TestSweep:
     def test_axis_values_inclusive(self):
         spec = SweepSpec(base=BASE, axes={"altitude_km": (400.0, 600.0, 100.0)})

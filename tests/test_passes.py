@@ -7,22 +7,30 @@ import revisit as rv
 from revisit.earth import EarthConstants
 from revisit.oracle import plane_elements, propagate_j2
 from revisit.passes import (
+    TWO_PI,
     OrbitElements,
     PlaneSpec,
     WalkerConfig,
+    _mean_from_true,
     ground_track_segment,
     ground_track_shift,
     keplerian_period,
     nodal_period,
     pass_series,
     raan_drift_rate,
+    time_fraction_from_node,
     walker_planes,
     wrap_angle,
 )
 from revisit.sensor import resolve_footprint
 
 from conftest import make_orbit
-from reference_passes import crossing_events, per_sample_track_segment
+from reference_passes import (
+    crossing_events,
+    math_mean_from_true,
+    math_time_fraction,
+    per_sample_track_segment,
+)
 
 DAY_SIDEREAL = 86164.0905
 
@@ -374,10 +382,56 @@ class TestGroundTrackSegment:
         assert seg.time_frac[mid] == 0.0
         assert seg.lon_off[mid] == 0.0
 
+    @pytest.mark.parametrize("ascending", [True, False], ids=["asc", "desc"])
+    @pytest.mark.parametrize(
+        "e, argp",
+        [(0.0, 0.0), (0.0, 2.0), (0.02, 1.0), (0.1, 4.0)],
+        ids=["circular", "circular_argp", "e0p02", "e0p1"],
+    )
+    def test_time_fractions_equal_the_math_only_conversion(self, e, argp, ascending):
+        # The segment converts its samples as one array; each time must be
+        # the bits of the conversion by math alone, taken sample by sample.
+        el = make_orbit(1000.0, 60.0, e=e, argp=argp)
+        p_n = nodal_period(el.a, el.e, el.inc)
+        shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
+        args = (el, math.radians(30), shift, 2001, math.radians(25), ascending)
+        ref = per_sample_track_segment(*args, time_fraction=math_time_fraction)
+        assert np.array_equal(ground_track_segment(*args).time_frac, ref.time_frac)
+
     def test_needs_three_points(self):
         el = make_orbit(500.0, 97.4)
         with pytest.raises(ValueError):
             ground_track_segment(el, 0.5, -0.4, 2, reach=0.1)
+
+
+# True anomalies over three turns, and a float step to either side of +-pi
+# and a few nanoradians off it, where the half-angle's cosine changes sign.
+_NU = np.concatenate([
+    np.linspace(-3.0 * math.pi, 3.0 * math.pi, 601),
+    [np.nextafter(s * math.pi, to) for s in (-1.0, 1.0) for to in (-4.0, 0.0, 4.0)],
+    [s * math.pi + d for s in (-1.0, 1.0) for d in (-1e-9, 1e-9)],
+])
+
+
+class TestAnomalyConversion:
+    @pytest.mark.parametrize("e", [0.0, 0.02, 0.1])
+    def test_mean_anomaly_of_an_array_equals_each_scalar_call(self, e):
+        # The track segment converts an array at once; the pass comb and the
+        # oracle convert one float at a time.  Both must give math's bits.
+        want = np.array([math_mean_from_true(nu, e) for nu in _NU.tolist()])
+        scalars = [_mean_from_true(nu, e) for nu in _NU.tolist()]
+        assert all(type(m) is float for m in scalars)
+        assert np.array_equal(scalars, want)
+        assert np.array_equal(_mean_from_true(_NU, e), want)
+
+    @pytest.mark.parametrize("e", [0.0, 0.02, 0.1])
+    def test_time_fraction_of_an_array_equals_each_scalar_call(self, e):
+        for argp in np.linspace(0.0, TWO_PI, 13).tolist():
+            el = make_orbit(1000.0, 60.0, e=e, argp=argp)
+            want = np.array([math_time_fraction(el, nu) for nu in _NU.tolist()])
+            scalars = [time_fraction_from_node(el, nu) for nu in _NU.tolist()]
+            assert np.array_equal(scalars, want), argp
+            assert np.array_equal(time_fraction_from_node(el, _NU), want), argp
 
 
 def test_orbit_elements_validation():
