@@ -1,10 +1,12 @@
 """Brute-force numerical point-coverage simulation.
 
 Independent cross-check for the semi-analytical engine: secular-J2
-propagation; at each time step, the grid points that see a satellite,
-one range of the sorted longitudes whose rounding slack the exact
-visibility margin decides, with access edges from the differences
-between steps; and edges refined by bisection of the margin.  Shares
+propagation over every time step; at each step where the satellite's
+cap of visible central angles reaches the target latitude, the grid
+points that see it, one range of the sorted longitudes whose rounding
+slack the exact visibility margin decides, with access edges from the
+differences between steps; and edges refined by bisection of the
+margin.  Steps out of view cost the propagation and one test.  Shares
 the Earth model and secular rates, not the footprint, with the engine,
 so differences isolate method error from model error.
 """
@@ -197,6 +199,10 @@ def _step_ranges(cfg: SimConfig, state):
     RANGE_PAD, returns (lo, count) of the inner ranges, whose points all see
     it, and of the outer ranges, which hold every point that does; and order:
     a range's points at step k are ``order[(lo[k] + arange(count[k])) % n]``.
+    The bound on cos(dlon) of the outer range is taken at every step, the
+    half-widths and binary searches only at the steps in view, where that
+    bound is at most 1.  Every other step has an empty outer range, and so
+    an empty inner one within it: both read (0, 0).
     """
     r, lat_s, lon_s = state
     r_t = geodetic_radius(cfg.lat, cfg.earth)
@@ -209,16 +215,23 @@ def _step_ranges(cfg: SimConfig, state):
         cone = 0.5 * math.pi - np.arccos(np.minimum(edge, 1.0)) - angle
         h = np.where(edge < 1.0, np.minimum(h, cone), h)
     den = math.cos(cfg.lat) * np.cos(lat_s)
+    sin_term = math.sin(cfg.lat) * np.sin(lat_s)
+    outer = np.cos(np.clip(h + RANGE_PAD, 0.0, math.pi)) - RANGE_PAD - sin_term
+    view = np.flatnonzero(outer <= den)
+    h, den, sin_term, lon_s = h[view], den[view], sin_term[view], lon_s[view]
     lon = wrap_angle(cfg.lons)
     order = np.argsort(lon, kind="stable")
     tiled = np.concatenate([lon[order] - TWO_PI, lon[order], lon[order] + TWO_PI])
+    inner = np.cos(np.clip(h - RANGE_PAD, 0.0, math.pi)) + RANGE_PAD - sin_term
     ranges = []
-    for pad in (-RANGE_PAD, RANGE_PAD):
-        num = np.cos(np.clip(h + pad, 0.0, math.pi)) - pad - math.sin(cfg.lat) * np.sin(lat_s)
+    for num in (inner, outer[view]):
         half = np.arccos(np.clip(num / den, -1.0, 1.0))  # den >= cos(pi / 2) ** 2 > 0
         lo = np.searchsorted(tiled, lon_s - half, "left")
         hi = np.searchsorted(tiled, lon_s + half, "right")
-        ranges.append((lo, np.where(num > den, 0, np.minimum(hi - lo, lon.size))))
+        lo_all, count = np.zeros(lat_s.size, np.intp), np.zeros(lat_s.size, np.intp)
+        lo_all[view] = lo
+        count[view] = np.where(num > den, 0, np.minimum(hi - lo, lon.size))
+        ranges.append((lo_all, count))
     return *ranges, order
 
 
@@ -255,26 +268,33 @@ def _step_edges(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
 
     Returns (point, column) sorted by (point, column), a rise and a fall
     per visible run, with column c between steps c - 1 and c; and the
-    number of times the sub-satellite latitude crosses the target.
+    number of times the sub-satellite latitude crosses the target.  The
+    state is propagated over every step; the range differences and the
+    margin run only on the steps, and the columns next to steps, whose
+    ranges hold a point.
     """
     state = propagate_j2(el, times, cfg.earth)
     side = np.sign(state[1] - cfg.lat)
     crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
     n_t, n = times.size, cfg.lons.size
-    (lo, count), outer, order = _step_ranges(cfg, state)
+    (lo, count), (out_lo, out_count), order = _step_ranges(cfg, state)
     # Key p * (n_t + 1) + c names point p at step or column c.  The margin
     # decides E, the few pairs in an outer range and not in the inner one.
-    index, step = _difference(*outer, lo, count, n)
+    held = np.flatnonzero(out_count)
+    index, k = _difference(out_lo[held], out_count[held], lo[held], count[held], n)
+    step = held[k]
     seen = _visible(cfg, cfg.lons[order[index]], tuple(x[step] for x in state))
     fringe = order[index[seen]] * (n_t + 1) + step[seen]
     # The inner ranges C rise at column c on range c minus range c - 1 and
-    # fall on the reverse; none is seen before or after the steps.
+    # fall on the reverse; none is seen before or after the steps, and a
+    # column between two empty ranges changes nothing.
     lo, count = np.r_[0, lo, 0], np.r_[0, count, 0]
-    index, col = _difference(*(np.r_[v[1:], v[:-1]] for v in (lo, count)),
-                             *(np.r_[v[:-1], v[1:]] for v in (lo, count)), n)
+    col = np.flatnonzero(count[1:] | count[:-1])
+    index, k = _difference(*(np.r_[v[col + 1], v[col]] for v in (lo, count)),
+                           *(np.r_[v[col], v[col + 1]] for v in (lo, count)), n)
     # Visibility, C xor E, changes at the keys met an odd number of times
     # among C's changes, E and E + 1.
-    key = np.r_[order[index] * (n_t + 1) + col % (n_t + 1), fringe, fringe + 1]
+    key = np.r_[order[index] * (n_t + 1) + np.r_[col, col][k], fringe, fringe + 1]
     key, met = np.unique(key, return_counts=True)
     return *np.divmod(key[met % 2 == 1], n_t + 1), crossings
 

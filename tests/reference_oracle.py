@@ -1,10 +1,11 @@
 """Dense time-stepped visibility scan: the reference for the oracle's step ranges.
 
-The oracle (`revisit.oracle.simulate_access_table`) takes each step's
-visible grid points as one range of the sorted longitudes, from the
-sensor's cap radius, evaluates the visibility margin only on the few
-points within the range's rounding slack, and finds rises and falls as
-differences of consecutive ranges.  This module evaluates the margin at
+The oracle (`revisit.oracle.simulate_access_table`) passes over the
+steps whose cap of visible central angles misses the target latitude,
+takes each other step's visible grid points as one range of the sorted
+longitudes, from the sensor's cap radius, evaluates the visibility
+margin only on the few points within the range's rounding slack, and
+finds rises and falls as differences of consecutive ranges.  This module evaluates the margin at
 every (grid point, step) pair, in blocks of grid points over all steps,
 and finds the edges of the dense visibility matrix, so tests can check
 that the oracle gives a bit-identical access table.  Both share the

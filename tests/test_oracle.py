@@ -198,7 +198,7 @@ class TestSimulateCoverage:
     @pytest.mark.slow
     def test_reference_row_equatorial(self):
         # Full-resolution reproduction of a published single-satellite
-        # validation row (60-day window, 0.1 deg grid); runs ~5 s.
+        # validation row (60-day window, 0.1 deg grid); runs 1.5 to 2 s.
         el = make_orbit(400.0, 60.0)
         rep = oracle_analyze(el, rv.SensorSpec.elevation(math.radians(10)), 0.0)
         assert rep.mrt_hours == pytest.approx(13.08, abs=0.02)
@@ -294,6 +294,7 @@ _SCATTERED = np.radians(_RNG.permutation(np.concatenate([
     np.arange(-179.531, 180.0, 10.0), _RNG.uniform(-180.0, 180.0, 61),
     [-540.0, 200.0, 359.5, 720.25],
 ])))
+_ORBIT_700_60 = make_orbit(700.0, 60.0)
 _SCREEN_CASES = {
     # The three criterion-4 cross-check configurations, 1 deg grid, 10 days.
     "400km_i60_e10": (make_orbit(400.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
@@ -339,6 +340,15 @@ _SCREEN_CASES = {
                                  argp=math.radians(270.0)),
                 rv.SensorSpec.elevation(math.radians(10)), 60.0, _GRID_4, 3 * 86400.0,
                 rv.WalkerConfig()),
+    # A cap of about 1.2 deg, where RANGE_PAD is the largest share of the
+    # cap radius and most steps are out of view.
+    "cap_under_2deg": (make_orbit(500.0, 60.0), rv.SensorSpec.boresight(math.radians(15)),
+                       30.0, _GRID_1, 3 * 86400.0, rv.WalkerConfig()),
+    # Starts on the ascending node over the equator target and ends 15
+    # nodal periods later, back on it: points are in view at both ends.
+    "in_view_at_both_ends": (_ORBIT_700_60, rv.SensorSpec.elevation(0.0), 0.0, _GRID_1,
+                             15 * nodal_period(_ORBIT_700_60.a, _ORBIT_700_60.e,
+                                               _ORBIT_700_60.inc), rv.WalkerConfig()),
 }
 
 
@@ -351,6 +361,60 @@ class TestAgainstDenseScan:
         for name in ("point", "start", "end"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert (got.pass_count, got.merge_tol) == (want.pass_count, want.merge_tol)
+
+    def test_window_opens_and_closes_in_view(self):
+        cfg = _sim(*_SCREEN_CASES["in_view_at_both_ends"])
+        tab = simulate_access_table(cfg)
+        assert np.any(tab.start == 0.0) and np.any(tab.end == cfg.window)
+
+    def test_a_step_seen_only_through_the_slack_keeps_its_edge(self):
+        # The target latitude is put 5e-8 rad inside the cap's reach at step
+        # 50, on the sub-satellite meridian, as the satellite closes on it:
+        # at that step the inner range is empty and the margin alone finds
+        # the one point visible, so the rise lies between steps 49 and 50.
+        el, sensor = make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10))
+        times = np.arange(0.0, 1001.0, 10.0)
+        state = propagate_j2(el, times)
+        r, lat_s, lon_s = (x[50] for x in state)
+        lat = lat_s
+        for _ in range(3):
+            r_t = geodetic_radius(lat)
+            lat = lat_s + math.acos(r_t * math.cos(sensor.angle) / r) - sensor.angle - 5e-8
+        cfg = SimConfig(elements=(el,), sensor=sensor, lat=lat, lons=[lon_s], window=1000.0)
+        (_, inner), (_, outer), _ = _step_ranges(cfg, state)
+        assert (inner[49:52].tolist(), outer[49:52].tolist()) == ([0, 0, 1], [0, 1, 1])
+        assert _visibility_margin(sensor, geodetic_radius(lat), lat, lon_s, r, lat_s, lon_s) >= 0.0
+        got, want = simulate_access_table(cfg), dense_access_table(cfg)
+        for name in ("point", "start", "end"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.point.size == 1 and times[49] < got.start[0] < times[50]
+
+    @given(
+        perigee_km=st.floats(min_value=300.0, max_value=2000.0),
+        e=st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.05)),
+        inc=st.floats(min_value=0.0, max_value=math.pi),
+        raan=st.floats(min_value=0.0, max_value=2 * math.pi),
+        argp=st.floats(min_value=0.0, max_value=2 * math.pi),
+        nu0=st.floats(min_value=0.0, max_value=2 * math.pi),
+        boresight=st.booleans(),
+        angle_deg=st.floats(min_value=0.0, max_value=60.0),
+        lat_deg=st.floats(min_value=-85.0, max_value=85.0),
+        step=st.sampled_from([10.0, 60.0, 600.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_orbit_is_bit_identical_to_the_unscreened_scan(
+        self, perigee_km, e, inc, raan, argp, nu0, boresight, angle_deg, lat_deg, step
+    ):
+        # Orbits from circular to e = 0.05, both sensor modes, any target
+        # latitude within 85 deg, 4 deg grid, one day; the 40 examples take
+        # 0.6 to 1.7 s on a 2-core machine.
+        el = rv.OrbitElements(a=(rv.EARTH.equatorial_radius + perigee_km) / (1.0 - e), e=e,
+                              inc=inc, raan=raan, argp=argp, nu0=nu0)
+        make = rv.SensorSpec.boresight if boresight else rv.SensorSpec.elevation
+        cfg = _sim(el, make(math.radians(angle_deg)), lat_deg, _GRID_4, 86400.0, step=step)
+        got, want = simulate_access_table(cfg), dense_access_table(cfg)
+        for name in ("point", "start", "end", "pass_count"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_high_latitude_case_takes_every_longitude(self):
         el, sensor, lat_deg, lons, window, _ = _SCREEN_CASES["high_lat_full_window"]
