@@ -14,13 +14,18 @@ fall on every BINS_PER_CELL-th bin from one integer phase per pass.  The
 lens folds every sample's range of offset bins into one row of bins at
 once, by min and max over power-of-two blocks, with no loop over samples.
 
-The table is built one tile of TILE_POINTS grid points at a time.  Both
+The table is built one tile of grid points at a time: tile k holds the
+points k * r onward, where r, tile 0's row count, is the most rows whose
+mean cells fit in TILE_CELLS, at least 1 and at most TILE_POINTS.  So a
+tile's block stays near TILE_CELLS cells however large the fleet.  Both
 branches' lenses are laid out once in one (first, last) pair of arrays,
 whose unseen bins and trailing padding hold (+inf, +inf).  A tile is one
 dense block, a row per grid point and a column per run of a pass's
-offsets that meets the tile, one run a lap.  A cell's bin is its run's
-first bin plus one integer add, read by one gather from the layout; only
-the passes whose accesses can reach past the window's ends are clipped.
+offsets that meets the tile, one run a lap.  The passes are sorted by
+run start once, so a tile finds the few passes that reach it by a binary
+search, not a scan of every pass.  A cell's bin is its run's first bin
+plus one integer add, read by one gather from the layout; only the
+passes whose accesses can reach past the window's ends are clipped.
 Cells that no pass reaches read padding.  Tiles are independent: a
 thread pool, one thread per usable core, builds each tile and reduces it
 to a few partial statistics on the same thread.  So
@@ -28,7 +33,8 @@ to a few partial statistics on the same thread.  So
 The reduction sorts each row's starts and each row's ends on their own:
 as no interval ends before it starts, a point has a gap after its i-th
 interval exactly when its i-th least end is below its (i+1)-th least
-start, and that difference is the gap (see `_tile_partials`).  ART adds
+start, and that difference is the gap, written over the ends in place
+(see `_tile_partials`).  ART adds
 each grid point's gaps on their own, so no report depends on where the
 tiles are cut or on the thread count.  `accesses_for_passes` sorts each
 tile's rows by start and joins them, without their padding, when a
@@ -53,8 +59,11 @@ MAX_GRID_RES_DEG = 1.0
 MAX_GRID_RESOLUTION = math.radians(MAX_GRID_RES_DEG)
 # Lens bins per longitude grid cell.
 BINS_PER_CELL = 64
-# Grid points per tile of the access table.
+# Most grid points per tile of the access table.
 TILE_POINTS = 64
+# Cells per tile: a tile's rows are cut so that their mean cells fit.  2**19
+# cells are a 4 MB float block.
+TILE_CELLS = 2**19
 
 
 def usable_cores() -> int:
@@ -110,12 +119,13 @@ class AccessTable:
 class AccessTiles:
     """The access table as `count` tiles, each built on demand.
 
-    ``build(k)`` returns tile k: grid points k * TILE_POINTS onwards,
-    TILE_POINTS of them (fewer in the last tile, which ends at point
-    grid_size - 1), as two dense (points, cells) arrays.  Row i holds the
-    intervals of point k * TILE_POINTS + i, each with start <= end, and
+    ``build(k)`` returns tile k: grid points k * r onwards, where r is
+    tile 0's row count, r of them (fewer in the last tile, which ends at
+    point grid_size - 1), as two dense (points, cells) arrays.  Row i
+    holds the intervals of point k * r + i, each with start <= end, and
     padding cells with start and end +inf, in any order.  Each build
-    returns new arrays, which the reduction sorts in place.  A build only
+    returns two new arrays that share no memory, which the reduction
+    sorts and overwrites in place.  A build only
     reads the shared inputs, so tiles may be built in any order, again, or
     on several threads at once.  A tile holds whole rows, so where the
     tiles are cut changes no report.  The build of `access_tiles` raises
@@ -223,17 +233,56 @@ def _branch_lens(
     return x_min, x_max, first, last
 
 
-def _laid_out(parts: list[tuple[int, np.ndarray]], size: int) -> np.ndarray:
-    """`size` bins of +inf with each (row, bins) part of `parts` copied in
-    from its row on, except the part's -inf bins, which stay +inf.
+def _laid_out(rows: list[int], parts: list[np.ndarray], size: int) -> np.ndarray:
+    """`size` bins of +inf with each of `parts` copied in from its row in
+    `rows` on, except the part's -inf bins, which stay +inf.
 
     The parts are popped as they are copied, so none outlives its copy.
     """
     out = np.full(size, np.inf)
-    while parts:
-        row, bins = parts.pop()
+    for row in reversed(rows):
+        bins = parts.pop()
         np.copyto(out[row:row + bins.size], bins, where=bins > -np.inf)
     return out
+
+
+def _run_selector(
+    run_start: np.ndarray, n_cand: np.ndarray, n: int
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """The runs of offsets that meet a tile, as a function of the tile.
+
+    Pass k reaches the grid points run_start_k + j, j < n_cand_k, modulo n.
+    ``runs(p0, rows)`` gives (col, j) for the grid points p0 to p0 + rows -
+    1: lap m of pass k meets them as the run of offsets j_m + row, with j_m
+    = ((p0 - run_start_k) mod n) - n + m * n, and each lap whose run meets
+    [0, n_cand_k) is one (col, j) pair, in (pass, lap) order.
+
+    A lap meets the tile only if its pass's run starts in the circular
+    window [p0 - max(n_cand) + 1, p0 + rows - 1].  The passes are sorted by
+    run start once, so a tile finds the passes whose run starts there by
+    one or two `searchsorted` ranges and takes the laps of those alone, put
+    back in pass order.  Where the window covers the grid, every pass is
+    taken.
+    """
+    longest = int(np.max(n_cand, initial=0))
+    lap_shift = n * np.arange(-(-longest // n) + 1) - n
+    order = np.argsort(run_start, kind="stable")
+    sorted_start = run_start[order]
+
+    def runs(p0: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        if longest + rows <= n:
+            lo = p0 - longest + 1
+            a, z = np.searchsorted(sorted_start, [lo % n, p0 + rows])
+            # A window that starts below point 0 wraps past point n - 1.
+            picked = order[a:z] if lo >= 0 else np.concatenate([order[a:], order[:z]])
+            col = np.sort(picked)
+        else:
+            col = np.arange(run_start.size)
+        j = ((p0 - run_start[col]) % n)[:, None] + lap_shift
+        meets = (j > -rows) & (j < n_cand[col, None])
+        return col[np.nonzero(meets)[0]], j[meets]
+
+    return runs
 
 
 def access_tiles(
@@ -254,31 +303,28 @@ def access_tiles(
     (+inf, +inf), and so does each branch's trailing padding, long enough
     that any offset of a tile past its lens reads it.
 
-    A tile's rows are the grid points p0 to p0 + rows - 1.  Lap m of pass
-    k meets them as the run of offsets j_m + row, with j_m = ((p0 -
-    base_k) mod n) - n + m * n; a run longer than the grid reaches a
-    point once per lap.  Each run that meets [0, n_cand) is one column, in
-    (pass, lap) order: where no pass reaches a point twice, that is pass
-    order.  A cell's bin is its column's first bin plus bins_per_cell *
-    row, one integer add.  A run that starts inside the tile has offsets
-    below 0 in its first rows; those cells read a padding bin.  Only the
-    passes whose accesses can leave [0, window], found once for the whole
-    set, have their columns clipped to the window and the cells wholly
-    off it blanked.  The lenses, the layout and the integer phases are
-    computed here; each tile only when the returned `AccessTiles` builds
-    it.
+    A tile holds r rows, the grid points p0 to p0 + r - 1 (fewer in the
+    last tile).  r is the most rows whose mean cells, sum(n_cand) / n a
+    row, fit in TILE_CELLS, at least 1 and at most TILE_POINTS.  Each lap
+    of a pass whose run of offsets meets the tile is one column, in (pass,
+    lap) order (see `_run_selector`): where no pass reaches a point twice,
+    that is pass order.  A cell's bin is its column's first bin plus
+    bins_per_cell * row, one integer add.  A run that starts inside the
+    tile has offsets below 0 in its first rows; those cells read a padding
+    bin.  Only the passes whose accesses can leave [0, window], found once
+    for the whole set, have their columns clipped to the window and the
+    cells wholly off it blanked.  The lenses, the layout, the integer
+    phases and the passes sorted by run start are computed here; each tile
+    only when the returned `AccessTiles` builds it.
     """
     n, window = grid.size, pset.window
-    # Read once, so the layout's padding and every tile agree on it.
-    tile_points = TILE_POINTS
-    most_rows = min(tile_points, n)
     merge_tol = 0.0
     bin_width = grid.spacing / bins_per_cell
     n_cand, base, phase = (np.zeros(len(pset), dtype=np.int64) for _ in range(3))
     edge = np.zeros(len(pset), dtype=bool)
-    firsts: list[tuple[int, np.ndarray]] = []
-    lasts: list[tuple[int, np.ndarray]] = []
-    size = 0
+    branches: list[tuple[np.ndarray, int]] = []
+    firsts: list[np.ndarray] = []
+    lasts: list[np.ndarray] = []
     for is_asc in (True, False):
         seg = segments[is_asc]
         t = seg.time_frac * pset.nodal_period
@@ -295,32 +341,39 @@ def access_tiles(
         # Offset j's lens bin, rint(((base + j) * spacing - pi - lam_c - lo) / bin_width),
         # is its value at j = 0 plus bins_per_cell * j: bins_per_cell is even, so
         # a half-bin tie rounds alike at every j.  base rounds up, so no bin is
-        # below lo's.  phase is the bin at j = 0 as a row of the laid-out lenses,
-        # at most size + 1 + bins_per_cell.
-        phase[sel] = size + 1 + np.rint(
-            (base[sel] * grid.spacing - math.pi - lam_c - lo) / bin_width
-        )
+        # below lo's.  phase is the bin at j = 0 counted from the bin before the
+        # lens, at most 1 + bins_per_cell; the lens's row in the layout is added
+        # below.
+        phase[sel] = 1 + np.rint((base[sel] * grid.spacing - math.pi - lam_c - lo) / bin_width)
         # Adding an epoch rounds monotonically, so a pass whose earliest first
         # and latest last bin land in [0, window] has every access there.
         edge[sel] = (epoch + np.min(lens[2]) < 0.0) | (epoch + np.max(lens[3]) > window)
-        firsts.append((size, lens[2]))
-        lasts.append((size, lens[3]))
+        branches.append((sel, cand))
+        firsts.append(lens[2])
+        lasts.append(lens[3])
+    # The lists now hold the only references to the branch lenses, so each
+    # is freed once it is laid out.
+    del lens
+    # Read once, so the layout's padding and every tile agree on them.
+    row_cells = max(1, -(-int(np.sum(n_cand)) // n))
+    tile_points = max(1, min(TILE_POINTS, TILE_CELLS // row_cells))
+    most_rows = min(tile_points, n)
+    rows_at: list[int] = []
+    size = 0
+    for sel, cand in branches:
+        phase[sel] += size
+        rows_at.append(size)
         # A tile reads offsets up to n_cand + most_rows - 2, so bins up to
         # size + 1 + bins_per_cell * (n_cand + most_rows - 1).  That covers
         # the lens's at most (hi - lo) / bin_width + 4 bins too, as
         # bins_per_cell * n_cand >= (hi - lo) / bin_width + bins_per_cell.
         size += 2 + bins_per_cell * (cand + most_rows - 1)
-    # The lists now hold the only references to the branch lenses, so each
-    # is freed once it is laid out.
-    del lens
-    first = _laid_out(firsts, size)
-    last = _laid_out(lasts, size)
+    first = _laid_out(rows_at, firsts, size)
+    last = _laid_out(rows_at, lasts, size)
     # Passes of a branch without a lens see nothing.
     keep = n_cand > 0
     epoch, n_cand, phase, edge = pset.epoch[keep], n_cand[keep], phase[keep], edge[keep]
-    run_start = base[keep] % n
-    # The first offset of lap m's run is ((p0 - base) mod n) - n + m * n.
-    lap_shift = n * np.arange(-(-int(np.max(n_cand, initial=0)) // n) + 1) - n
+    runs = _run_selector(base[keep] % n, n_cand, n)
     row_bins = bins_per_cell * np.arange(most_rows)[:, None]
     count = -(-n // tile_points)
 
@@ -330,11 +383,14 @@ def access_tiles(
             raise ConfigError(f"tile index must be an integer in [0, {count}), got {k!r}")
         p0 = k * tile_points
         rows = min(tile_points, n - p0)
-        j = ((p0 - run_start) % n)[:, None] + lap_shift
-        meets = (j > -rows) & (j < n_cand[:, None])
-        col = np.nonzero(meets)[0]
-        j = j[meets]
-        at = phase[col] + bins_per_cell * j + row_bins[:rows]
+        col, j = runs(p0, rows)
+        # The starts and the ends are the two halves of one allocation, freed
+        # together: glibc's malloc then keeps it for the thread's next tile,
+        # where two blocks of their own were trimmed back to the OS after most
+        # tiles and paged in again (about 70 000 minor page faults a pass of
+        # the 24/6/0 case at 0.1 deg and 60 days, against none).
+        block = np.empty((2, rows, col.size), dtype=np.int64)
+        at = np.add(phase[col] + bins_per_cell * j, row_bins[:rows], out=block[0])
         # A run that starts inside the tile has -j rows at offsets below 0.
         # Their cells read row 0 of the layout, a padding bin: the bin at
         # offset -1 may be the lens's first.
@@ -343,9 +399,9 @@ def access_tiles(
         row = np.arange(np.sum(below)) - np.repeat(np.cumsum(below) - below, below)
         at.ravel()[row * at.shape[1] + np.repeat(neg, below)] = 0
         # Every index is in range, and mode="clip" keeps take from buffering
-        # `out`, so the starts are gathered into the index block itself,
-        # after the ends.
-        en = last.take(at, mode="clip")
+        # `out`, so the ends are gathered into the second half and the starts
+        # into the index block itself, after the ends.
+        en = last.take(at, mode="clip", out=block[1].view(np.float64))
         st = first.take(at, mode="clip", out=at.view(np.float64))
         ep = epoch[col]
         st += ep
@@ -429,9 +485,12 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     breaks one raises `ConfigError`.  The order of a point's rows does not
     matter.
 
-    The table is cut every TILE_POINTS grid points, and each cut is padded
-    into a tile as `access_tiles` gives it for `tile_stats`.  The cuts only
-    bound the memory of one padded block.
+    The table is cut every r grid points, and each cut is padded to its
+    widest row into a tile as `access_tiles` gives it for `tile_stats`.  r
+    is the most rows of the table's widest row that fit in TILE_CELLS, at
+    least 1 and at most TILE_POINTS, so a padded block holds at most
+    max(TILE_CELLS, widest row) cells.  The cuts only bound the memory of
+    one padded block.
     """
     n = table.grid_size
     if not (is_count(n) and n >= 1):
@@ -449,14 +508,15 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
         raise ConfigError("no table interval may end before it starts")
     if not table.merge_tol >= 0.0:
         raise ConfigError(f"table merge_tol must be at least 0, got {table.merge_tol!r}")
-    bounds = np.searchsorted(table.point, np.r_[0:n:TILE_POINTS, n])
+    widest = int(np.max(np.bincount(point), initial=1))
+    points = max(1, min(TILE_POINTS, TILE_CELLS // widest))
+    bounds = np.searchsorted(point, np.r_[0:n:points, n])
 
     def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
         a, z = bounds[k], bounds[k + 1]
-        cut = table.point[a:z] - k * TILE_POINTS
-        counts = np.bincount(cut, minlength=min(TILE_POINTS, n - k * TILE_POINTS))
-        start = np.full((counts.size, int(np.max(counts))), np.inf)
-        end = np.full(start.shape, np.inf)
+        cut = point[a:z] - k * points
+        counts = np.bincount(cut, minlength=min(points, n - k * points))
+        start, end = np.full((2, counts.size, int(np.max(counts))), np.inf)
         # Row r of point p goes to row p, column r - (p's first row).
         first_row = np.cumsum(counts) - counts
         cell = cut * start.shape[1] + np.arange(z - a) - first_row[cut]
@@ -483,7 +543,8 @@ def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, np.ndarray, int, in
     the greatest end of its first i + 1 intervals: S[i + 1] - E[i] is the
     exact difference of two table times that a running max of the ends in
     start order gives.  Where there is no gap, both differences are at
-    most 0, so neither counts.
+    most 0, so neither counts.  The differences are written over E, so the
+    reduction holds no third block.
     """
     start, end = acc.build(k)
     start.sort(axis=1)
@@ -493,8 +554,11 @@ def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, np.ndarray, int, in
     # = inf, then inf - inf = NaN; neither passes `keep`.
     width = int(np.max(np.count_nonzero(start < np.inf, axis=1), initial=0))
     start, end = start[:, :width], end[:, :width]
+    # The gaps overwrite the ends, which nothing reads after them, unless a
+    # build gave one array as both.
+    out = None if np.may_share_memory(start, end) else end[:, :-1]
     with np.errstate(invalid="ignore"):
-        raw = start[:, 1:] - end[:, :-1]
+        raw = np.subtract(start[:, 1:], end[:, :-1], out=out)
     keep = (raw > acc.merge_tol) & (raw < np.inf)
     gaps = raw[keep]
     # A point's gaps are one run of `gaps`, so its sum depends on that

@@ -12,13 +12,17 @@ for every grid point instead, so tests can check the lens against them.
 The engine also builds the table one tile of grid points at a time and
 sorts each tile by itself.  `dense_access_table` builds it the untiled
 way, one dense (pass, candidate offset) block per branch and one global
-sort, so tests can check the tiles against it.  `point_by_point_gaps`
+sort, so tests can check the tiles against it.  A tile takes the laps of
+only the passes whose runs start near it; `full_scan_runs` computes the
+laps of every pass for every tile, the reference for that selection in
+`revisit.coverage._run_selector`.  `point_by_point_gaps`
 merges a table's intervals one grid point at a time, the reference for
 the gap merge of `revisit.coverage.revisit_stats`.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -125,6 +129,19 @@ def pass_accesses(
     return out
 
 
+def full_scan_runs(
+    run_start: np.ndarray, n_cand: np.ndarray, n: int
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """`revisit.coverage._run_selector` with no selection: each tile takes
+    the lap offsets of every pass and keeps the laps that meet it."""
+    lap_shift = n * np.arange(-(-int(np.max(n_cand, initial=0)) // n) + 1) - n
+
+    def runs(p0: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        j = ((p0 - run_start) % n)[:, None] + lap_shift
+        meets = (j > -rows) & (j < n_cand[:, None])
+        return np.nonzero(meets)[0], j[meets]
+
+    return runs
 
 
 def dense_access_table(

@@ -14,6 +14,7 @@ from revisit.coverage import (
     AccessTable,
     AccessTiles,
     _branch_lens,
+    _run_selector,
     access_tiles,
     accesses_for_passes,
     build_grid,
@@ -35,6 +36,7 @@ from revisit.sensor import FootprintAtLatitude, radius_at_latitude, resolve_foot
 from conftest import make_orbit
 from reference_access import (
     dense_access_table,
+    full_scan_runs,
     painted_lens,
     pass_accesses,
     point_by_point_gaps,
@@ -549,6 +551,63 @@ class TestTilesAgainstDense:
             assert np.array_equal(got, want)
 
 
+class TestRunSelection:
+    # 24/6/0's 3600 one-row tiles take about 1 s.
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.slow) if name == "walker_24_6_0" else name
+        for name in sorted(_TILE_CASES)
+    ])
+    def test_tiles_equal_the_full_scan(self, name, monkeypatch):
+        # A tile takes the laps of only the passes whose runs start in its
+        # window, or of every pass where the window covers the grid.  With
+        # TILE_CELLS set so that tiles hold 1, 7 and 64 rows, every tile's
+        # blocks must be those that the full scan of every pass gives, bit
+        # for bit and in the same column order.  Tile 0's window always
+        # wraps past the grid's last point.
+        el, sensor, lat, walker, st, select, _ = _TILE_CASES[name]
+        pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st, walker)
+        if select is not None:
+            pset = _subset(pset, select(pset))
+        _, n_cand = dense_access_table(pset, segs, fps, grid, lat)
+        row_cells = max(1, -(-int(np.sum(n_cand)) // grid.size))
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(coverage, "TILE_CELLS", rows * row_cells)
+            acc = access_tiles(pset, segs, fps, grid, lat)
+            with monkeypatch.context() as m:
+                m.setattr(coverage, "_run_selector", full_scan_runs)
+                ref = access_tiles(pset, segs, fps, grid, lat)
+            assert acc.count == ref.count == -(-grid.size // rows)
+            got = [acc.build(k) for k in range(acc.count)]
+            want = [ref.build(k) for k in range(ref.count)]
+            assert [start.shape[0] for start, _ in got] == [
+                min(rows, grid.size - p0) for p0 in range(0, grid.size, rows)]
+            assert not any(np.may_share_memory(start, end) for start, end in got)
+            for i in (0, 1):
+                assert [tile[i].shape for tile in got] == [tile[i].shape for tile in want]
+                assert (np.concatenate([tile[i].ravel() for tile in got]).tobytes()
+                        == np.concatenate([tile[i].ravel() for tile in want]).tobytes())
+
+    def test_a_window_that_wraps_past_the_last_point(self):
+        # On a 100-point grid, pass 0's run covers points 99 and 0 to 3, so
+        # it meets tile [0, 7) from offset 1; pass 1's starts inside it, at
+        # point 3.  Passes 2 and 4 end at point 98 and meet only the last
+        # tile, [93, 100), where passes 0, 2 and 4 all start.
+        run_start = np.array([99, 3, 97, 50, 98, 10])
+        n_cand = np.array([5, 4, 2, 5, 1, 5])
+        runs = _run_selector(run_start, n_cand, 100)
+        ref = full_scan_runs(run_start, n_cand, 100)
+        for p0, rows, cols, offsets in [
+            (0, 7, [0, 1], [1, -3]),
+            (0, 1, [0], [1]),
+            (93, 7, [0, 2, 4], [-6, -4, -5]),
+            (98, 2, [0, 2, 4], [-1, 1, 0]),
+        ]:
+            col, j = runs(p0, rows)
+            assert col.tolist() == cols and j.tolist() == offsets
+            for got, want in zip((col, j), ref(p0, rows)):
+                assert np.array_equal(got, want)
+
+
 def _phase_and_float_bins(pset, segs, fps, grid, lat):
     """Yield (phase, bins) for each branch with a lens.
 
@@ -884,6 +943,22 @@ class TestEngineTable:
         assert peaks[1] < peaks[4] < 4 * peaks[1]
         assert peaks[4] < 0.25 * table_bytes
 
+    def test_peak_grows_little_with_the_fleet(self, monkeypatch):
+        # Tiles are cut by a cell budget, and a tile meets only the passes
+        # that reach it, so on two threads a 96/12/1 fleet, with four times
+        # the passes and cells of 24/6/0, peaks within half again of it.
+        monkeypatch.setattr(coverage, "TILE_CELLS", 2**15)
+        st = EngineSettings(window=5 * _DAY)
+        peaks = []
+        for walker in (rv.WalkerConfig(24, 6, 0), rv.WalkerConfig(96, 12, 1)):
+            tracemalloc.start()
+            try:
+                analyze(_FLEET_ORBIT, _ELEV_10, _LAT_40, walker, st, threads=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
     def test_zero_width_sensor_covers_nothing(self):
         el = make_orbit(600.0, 55.0)
         sensor = rv.SensorSpec.boresight(0.0)
@@ -944,13 +1019,18 @@ class TestThreadedReduction:
 
     def test_no_report_depends_on_the_tile_size_or_the_thread_count(self, monkeypatch):
         # One point a tile, 7, the default 64 and the whole grid in one
-        # tile, each on 1, 2 and 5 threads: the engine, `revisit_stats` of
-        # its joined table and `revisit_stats` of the unevenly padded
-        # sparse table each give one report.
+        # tile, and tiles cut by a budget of 3000 cells (9 points of the
+        # engine's mean row, 4 of the sparse table's widest), each on 1, 2
+        # and 5 threads: the engine, `revisit_stats` of its joined table and
+        # `revisit_stats` of the unevenly padded sparse table each give one
+        # report.
         joined = access_table(*_MULTI_TILE_CASE)
         sparse = _sparse_table()
         engine_reports, sparse_reports = set(), set()
-        for tile_points in (1, 7, 64, None):
+        sizes = [(p, coverage.TILE_CELLS) for p in (1, 7, 64, None)]
+        sizes.append((64, 3000))
+        for tile_points, tile_cells in sizes:
+            monkeypatch.setattr(coverage, "TILE_CELLS", tile_cells)
             for threads in (1, 2, 5):
                 monkeypatch.setattr(coverage, "usable_cores", lambda: threads)
                 monkeypatch.setattr(coverage, "TILE_POINTS", tile_points or joined.grid_size)
@@ -961,6 +1041,33 @@ class TestThreadedReduction:
         assert len(engine_reports) == 1 and len(sparse_reports) == 1
         (report,) = engine_reports
         assert report.gap_count > 1000 and report.coverage_fraction == 1.0
+
+    def test_stats_blocks_are_cut_by_the_cell_budget(self, monkeypatch):
+        # The sparse table's widest row holds point 0's 700 intervals.  With
+        # a budget of 4096 cells, `revisit_stats` cuts it every 5 points, so
+        # no padded block holds more than 4096 cells; with a budget below
+        # one row, every point is a block of its own.
+        sparse = _sparse_table()
+        report = revisit_stats(sparse)
+        tile_stats_of = coverage.tile_stats
+        blocks = []
+
+        def recording_tile_stats(acc, **kwargs):
+            def build(k):
+                start, end = acc.build(k)
+                blocks.append(start.shape)
+                return start, end
+
+            return tile_stats_of(replace(acc, build=build), **kwargs)
+
+        monkeypatch.setattr(coverage, "tile_stats", recording_tile_stats)
+        for tile_cells, rows in ((4096, 5), (100, 1)):
+            monkeypatch.setattr(coverage, "TILE_CELLS", tile_cells)
+            blocks.clear()
+            assert revisit_stats(sparse) == report
+            assert len(blocks) == -(-sparse.grid_size // rows)
+            assert {shape[0] for shape in blocks} == {rows}
+            assert max(a * b for a, b in blocks) <= max(tile_cells, 700)
 
     def test_tile_error_comes_out_of_analyze(self, monkeypatch):
         # An error raised on a worker thread reaches the caller as itself,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import revisit as rv
-from revisit.coverage import AccessTable, revisit_stats
+from revisit.coverage import AccessTable, _run_selector, revisit_stats
 from revisit.engine import EngineSettings, analyze
 from revisit.sensor import (
     SensorSpec,
@@ -17,7 +17,7 @@ from revisit.sensor import (
 )
 
 from conftest import make_orbit
-from reference_access import point_by_point_gaps
+from reference_access import full_scan_runs, point_by_point_gaps
 
 R_EQ = 6378.137
 
@@ -237,3 +237,33 @@ def test_gaps_of_sorted_ends_equal_the_running_max(tables):
     else:
         assert rep.mrt_hours is None and rep.art_hours is None
     assert revisit_stats(shuffled) == rep
+
+
+@st.composite
+def _pass_runs(draw):
+    """A grid size, each pass's run start (its base modulo the grid) and
+    candidate count, up to runs twice the grid's length, and a tile size."""
+    n = draw(st.integers(1, 300))
+    passes = draw(st.integers(0, 30))
+    base = np.array(draw(st.lists(st.integers(-10 * n, 10 * n), min_size=passes,
+                                  max_size=passes)), dtype=np.int64)
+    longest = draw(st.sampled_from([n // 10, n // 2, n - 1, n, 2 * n + 3]))
+    n_cand = np.array(draw(st.lists(st.integers(1, max(1, longest)), min_size=passes,
+                                    max_size=passes)), dtype=np.int64)
+    return n, base % n, n_cand, draw(st.integers(1, min(n, 70)))
+
+
+@given(runs=_pass_runs())
+@settings(max_examples=200, deadline=None)
+def test_run_selection_equals_the_full_scan(runs):
+    # A tile takes the laps of only the passes whose runs start in its
+    # window, found by `searchsorted` on the run starts, or of every pass
+    # where the window covers the grid.  On every tile, its columns and
+    # offsets must be the full scan's, in the same (pass, lap) order.
+    n, run_start, n_cand, rows = runs
+    select = _run_selector(run_start, n_cand, n)
+    scan = full_scan_runs(run_start, n_cand, n)
+    for p0 in range(0, n, rows):
+        tile_rows = min(rows, n - p0)
+        for got, want in zip(select(p0, tile_rows), scan(p0, tile_rows)):
+            assert np.array_equal(got, want)
