@@ -6,9 +6,10 @@ secular-J2 orbit in 10 s steps and tests point visibility directly,
 refining access boundaries by bisection.  Agreement between the two on
 the same grid and window validates the analytical shortcuts.
 
-Runs a reduced case (1 deg grid, 10 days) in about a second, of which
-the simulation takes 0.1 to 0.3 s on a shared 2-core machine; the same
-comparison at full resolution is what the acceptance suite automates.
+Runs a reduced case (1 deg grid, 10 days) in about 0.3 s, of which the
+simulation, on one thread per core, takes 0.07 to 0.1 s on a shared
+2-core machine; the same comparison at full resolution is what the
+acceptance suite automates.
 """
 import math
 import time

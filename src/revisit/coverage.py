@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -71,6 +71,22 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def thread_map(fn: Callable, units: Sequence, threads: int | None = None) -> list:
+    """``[fn(u) for u in units]``, on up to ``threads`` threads (default: one per usable core).
+
+    No more threads than units are started, and the pool lives only for
+    this call; with one thread or one unit the calls run in order on the
+    calling thread, with no pool.
+    """
+    if threads is not None and not (is_count(threads) and threads >= 1):
+        raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
+    threads = min(usable_cores() if threads is None else threads, len(units))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, units))
+    return list(map(fn, units))
 
 
 @dataclass(frozen=True)
@@ -593,15 +609,7 @@ def tile_stats(
     and integer counts, so the report depends neither on the thread count
     nor on where the tiles are cut.
     """
-    if threads is not None and not (is_count(threads) and threads >= 1):
-        raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
-    threads = min(usable_cores() if threads is None else threads, acc.count)
-    reduce = partial(_tile_partials, acc)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(reduce, range(acc.count)))
-    else:
-        partials = list(map(reduce, range(acc.count)))
+    partials = thread_map(partial(_tile_partials, acc), range(acc.count), threads)
     n_grid = acc.grid_size
     longest, point_sums, n_gaps, covered, latest = zip(*partials)
     n_gaps, covered = sum(n_gaps), sum(covered)

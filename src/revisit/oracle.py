@@ -9,16 +9,28 @@ differences between steps; and edges refined by bisection of the
 margin.  Steps out of view cost the propagation and one test.  Shares
 the Earth model and secular rates, not the footprint, with the engine,
 so differences isolate method error from model error.
+
+Each satellite's steps are cut into chunks of CHUNK_STEPS.  A chunk owns
+the edge columns between its steps and the step before it, so it
+propagates that one step more, and it finds every visibility change in
+its columns on its own; each satellite's changes are then sorted once
+and paired into rises and falls, which are bisected in chunks of
+CHUNK_STEPS edges.  Both kinds of chunk run on a thread pool, one thread
+per usable core, so a thread holds one chunk's arrays, never a whole
+window's.  Every state is propagated element by element (`solve_kepler`
+stops each element on its own residual), so the table is the same bits
+whatever the chunk size and the thread count.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .coverage import AccessTable, sorted_access_table
+from .coverage import AccessTable, sorted_access_table, thread_map
 from .earth import EARTH, EarthConstants, check_latitude, geodetic_radius
 from .errors import ConfigError, KeplerConvergenceError
 from .passes import (
@@ -33,17 +45,26 @@ from .sensor import SensorSpec
 
 
 def solve_kepler(mean_anom, e: float, tol: float = 1e-12, max_iter: int = 50):
-    """Eccentric anomaly from mean anomaly, Newton iteration."""
+    """Eccentric anomaly from mean anomaly, Newton iteration.
+
+    Each element stops on its own residual: it keeps the update of the
+    first iteration whose |f| is below ``tol``.  So an element's result
+    does not depend on the other elements of its array.
+    """
     m = np.asarray(mean_anom, dtype=float)
     if e == 0.0:
         return m
     m_red = np.mod(m, TWO_PI)
-    ecc = m_red + e * np.sin(m_red)
+    ecc = np.ravel(m_red + e * np.sin(m_red))
+    m_flat = np.ravel(m_red)
+    live = np.arange(ecc.size)
     for _ in range(max_iter):
-        f = ecc - e * np.sin(ecc) - m_red
-        ecc = ecc - f / (1.0 - e * np.cos(ecc))
-        if np.max(np.abs(f)) < tol:
-            return ecc + (m - m_red)
+        x = ecc[live]
+        f = x - e * np.sin(x) - m_flat[live]
+        ecc[live] = x - f / (1.0 - e * np.cos(x))
+        live = live[~(np.abs(f) < tol)]
+        if live.size == 0:
+            return ecc.reshape(m.shape) + (m - m_red)
     raise KeplerConvergenceError("Kepler iteration did not converge")
 
 
@@ -113,10 +134,14 @@ def plane_elements(el: OrbitElements, planes: Sequence[PlaneSpec]) -> list[Orbit
 
 # Time step of the simulation unless a caller sets one, s.
 DEFAULT_STEP = 10.0
-# Most time steps one simulation may take.  Each satellite holds a few
-# float arrays of one element per step, so this caps each at 32 MB; 60
-# days at 10 s is 518 401 steps.
+# Most time steps one simulation may take: 60 days at 10 s is 518 401
+# steps.  No array holds one element per step; this bounds the run time
+# and the keys p (n_t + 1) + c, which stay far inside int64.
 MAX_ORACLE_STEPS = 4_000_000
+# Steps of one satellite propagated and screened at once, and edges
+# bisected at once: a chunk's arrays, not the window's, set each thread's
+# memory.  2**14 steps are a 128 kB float array.
+CHUNK_STEPS = 2**14
 
 
 @dataclass(frozen=True)
@@ -248,12 +273,24 @@ def _difference(x, x_len, y, y_len, n: int):
     return index % n, np.repeat(np.arange(start.size) % x.size, length)
 
 
-def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times, lo_vis: bool) -> np.ndarray:
+def _step_count(cfg: SimConfig) -> int:
+    """Steps of the grid: every multiple of the step up to the window, and the window."""
+    n_steps = int(math.floor(cfg.window / cfg.step))
+    return n_steps + 1 + int(n_steps * cfg.step < cfg.window - 1e-9)
+
+
+def _step_times(cfg: SimConfig, k) -> np.ndarray:
+    """Times of the steps numbered k, s: k step, or the window past the last multiple."""
+    n_steps = int(math.floor(cfg.window / cfg.step))
+    return np.where(k > n_steps, cfg.window, k * cfg.step)
+
+
+def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, lo_vis: bool) -> np.ndarray:
     """Bisect each change from lo_vis at step hi_step - 1 to its opposite to refine_tol."""
     if pt.size == 0:
         return np.empty(0)
     lon_t = cfg.lons[pt]
-    lo, hi = times[hi_step - 1], times[hi_step]
+    lo, hi = _step_times(cfg, hi_step - 1), _step_times(cfg, hi_step)
     n_iter = max(1, math.ceil(math.log2(cfg.step / cfg.refine_tol)))
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
@@ -263,69 +300,88 @@ def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, times, lo_vis: bool)
     return 0.5 * (lo + hi)
 
 
-def _step_edges(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
-    """Visibility changes of one satellite on the step grid, and its crossings.
+def _chunk_keys(cfg: SimConfig, n_t: int, unit: tuple[OrbitElements, int]):
+    """Visibility changes of one satellite in the columns of one chunk, and its crossings.
 
-    Returns (point, column) sorted by (point, column), a rise and a fall
-    per visible run, with column c between steps c - 1 and c; and the
-    number of times the sub-satellite latitude crosses the target.  The
-    state is propagated over every step; the range differences and the
-    margin run only on the steps, and the columns next to steps, whose
-    ranges hold a point.
+    The chunk of ``unit = (el, a)`` owns columns a to b - 1, b = min(a +
+    CHUNK_STEPS, n_t), and column n_t too when b = n_t; column c lies
+    between steps c - 1 and c, so the chunk propagates steps a - 1 to b - 1.
+    Returns the sorted keys p (n_t + 1) + c of the (point, column) pairs
+    where visibility changes, and the number of times the sub-satellite
+    latitude crosses the target between two of the chunk's steps.  The
+    ranges' differences and the margin run only on the steps, and the
+    columns next to steps, whose ranges hold a point.
     """
-    state = propagate_j2(el, times, cfg.earth)
+    el, a = unit
+    b = min(a + CHUNK_STEPS, n_t)
+    first = max(a - 1, 0)
+    state = propagate_j2(el, _step_times(cfg, np.arange(first, b)), cfg.earth)
     side = np.sign(state[1] - cfg.lat)
     crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
-    n_t, n = times.size, cfg.lons.size
+    n = cfg.lons.size
     (lo, count), (out_lo, out_count), order = _step_ranges(cfg, state)
-    # Key p * (n_t + 1) + c names point p at step or column c.  The margin
-    # decides E, the few pairs in an outer range and not in the inner one.
+    # Key p * (n_t + 1) + c names point p at column c.  The margin decides
+    # E, the few pairs in an outer range and not in the inner one; E at
+    # step s changes visibility at columns s and s + 1 if the chunk owns them.
     held = np.flatnonzero(out_count)
     index, k = _difference(out_lo[held], out_count[held], lo[held], count[held], n)
     step = held[k]
     seen = _visible(cfg, cfg.lons[order[index]], tuple(x[step] for x in state))
-    fringe = order[index[seen]] * (n_t + 1) + step[seen]
+    fringe_pt, fringe_col = order[index[seen]], first + step[seen]
+    fringe_pt, fringe_col = np.r_[fringe_pt, fringe_pt], np.r_[fringe_col, fringe_col + 1]
+    owned = (fringe_col >= a) & ((fringe_col < b) | (b == n_t))
     # The inner ranges C rise at column c on range c minus range c - 1 and
-    # fall on the reverse; none is seen before or after the steps, and a
-    # column between two empty ranges changes nothing.
-    lo, count = np.r_[0, lo, 0], np.r_[0, count, 0]
+    # fall on the reverse; none is seen before step 0 or after step n_t -
+    # 1, and a column between two empty ranges changes nothing.
+    head, tail = np.zeros(int(a == 0), np.intp), np.zeros(int(b == n_t), np.intp)
+    lo, count = np.r_[head, lo, tail], np.r_[head, count, tail]
     col = np.flatnonzero(count[1:] | count[:-1])
     index, k = _difference(*(np.r_[v[col + 1], v[col]] for v in (lo, count)),
                            *(np.r_[v[col], v[col + 1]] for v in (lo, count)), n)
     # Visibility, C xor E, changes at the keys met an odd number of times
     # among C's changes, E and E + 1.
-    key = np.r_[order[index] * (n_t + 1) + np.r_[col, col][k], fringe, fringe + 1]
+    key = np.r_[order[index] * (n_t + 1) + a + np.r_[col, col][k],
+                fringe_pt[owned] * (n_t + 1) + fringe_col[owned]]
     key, met = np.unique(key, return_counts=True)
-    return *np.divmod(key[met % 2 == 1], n_t + 1), crossings
-
-
-def _sat_intervals(el: OrbitElements, cfg: SimConfig, times: np.ndarray):
-    """Refined visibility intervals of one satellite and its latitude crossings.
-
-    Returns (point, start, end) arrays sorted by (point, start) and the
-    number of times the sub-satellite latitude crosses the target
-    between time steps.
-    """
-    pt, col, crossings = _step_edges(el, cfg, times)
-    rise, fall = col[0::2], col[1::2]
-    start = np.zeros(rise.size)
-    inner = rise > 0
-    start[inner] = _refine(el, cfg, pt[0::2][inner], rise[inner], times, lo_vis=False)
-    end = np.full(fall.size, cfg.window)
-    inner = fall < times.size
-    end[inner] = _refine(el, cfg, pt[1::2][inner], fall[inner], times, lo_vis=True)
-    return pt[0::2], start, end, crossings
+    return key[met % 2 == 1], crossings
 
 
 def simulate_access_table(cfg: SimConfig) -> AccessTable:
-    """Run the time-stepped simulation and assemble the access table."""
-    n_steps = int(math.floor(cfg.window / cfg.step))
-    times = np.arange(n_steps + 1, dtype=float) * cfg.step
-    if times[-1] < cfg.window - 1e-9:
-        times = np.append(times, cfg.window)
-    parts = [_sat_intervals(el, cfg, times) for el in cfg.elements]
-    points, starts, ends, crossings = ([part[k] for part in parts] for k in range(4))
+    """Run the time-stepped simulation and assemble the access table.
+
+    Both phases run on `coverage.thread_map`: first every satellite's
+    chunks of CHUNK_STEPS steps, then its inner rises and falls in chunks
+    of CHUNK_STEPS edges, each bisected by `_refine`.
+    """
+    n_t = _step_count(cfg)
+    cuts = range(0, n_t, CHUNK_STEPS)
+    units = [(el, a) for el in cfg.elements for a in cuts]
+    keyed = thread_map(partial(_chunk_keys, cfg, n_t), units)
+    points, starts, ends, crossings, bisections = [], [], [], 0, []
+    for k, el in enumerate(cfg.elements):
+        keys, counts = zip(*keyed[k * len(cuts) : (k + 1) * len(cuts)])
+        crossings += sum(counts)
+        # Sorted by (point, column), the changes are a rise and a fall per
+        # visible run; a rise at column 0 starts at 0 and a fall at column
+        # n_t ends at the window, and every other edge is bisected.
+        pt, col = np.divmod(np.sort(np.concatenate(keys)), n_t + 1)
+        start, end = np.zeros(pt.size // 2), np.full(pt.size // 2, cfg.window)
+        for out, parity, lo_vis in ((start, 0, False), (end, 1, True)):
+            edge_pt, edge_col = pt[parity::2], col[parity::2]
+            inner = np.flatnonzero((edge_col > 0) & (edge_col < n_t))
+            for i in range(0, inner.size, CHUNK_STEPS):
+                at = inner[i : i + CHUNK_STEPS]
+                bisections.append((out, at, el, edge_pt[at], edge_col[at], lo_vis))
+        points.append(pt[0::2])
+        starts.append(start)
+        ends.append(end)
+
+    def bisect(job) -> None:
+        out, at, el, pt, col, lo_vis = job
+        out[at] = _refine(el, cfg, pt, col, lo_vis)
+
+    thread_map(bisect, bisections)
     return sorted_access_table(
         points, starts, ends, grid_size=cfg.lons.size, merge_tol=cfg.refine_tol,
-        pass_count=sum(crossings),
+        pass_count=crossings,
     )

@@ -25,7 +25,7 @@ BLOCK_MARGINS = 2**21
 
 
 def dense_sat_intervals(el, cfg: SimConfig, times: np.ndarray):
-    """`oracle._sat_intervals` with every pair evaluated."""
+    """One satellite's (point, start, end) arrays and latitude crossings, every pair evaluated."""
     state = propagate_j2(el, times, cfg.earth)
     side = np.sign(state[1] - cfg.lat)
     crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
@@ -46,10 +46,10 @@ def dense_sat_intervals(el, cfg: SimConfig, times: np.ndarray):
     rise, fall = col[0::2], col[1::2]
     start = np.zeros(rise.size)
     inner = rise > 0
-    start[inner] = _refine(el, cfg, pt[0::2][inner], rise[inner], times, lo_vis=False)
+    start[inner] = _refine(el, cfg, pt[0::2][inner], rise[inner], lo_vis=False)
     end = np.full(fall.size, cfg.window)
     inner = fall < n_t
-    end[inner] = _refine(el, cfg, pt[1::2][inner], fall[inner], times, lo_vis=True)
+    end[inner] = _refine(el, cfg, pt[1::2][inner], fall[inner], lo_vis=True)
     return pt[0::2], start, end, crossings
 
 

@@ -1,10 +1,14 @@
+import functools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import revisit as rv
+from revisit import coverage, oracle
 from revisit.coverage import revisit_stats
 from revisit.earth import geodetic_radius
 from revisit.engine import EngineSettings, analyze, oracle_analyze
@@ -42,6 +46,29 @@ class TestKeplerSolver:
     def test_convergence_guard(self):
         with pytest.raises(KeplerConvergenceError):
             solve_kepler(np.array([2.0]), 0.95, max_iter=1)
+        # Mean anomaly 0 is solved on the first iteration; the other
+        # element is not, and fails the whole call.
+        with pytest.raises(KeplerConvergenceError):
+            solve_kepler(np.array([0.0, 2.0]), 0.95, max_iter=1)
+
+    @pytest.mark.parametrize("e", [0.001, 0.05, 0.3, 0.9])
+    def test_each_element_is_solved_on_its_own(self, e):
+        # Each element stops on its own residual, so an array gives the
+        # bits of its pieces, here cut at random with single elements
+        # among them, and so does the state `propagate_j2` builds on it.
+        rng = np.random.default_rng(11)
+        m = rng.uniform(-30.0, 30.0, 20_001)
+        cuts = np.sort(rng.choice(np.arange(1, m.size), 60, replace=False))
+        cuts = np.r_[cuts, cuts[:5] + 1]
+        pieces = np.split(np.arange(m.size), np.unique(cuts))
+        whole = solve_kepler(m, e)
+        assert np.array_equal(np.concatenate([solve_kepler(m[i], e) for i in pieces]), whole)
+        assert all(float(solve_kepler(m[k], e)) == whole[k] for k in range(0, m.size, 997))
+        el = rv.OrbitElements(a=7000.0 / (1.0 - e), e=e, inc=1.1, argp=0.4, nu0=2.0)
+        t = np.sort(rng.uniform(0.0, 10 * 86400.0, m.size))
+        states = [propagate_j2(el, t[i]) for i in pieces]
+        for got, want in zip(zip(*states), propagate_j2(el, t)):
+            assert np.array_equal(np.concatenate(got), want)
 
     def test_true_from_mean_round_trip(self):
         for e in (0.0, 0.2):
@@ -198,7 +225,7 @@ class TestSimulateCoverage:
     @pytest.mark.slow
     def test_reference_row_equatorial(self):
         # Full-resolution reproduction of a published single-satellite
-        # validation row (60-day window, 0.1 deg grid); runs 1.5 to 2 s.
+        # validation row (60-day window, 0.1 deg grid); runs 0.8 to 1.1 s.
         el = make_orbit(400.0, 60.0)
         rep = oracle_analyze(el, rv.SensorSpec.elevation(math.radians(10)), 0.0)
         assert rep.mrt_hours == pytest.approx(13.08, abs=0.02)
@@ -349,23 +376,107 @@ _SCREEN_CASES = {
     "in_view_at_both_ends": (_ORBIT_700_60, rv.SensorSpec.elevation(0.0), 0.0, _GRID_1,
                              15 * nodal_period(_ORBIT_700_60.a, _ORBIT_700_60.e,
                                                _ORBIT_700_60.inc), rv.WalkerConfig()),
+    # The same over one nodal period: 591 steps, few enough for chunks of one.
+    "in_view_one_period": (_ORBIT_700_60, rv.SensorSpec.elevation(0.0), 0.0, _GRID_1,
+                           nodal_period(_ORBIT_700_60.a, _ORBIT_700_60.e, _ORBIT_700_60.inc),
+                           rv.WalkerConfig()),
 }
+
+
+@functools.cache
+def _dense_table(case):
+    return dense_access_table(_sim(*_SCREEN_CASES[case]))
+
+
+# Chunks of 97 steps and of more steps than the window holds on every case,
+# each case at 1, 2 or 3 threads in turn.
+_CHUNKINGS = [
+    pytest.param(case, chunk, 1 + (k + j) % 3, id=f"{case}-{chunk or 'whole'}")
+    for k, case in enumerate(_SCREEN_CASES)
+    for j, chunk in enumerate((97, None))
+]
 
 
 class TestAgainstDenseScan:
     @pytest.mark.parametrize("case", list(_SCREEN_CASES))
     def test_access_table_is_bit_identical_to_the_unscreened_scan(self, case):
         cfg = _sim(*_SCREEN_CASES[case])
-        got, want = simulate_access_table(cfg), dense_access_table(cfg)
+        got, want = simulate_access_table(cfg), _dense_table(case)
         assert want.point.size > 0
         for name in ("point", "start", "end"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert (got.pass_count, got.merge_tol) == (want.pass_count, want.merge_tol)
 
+    @pytest.mark.parametrize("case, chunk, threads", _CHUNKINGS)
+    def test_no_table_depends_on_the_chunks_or_the_thread_count(
+        self, case, chunk, threads, monkeypatch
+    ):
+        # Each column's parity is complete in the one chunk that owns it,
+        # and every state is propagated element by element, so any chunk
+        # size on any thread count gives the dense scan's table bit for bit.
+        cfg = _sim(*_SCREEN_CASES[case])
+        n_t = int(cfg.window // cfg.step) + 2
+        monkeypatch.setattr(oracle, "CHUNK_STEPS", chunk or n_t)
+        monkeypatch.setattr(coverage, "usable_cores", lambda: threads)
+        got, want = simulate_access_table(cfg), _dense_table(case)
+        for name in ("point", "start", "end", "pass_count"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_chunks_of_one_step_or_edge_give_the_dense_scan(self, threads, monkeypatch):
+        # 591 one-step chunks and one unit per edge, their bisections
+        # written into shared arrays, on up to more threads than a 2-core
+        # machine has and with thread switches forced often: the table
+        # is still the dense scan's.  The case is in view at both ends.
+        case = "in_view_one_period"
+        cfg = _sim(*_SCREEN_CASES[case])
+        monkeypatch.setattr(oracle, "CHUNK_STEPS", 1)
+        monkeypatch.setattr(coverage, "usable_cores", lambda: threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_access_table(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        want = _dense_table(case)
+        assert np.any(got.start == 0.0) and np.any(got.end == cfg.window)
+        for name in ("point", "start", "end", "pass_count"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_a_visible_run_spans_many_chunks(self, monkeypatch):
+        # The near-geostationary satellite keeps points in view for hours:
+        # runs that rise and fall inside the window across 5 chunks and more.
+        monkeypatch.setattr(oracle, "CHUNK_STEPS", 97)
+        cfg = _sim(*_SCREEN_CASES["near_geo"])
+        got = simulate_access_table(cfg)
+        inner = (got.start > 0.0) & (got.end < cfg.window)
+        assert np.any(inner & (got.end - got.start > 5 * 97 * cfg.step))
+        for name in ("point", "start", "end"):
+            assert np.array_equal(getattr(got, name), getattr(_dense_table("near_geo"), name))
+
+    def test_peak_memory_does_not_grow_with_the_window(self, monkeypatch):
+        # One thread holds one chunk's arrays at a time, so 16 days peak
+        # within 1.5 times 2 days, whose 17 281 steps fill one chunk.  An
+        # array of one element per step would make the peak grow 8-fold.
+        monkeypatch.setattr(coverage, "usable_cores", lambda: 1)
+        peaks = []
+        for days in (2, 16):
+            cfg = _sim(make_orbit(500.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
+                       20.0, _GRID_4, days * 86400.0)
+            assert cfg.window / cfg.step > oracle.CHUNK_STEPS
+            tracemalloc.start()
+            try:
+                simulate_access_table(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
     def test_window_opens_and_closes_in_view(self):
-        cfg = _sim(*_SCREEN_CASES["in_view_at_both_ends"])
-        tab = simulate_access_table(cfg)
-        assert np.any(tab.start == 0.0) and np.any(tab.end == cfg.window)
+        for case in ("in_view_at_both_ends", "in_view_one_period"):
+            cfg = _sim(*_SCREEN_CASES[case])
+            tab = simulate_access_table(cfg)
+            assert np.any(tab.start == 0.0) and np.any(tab.end == cfg.window)
 
     def test_a_step_seen_only_through_the_slack_keeps_its_edge(self):
         # The target latitude is put 5e-8 rad inside the cap's reach at step
