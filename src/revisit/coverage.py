@@ -3,7 +3,8 @@
 Each pass deposits access intervals on a discretised longitude grid at the
 target latitude: a grid point is visible at a track sample when it falls
 inside the footprint ellipse (half-width in longitude, half ground range
-in latitude) centred on that sample.  Access start/end times come from
+in latitude) centred on that sample, whose one home is
+`FootprintAtLatitude.half_chord`.  Access start/end times come from
 the first/last visible sample of the pass.
 
 Because every pass of a branch shares the same track segment shape, the
@@ -189,11 +190,12 @@ def _branch_lens(
     """First/last visible sample time versus longitude offset, one branch.
 
     Sample k of the segment (times ``t``, in time order) sees the offsets
-    [lon_off - w, lon_off + w], where w is the ellipse half-chord at the
-    sample's latitude distance from the target; on a fine offset grid
-    that is the bin range [lo_k, hi_k).  Each bin takes the least time of
-    the samples that see it (first) and the time of the latest such
-    sample k (last).  As t rises with k, last is also their greatest time.
+    [lon_off - w, lon_off + w], where w is the footprint's half-chord of
+    the target latitude circle (`FootprintAtLatitude.half_chord`); on a
+    fine offset grid that is the bin range [lo_k, hi_k).  Each bin takes
+    the least time of the samples that see it (first) and the time of the
+    latest such sample k (last).  As t rises with k, last is also their
+    greatest time.
 
     The ranges are folded in without a per-sample loop.  A nonempty range
     is the union of two power-of-two blocks of the same level,
@@ -211,16 +213,11 @@ def _branch_lens(
     latitude.  Bins no sample sees, including one padding bin at each
     end, hold first = inf and last = -inf.
     """
-    lam = footprint.lon_half_width
-    if lam <= 0.0:
-        return None
-    # lam > 0 implies a positive ground range.
-    dlat = (segment.lat - lat) / footprint.ground_range
-    w2 = 1.0 - dlat * dlat
-    valid = w2 >= 0.0
+    w = footprint.half_chord(segment.lat, lat)
+    valid = w >= 0.0
     if not np.any(valid):
         return None
-    w = lam * np.sqrt(w2[valid])
+    w = w[valid]
     left = segment.lon_off[valid] - w
     right = segment.lon_off[valid] + w
     x_min = float(np.min(left))
@@ -456,7 +453,7 @@ def join_tiles(acc: AccessTiles) -> AccessTable:
     p0 = 0
     for k in range(acc.count):
         start, end = acc.build(k)
-        # A stable sort keeps each point's equal starts in (lap, pass) order
+        # A stable sort keeps each point's equal starts in (pass, lap) order
         # and moves the padding last.
         order = np.argsort(start, axis=1, kind="stable")
         start, end = (np.take_along_axis(a, order, axis=1) for a in (start, end))
@@ -570,11 +567,10 @@ def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, np.ndarray, int, in
     # = inf, then inf - inf = NaN; neither passes `keep`.
     width = int(np.max(np.count_nonzero(start < np.inf, axis=1), initial=0))
     start, end = start[:, :width], end[:, :width]
-    # The gaps overwrite the ends, which nothing reads after them, unless a
-    # build gave one array as both.
-    out = None if np.may_share_memory(start, end) else end[:, :-1]
+    # The gaps overwrite the ends, which nothing reads after them: a build's
+    # two arrays share no memory.
     with np.errstate(invalid="ignore"):
-        raw = np.subtract(start[:, 1:], end[:, :-1], out=out)
+        raw = np.subtract(start[:, 1:], end[:, :-1], out=end[:, :-1])
     keep = (raw > acc.merge_tol) & (raw < np.inf)
     gaps = raw[keep]
     # A point's gaps are one run of `gaps`, so its sum depends on that

@@ -6,7 +6,7 @@ otherwise.  Degrees appear only at I/O boundaries (CLI, demos).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, SunSyncInfeasibleError
 
@@ -30,6 +30,10 @@ class EarthConstants:
     j2: float = 1.08262668e-3
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if not (self.equatorial_radius > self.polar_radius > 0.0):
             raise ConfigError("require equatorial_radius > polar_radius > 0")
         if self.rotation_rate <= 0.0 or self.mu <= 0.0:

@@ -15,7 +15,7 @@ from .coverage import (
     MAX_GRID_RES_DEG,
     MAX_GRID_RESOLUTION,
     AccessTable,
-    AccessTiles,
+    LongitudeGrid,
     RevisitReport,
     access_tiles,
     build_grid,
@@ -30,6 +30,7 @@ from .passes import (
     OrbitElements,
     PassSet,
     PlaneSpec,
+    TrackSegment,
     WalkerConfig,
     ground_track_segment,
     ground_track_shift,
@@ -38,7 +39,7 @@ from .passes import (
     raan_drift_rate,
     walker_planes,
 )
-from .sensor import SensorSpec, radius_at_latitude, resolve_footprint
+from .sensor import FootprintAtLatitude, SensorSpec, radius_at_latitude, resolve_footprint
 
 DEFAULT_WINDOW_DAYS = 60.0
 DEFAULT_GRID_RES_DEG = 0.1
@@ -107,14 +108,16 @@ def build_pass_set(
     return pass_series(el, lat, shift, p_n, settings.window, planes)
 
 
-def _tiled_accesses(
+def branch_inputs(
     el: OrbitElements,
     sensor: SensorSpec,
     lat: float,
-    walker: WalkerConfig,
-    settings: EngineSettings,
-) -> tuple[AccessTiles, bool]:
-    """Access tiles plus a flag noting a beyond-horizon footprint clamp."""
+    walker: WalkerConfig = WalkerConfig(),
+    settings: EngineSettings = EngineSettings(),
+) -> tuple[PassSet, dict[bool, TrackSegment], dict[bool, FootprintAtLatitude], LongitudeGrid]:
+    """A case's pass set, track segments and footprints by branch (True =
+    ascending) and grid, in `access_tiles`' argument order.  Both footprint
+    half-sizes are scaled by ``settings.footprint_scale``."""
     pset = build_pass_set(el, lat, walker, settings=settings)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
     scale = settings.footprint_scale
@@ -128,10 +131,7 @@ def _tiled_accesses(
             el, lat, pset.shift_per_rev, settings.segment_samples,
             reach=footprints[asc].ground_range, ascending=asc,
         )
-    grid = build_grid(settings.grid_res)
-    tiles = access_tiles(pset, segments, footprints, grid, lat)
-    clamped = footprints[True].clamped or footprints[False].clamped
-    return tiles, clamped
+    return pset, segments, footprints, build_grid(settings.grid_res)
 
 
 def access_table(
@@ -142,7 +142,7 @@ def access_table(
     settings: EngineSettings = EngineSettings(),
 ) -> AccessTable:
     """The whole access table that `analyze` reduces tile by tile."""
-    return join_tiles(_tiled_accesses(el, sensor, lat, walker, settings)[0])
+    return join_tiles(access_tiles(*branch_inputs(el, sensor, lat, walker, settings), lat))
 
 
 def analyze(
@@ -159,7 +159,9 @@ def analyze(
     threads (by default one per usable core; see `tile_stats`), and never
     held whole.  The report does not depend on the thread count.
     """
-    acc, clamped = _tiled_accesses(el, sensor, lat, walker, settings)
+    pset, segments, footprints, grid = branch_inputs(el, sensor, lat, walker, settings)
+    clamped = footprints[True].clamped or footprints[False].clamped
+    acc = access_tiles(pset, segments, footprints, grid, lat)
     return tile_stats(acc, clamped=clamped, threads=threads)
 
 

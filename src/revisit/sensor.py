@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .earth import EARTH, EarthConstants, check_latitude, geodetic_radius
 from .errors import ConfigError, LatitudeUnreachableError, PoleOverlapError
 
@@ -63,6 +65,19 @@ class FootprintAtLatitude:
     ground_range: float
     lon_half_width: float
     clamped: bool = False
+
+    def half_chord(self, sample_lat: np.ndarray, lat: float) -> np.ndarray:
+        """Longitude half-width of the latitude circle ``lat`` that the
+        footprint, centred at each of ``sample_lat``, sees: the ellipse's
+        lon_half_width * sqrt(1 - (dlat / ground_range)^2), and NaN where it
+        sees none of the circle (|dlat| > ground_range, or a size of 0)."""
+        chord = np.full(np.shape(sample_lat), np.nan)
+        if self.lon_half_width > 0.0 and self.ground_range > 0.0:
+            dlat = (sample_lat - lat) / self.ground_range
+            w2 = 1.0 - dlat * dlat
+            np.sqrt(w2, out=chord, where=w2 >= 0.0)
+            chord *= self.lon_half_width
+        return chord
 
 
 def radius_at_latitude(el: "OrbitElements", lat: float) -> tuple[float, float, float, float]:

@@ -1,7 +1,8 @@
 """Reference access evaluations for the engine's shortcuts.
 
 `painted_lens` builds a branch lens one track sample at a time, the
-reference for the range fold of `revisit.coverage._branch_lens`.
+reference for the range fold of `revisit.coverage._branch_lens`.  Both
+take what each sample sees from `FootprintAtLatitude.half_chord`.
 
 The engine looks up each grid point's first/last visible track sample in
 a per-branch lens binned on a fine longitude-offset grid
@@ -49,27 +50,22 @@ def painted_lens(
     Paints each sample's visible bin range [lo, hi) in time order: first
     keeps the least time written to a bin and last the latest write.
     """
-    theta = footprint.ground_range
-    lam = footprint.lon_half_width
-    dlat = (segment.lat - lat) / theta if theta > 0.0 else np.full_like(segment.lat, np.inf)
-    w2 = 1.0 - dlat * dlat
-    valid = w2 >= 0.0
-    if not np.any(valid) or lam <= 0.0:
+    w = footprint.half_chord(segment.lat, lat)
+    valid = w >= 0.0
+    if not np.any(valid):
         return None
-    w = lam * np.sqrt(np.where(valid, w2, 0.0))
-    left = segment.lon_off - w
-    right = segment.lon_off + w
-    x_min = float(np.min(left[valid]))
-    x_max = float(np.max(right[valid]))
+    left = segment.lon_off[valid] - w[valid]
+    right = segment.lon_off[valid] + w[valid]
+    x_min = float(np.min(left))
+    x_max = float(np.max(right))
     nb = int(math.ceil((x_max - x_min) / bin_width)) + 1
     first = np.full(nb + 2, np.inf)
     last = np.full(nb + 2, -np.inf)
     los = np.ceil((left - x_min) / bin_width - 1e-9).astype(np.int64) + 1
     his = np.floor((right - x_min) / bin_width + 1e-9).astype(np.int64) + 2
-    for k in np.flatnonzero(valid):
-        lo, hi = los[k], his[k]
-        np.minimum(first[lo:hi], t[k], out=first[lo:hi])
-        last[lo:hi] = t[k]
+    for lo, hi, tk in zip(los, his, t[valid]):
+        np.minimum(first[lo:hi], tk, out=first[lo:hi])
+        last[lo:hi] = tk
     return x_min, x_max, first, last
 
 

@@ -22,7 +22,7 @@ from revisit.coverage import (
     revisit_stats,
     tile_stats,
 )
-from revisit.engine import EngineSettings, access_table, analyze, build_pass_set
+from revisit.engine import EngineSettings, access_table, analyze, branch_inputs, build_pass_set
 from revisit.passes import (
     TrackSegment,
     ground_track_segment,
@@ -31,7 +31,7 @@ from revisit.passes import (
     raan_drift_rate,
     wrap_angle,
 )
-from revisit.sensor import FootprintAtLatitude, radius_at_latitude, resolve_footprint
+from revisit.sensor import FootprintAtLatitude, resolve_footprint
 
 from conftest import make_orbit
 from reference_access import (
@@ -154,26 +154,6 @@ def _random_case(rng, index):
     return el, sensor, lat
 
 
-def _engine_inputs(el, sensor, lat, st, walker=rv.WalkerConfig()):
-    """Pass set, segments by branch, footprints by branch and grid of one
-    configuration, as `engine.access_table` builds them."""
-    grid = build_grid(st.grid_res)
-    pset = build_pass_set(el, lat, walker, settings=st)
-    _, _, r_asc, r_desc = radius_at_latitude(el, lat)
-    fps = {
-        True: resolve_footprint(sensor, r_asc, lat),
-        False: resolve_footprint(sensor, r_desc, lat),
-    }
-    segs = {
-        asc: ground_track_segment(
-            el, lat, pset.shift_per_rev, st.segment_samples,
-            reach=fps[asc].ground_range, ascending=asc,
-        )
-        for asc in (True, False)
-    }
-    return pset, segs, fps, grid
-
-
 def _subset(pset, sel):
     """The passes of ``pset`` that ``sel`` selects, as a pass set."""
     return replace(
@@ -188,7 +168,7 @@ def _branch_accesses(el, sensor, lat, st):
     Yields (branch, segment, footprint, binned, exact, merge_tol) per branch:
     ``binned`` and ``exact`` map (grid point, pass) to (start, end).
     """
-    pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st)
+    pset, segs, fps, grid = branch_inputs(el, sensor, lat, settings=st)
     for asc in (True, False):
         branch = _subset(pset, pset.ascending == asc)
         table = accesses_for_passes(branch, segs, fps, grid, lat, st.bins_per_cell)
@@ -296,7 +276,7 @@ def _lens_inputs(name):
                   else rv.SensorSpec.boresight(math.radians(30.0)))
         el = make_orbit(700.0, 60.0, e=float(e), argp=1.0)
         st = EngineSettings(window=86400.0, segment_samples=1001)
-        pset, segs, fps, grid = _engine_inputs(el, sensor, math.radians(40.0), st)
+        pset, segs, fps, grid = branch_inputs(el, sensor, math.radians(40.0), settings=st)
         seg = segs[asc == "asc"]
         return (seg, seg.time_frac * pset.nodal_period, fps[asc == "asc"],
                 math.radians(40.0), grid.spacing / BINS_PER_CELL)
@@ -304,8 +284,8 @@ def _lens_inputs(name):
         # The 5-sample track of test_sparse_samples_leave_empty_interior_bins.
         el = rv.OrbitElements(a=rv.EARTH.equatorial_radius + 700.0, inc=math.radians(10.0))
         st = EngineSettings(window=86400.0, grid_res=math.radians(0.25), segment_samples=5)
-        pset, segs, fps, grid = _engine_inputs(el, rv.SensorSpec.elevation(math.radians(10.0)),
-                                               0.0, st)
+        pset, segs, fps, grid = branch_inputs(el, rv.SensorSpec.elevation(math.radians(10.0)),
+                                              0.0, settings=st)
         return (segs[True], segs[True].time_frac * pset.nodal_period, fps[True], 0.0,
                 grid.spacing / BINS_PER_CELL)
     lat = math.radians(20.0)
@@ -446,11 +426,11 @@ class TestTilesAgainstDense:
     def test_point_order_keeps_ties_in_order(self):
         # Eight passes at each ascending epoch, an eighth of a cell apart,
         # share many first visible samples and so many starts, with other
-        # ends.  Each point's rows must keep (lap, pass) order among equal
+        # ends.  Each point's rows must keep (pass, lap) order among equal
         # starts, as np.lexsort((start, point)) does over the dense block of
         # one branch, whose passes each reach a point at most once.
         st = EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0))
-        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        pset, segs, fps, grid = branch_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, settings=st)
         pset = _subset(pset, np.repeat(np.flatnonzero(pset.ascending), 8))
         shift = np.tile(np.arange(8) / 8, len(pset) // 8) * grid.spacing
         pset = replace(pset, lon=wrap_angle(pset.lon + shift))
@@ -470,7 +450,7 @@ class TestTilesAgainstDense:
         # dense table, the table sorted by (point, start), and both tables
         # and the streamed tiles must give the same report.
         el, sensor, lat, walker, st, select, least_cand = _TILE_CASES[name]
-        pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st, walker)
+        pset, segs, fps, grid = branch_inputs(el, sensor, lat, walker, st)
         if select is not None:
             pset = _subset(pset, select(pset))
         acc = access_tiles(pset, segs, fps, grid, lat)
@@ -517,7 +497,7 @@ class TestTilesAgainstDense:
         # end, so some of their accesses are cut at an edge and some lie
         # wholly outside the window.
         st = EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0))
-        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        pset, segs, fps, grid = branch_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, settings=st)
         pset = replace(pset, epoch=np.r_[0.0, pset.epoch[1:-1], st.window])
         dense, _ = dense_access_table(pset, segs, fps, grid, _LAT_40)
         assert np.count_nonzero(dense.start == 0.0) > 10
@@ -533,7 +513,7 @@ class TestTilesAgainstDense:
         # tile 1, so that tile's rows for points 64 to 99 hold its offsets
         # -36 to -1.  None of them is an access of the pass.
         st = EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0))
-        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        pset, segs, fps, grid = branch_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, settings=st)
         asc = bool(pset.ascending[0])
         bin_width = grid.spacing / BINS_PER_CELL
         seg = segs[asc]
@@ -565,7 +545,7 @@ class TestRunSelection:
         # for bit and in the same column order.  Tile 0's window always
         # wraps past the grid's last point.
         el, sensor, lat, walker, st, select, _ = _TILE_CASES[name]
-        pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st, walker)
+        pset, segs, fps, grid = branch_inputs(el, sensor, lat, walker, st)
         if select is not None:
             pset = _subset(pset, select(pset))
         _, n_cand = dense_access_table(pset, segs, fps, grid, lat)
@@ -581,7 +561,14 @@ class TestRunSelection:
             want = [ref.build(k) for k in range(ref.count)]
             assert [start.shape[0] for start, _ in got] == [
                 min(rows, grid.size - p0) for p0 in range(0, grid.size, rows)]
-            assert not any(np.may_share_memory(start, end) for start, end in got)
+            # The reduction overwrites a build's ends with the gaps, so no
+            # build, of the engine or of `revisit_stats`, may share memory.
+            cut = []
+            with monkeypatch.context() as m:
+                m.setattr(coverage, "tile_stats", lambda acc, **kw: cut.append(acc))
+                revisit_stats(join_tiles(acc))
+            built = [cut[0].build(k) for k in range(cut[0].count)]
+            assert not any(np.may_share_memory(start, end) for start, end in got + built)
             for i in (0, 1):
                 assert [tile[i].shape for tile in got] == [tile[i].shape for tile in want]
                 assert (np.concatenate([tile[i].ravel() for tile in got]).tobytes()
@@ -673,7 +660,7 @@ class TestPassPhase:
         # The two must agree at every (pass, j < n_cand) of a 60-day window.
         el, sensor, lat, walker = _PHASE_CASES[name]
         st = EngineSettings(grid_res=math.radians(res_deg))
-        pset, segs, fps, grid = _engine_inputs(el, sensor, lat, st, walker)
+        pset, segs, fps, grid = branch_inputs(el, sensor, lat, walker, st)
         pairs = 0
         for phase, bins in _phase_and_float_bins(pset, segs, fps, grid, lat):
             assert np.array_equal(phase + BINS_PER_CELL * np.arange(bins.shape[1]), bins)
@@ -694,7 +681,7 @@ class TestPassPhase:
         # offset down.  Just above the tie, the table differs, which shows
         # that the tie decides accesses.
         st = EngineSettings(window=2 * _DAY, grid_res=math.radians(1.0))
-        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        pset, segs, fps, grid = branch_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, settings=st)
         lam = _half_bin_lon(pset, segs, fps, grid, _LAT_40)
 
         def dense(lon0):
@@ -1006,8 +993,9 @@ class TestThreadedReduction:
 
         def tiles(points):
             def build(k):
+                # Two new arrays: the reduction writes the gaps over the ends.
                 rows = slice(k * points, (k + 1) * points)
-                return start[rows], start[rows]
+                return start[rows].copy(), start[rows].copy()
 
             return AccessTiles(build=build, count=5 // points, grid_size=5, merge_tol=0.0,
                                pass_count=10)
@@ -1136,7 +1124,7 @@ class TestBadEngineInput:
         # A 360-point grid has tiles 0 to 5.  Tile -1 was once read as a
         # tile of other points' cells, and 6 and 2.5 raised a bare IndexError.
         st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
-        pset, segs, fps, grid = _engine_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, st)
+        pset, segs, fps, grid = branch_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, settings=st)
         acc = access_tiles(pset, segs, fps, grid, _LAT_40)
         assert acc.count == 6
         assert acc.build(np.int64(5))[0].shape[0] == 360 - 5 * coverage.TILE_POINTS

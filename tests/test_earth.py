@@ -66,3 +66,12 @@ def test_constants_validation():
         EarthConstants(j2=0.5)
     with pytest.raises(ValueError):
         EarthConstants(rotation_rate=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["equatorial_radius", "polar_radius", "rotation_rate", "mu", "j2"])
+def test_non_finite_constant_is_a_config_error_that_names_it(name, value):
+    # Unchecked, a NaN or infinite mu gives a NaN or zero nodal period, and
+    # an infinite rotation rate a ground track shift of -inf.
+    with pytest.raises(rv.ConfigError, match=f"^{name} must be finite"):
+        EarthConstants(**{name: value})

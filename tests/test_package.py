@@ -54,6 +54,11 @@ _BAD_INPUT = {
     "earth_radii": lambda: rv.EarthConstants(polar_radius=7000.0),
     "earth_mu": lambda: rv.EarthConstants(mu=0.0),
     "earth_j2": lambda: rv.EarthConstants(j2=0.5),
+    **{
+        f"earth_{name}_{value}": lambda name=name, value=value: rv.EarthConstants(**{name: value})
+        for name in ("equatorial_radius", "polar_radius", "rotation_rate", "mu", "j2")
+        for value in (math.nan, math.inf)
+    },
     "sim_lons": lambda: _sim(lons=[]),
     "sim_step": lambda: _sim(step=-1.0),
     "sim_steps": lambda: _sim(window=1e9),

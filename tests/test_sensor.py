@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import revisit as rv
 from revisit.errors import LatitudeUnreachableError, PoleOverlapError
+from revisit.passes import TrackSegment
 from revisit.sensor import (
     SensorSpec,
     dihedral_half_angle,
@@ -15,6 +17,7 @@ from revisit.sensor import (
 )
 
 from conftest import make_orbit
+from reference_access import visible_sample_span
 
 R_EQ = 6378.137
 
@@ -151,3 +154,46 @@ class TestResolveFootprint:
             SensorSpec.elevation(-0.1)
         with pytest.raises(ValueError):
             SensorSpec("sideways", 0.1)
+
+
+class TestHalfChord:
+    def test_chord_holds_exactly_where_the_ellipse_inequality_does(self):
+        # |x| <= half_chord(sample) must hold exactly where the reference
+        # ellipse inequality (x / lam)^2 + (dlat / theta)^2 <= 1 puts x in
+        # the footprint centred at that sample, away from the reference's
+        # 1e-12 boundary slack.
+        rng = np.random.default_rng(7)
+        pairs = 0
+        for _ in range(200):
+            theta, lam = rng.uniform(0.005, 0.4, 2)
+            lat = rng.uniform(-1.2, 1.2)
+            fp = rv.FootprintAtLatitude(ground_range=theta, lon_half_width=lam)
+            sample_lat = lat + theta * rng.uniform(-1.5, 1.5, 10)
+            chord = fp.half_chord(sample_lat, lat)
+            x = lam * rng.uniform(-1.5, 1.5, 20)
+            for s, w in zip(sample_lat, chord):
+                seg = TrackSegment(lat=np.array([s]), lon_off=np.zeros(1), time_frac=np.zeros(1))
+                first, last = visible_sample_span(x, seg, fp, lat)
+                q = (x / lam) ** 2 + ((s - lat) / theta) ** 2
+                away = np.abs(q - 1.0) > 1e-9
+                assert np.array_equal((np.abs(x) <= w)[away], (first <= last)[away])
+                pairs += np.count_nonzero(away)
+        assert pairs > 39000
+
+    @pytest.mark.parametrize("theta,lam", [(0.1, 0.0), (0.0, 0.0), (0.0, 0.1)])
+    def test_a_footprint_of_no_size_sees_nothing(self, theta, lam):
+        fp = rv.FootprintAtLatitude(ground_range=theta, lon_half_width=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chord = fp.half_chord(np.array([0.3, 0.35, 0.5]), 0.3)
+        assert chord.shape == (3,) and np.all(np.isnan(chord))
+
+    def test_nan_beyond_the_ground_range(self):
+        fp = rv.FootprintAtLatitude(ground_range=0.1, lon_half_width=0.15)
+        dlat = np.array([-0.3, -0.1 - 1e-9, -0.1, -0.05, 0.0, 0.1, 0.1 + 1e-9, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chord = fp.half_chord(dlat, 0.0)
+        assert np.array_equal(np.isnan(chord), np.abs(dlat) > 0.1)
+        assert (chord[2], chord[4], chord[5]) == (0.0, 0.15, 0.0)
+        assert np.all(chord[~np.isnan(chord)] <= 0.15)
