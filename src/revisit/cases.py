@@ -17,11 +17,11 @@ from typing import Any
 
 import numpy as np
 
-from .coverage import MAX_GRID_RES_DEG, RevisitReport, usable_cores
+from .coverage import MAX_GRID_RES_DEG, MIN_GRID_RES_DEG, RevisitReport, usable_cores
 from .earth import EARTH, sso_inclination
 from .engine import (
     DEFAULT_GRID_RES_DEG, DEFAULT_SEGMENT_SAMPLES, DEFAULT_WINDOW_DAYS, MAX_WINDOW_DAYS,
-    MIN_GRID_RES_DEG, EngineSettings, analyze,
+    EngineSettings, analyze,
 )
 from .errors import ConfigError, RevisitError, is_count
 from .passes import OrbitElements, WalkerConfig

@@ -12,34 +12,35 @@ visibility lens (first/last visible sample time as a function of the
 longitude offset from the crossing) is precomputed once per branch on a
 fine offset grid, BINS_PER_CELL bins to a grid cell; a pass's grid points
 fall on every BINS_PER_CELL-th bin from one integer phase per pass.  The
-lens folds every sample's range of offset bins into one row of bins at
-once, by min and max over power-of-two blocks, with no loop over samples.
+fold writes every sample's range of offset bins into the lens at once, by
+min and max over power-of-two blocks, with no loop over samples.
 
 The table is built one tile of grid points at a time: tile k holds the
 points k * r onward, where r, tile 0's row count, is the most rows whose
 mean cells fit in TILE_CELLS, at least 1 and at most TILE_POINTS.  So a
-tile's block stays near TILE_CELLS cells however large the fleet.  Both
-branches' lenses are laid out once in one (first, last) pair of arrays,
-whose unseen bins and trailing padding hold (+inf, +inf).  A tile is one
-dense block, a row per grid point and a column per run of a pass's
-offsets that meets the tile, one run a lap.  The passes are sorted by
-run start once, so a tile finds the few passes that reach it by a binary
-search, not a scan of every pass.  A cell's bin is its run's first bin
-plus one integer add, read by one gather from the layout; only the
-passes whose accesses can reach past the window's ends are clipped.
-Cells that no pass reaches read padding.  Tiles are independent: a
-thread pool, one thread per usable core, builds each tile and reduces it
-to a few partial statistics on the same thread.  So
+tile's block stays near TILE_CELLS cells however large the fleet.  One
+(first, last) pair of arrays, the layout, is allocated once at +inf, and
+each branch's lens is folded in place into its slice: +inf is the one
+padding value of unseen bins and trailing padding, from the fold to the
+gather.  A tile is one dense block, a row per grid point and a column
+per run of a pass's offsets that meets the tile, one run a lap.  The
+passes are sorted by run start once, so a tile finds the few passes that
+reach it by a binary search, not a scan of every pass.  A cell's bin is
+its run's first bin plus one integer add, read by one gather from the
+layout; only the passes whose accesses can reach past the window's ends
+are clipped.  Cells that no pass reaches read padding.  Tiles are
+independent: a thread pool, one thread per usable core, builds each tile
+and reduces it to a few partial statistics on the same thread.  So
 `engine.analyze` never holds the whole table, only one tile per thread.
 The reduction sorts each row's starts and each row's ends on their own:
 as no interval ends before it starts, a point has a gap after its i-th
 interval exactly when its i-th least end is below its (i+1)-th least
 start, and that difference is the gap, written over the ends in place
-(see `_tile_partials`).  ART adds
-each grid point's gaps on their own, so no report depends on where the
-tiles are cut or on the thread count.  `accesses_for_passes` sorts each
-tile's rows by start and joins them, without their padding, when a
-caller wants the table itself.
+(see `_tile_partials`).  ART adds each grid point's gaps on their own,
+so no report depends on where the tiles are cut or on the thread count.
+`join_tiles` sorts each tile's rows by start and joins them, without
+their padding, for a caller that wants the table itself
+(`accesses_for_passes`).
 """
 from __future__ import annotations
 
@@ -56,6 +57,8 @@ from .errors import ConfigError, is_count
 from .passes import TWO_PI, PassSet, TrackSegment
 from .sensor import FootprintAtLatitude
 
+# Grid spacing bounds, in degrees: the finest is a 360 000-point grid.
+MIN_GRID_RES_DEG = 0.001
 MAX_GRID_RES_DEG = 1.0
 MAX_GRID_RESOLUTION = math.radians(MAX_GRID_RES_DEG)
 # Lens bins per longitude grid cell.
@@ -103,9 +106,10 @@ class LongitudeGrid:
 
 
 def build_grid(resolution: float) -> LongitudeGrid:
-    """Build the longitude grid; resolution in rad, at most 1 degree."""
-    if not 0.0 < resolution <= MAX_GRID_RESOLUTION + 1e-15:
-        raise ConfigError(f"grid resolution must be in (0, {MAX_GRID_RES_DEG:g} deg]")
+    """Build the longitude grid; resolution in rad, MIN_GRID_RES_DEG to MAX_GRID_RES_DEG deg."""
+    if not math.radians(MIN_GRID_RES_DEG) <= resolution <= MAX_GRID_RESOLUTION + 1e-15:
+        raise ConfigError(f"grid resolution must be in [{MIN_GRID_RES_DEG:g}, "
+                          f"{MAX_GRID_RES_DEG:g}] deg, got {resolution!r} rad")
     n = int(round(TWO_PI / resolution))
     spacing = TWO_PI / n
     return LongitudeGrid(spacing=spacing, lon=-math.pi + spacing * np.arange(n))
@@ -141,12 +145,12 @@ class AccessTiles:
     point grid_size - 1), as two dense (points, cells) arrays.  Row i
     holds the intervals of point k * r + i, each with start <= end, and
     padding cells with start and end +inf, in any order.  Each build
-    returns two new arrays that share no memory, which the reduction
-    sorts and overwrites in place.  A build only
-    reads the shared inputs, so tiles may be built in any order, again, or
-    on several threads at once.  A tile holds whole rows, so where the
-    tiles are cut changes no report.  The build of `access_tiles` raises
-    `ConfigError` for a k that is not an integer in [0, count).
+    returns two new arrays that share no memory, which the reduction sorts
+    and overwrites in place.  A build only reads the shared inputs, so
+    tiles may be built in any order, again, or on several threads at once.
+    A tile holds whole rows, so where the tiles are cut changes no report.
+    The build of `access_tiles` raises `ConfigError` for a k that is not
+    an integer in [0, count).
     """
 
     build: Callable[[int], tuple[np.ndarray, np.ndarray]]
@@ -180,38 +184,21 @@ class RevisitReport:
         return self.coverage_fraction < 1.0 or self.mrt_hours is None
 
 
-def _branch_lens(
+def _lens_ranges(
     segment: TrackSegment,
     t: np.ndarray,
     footprint: FootprintAtLatitude,
     lat: float,
     bin_width: float,
-) -> tuple[float, float, np.ndarray, np.ndarray] | None:
-    """First/last visible sample time versus longitude offset, one branch.
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The lens bins [lo_k, hi_k) that each sample k of one branch sees.
 
-    Sample k of the segment (times ``t``, in time order) sees the offsets
-    [lon_off - w, lon_off + w], where w is the footprint's half-chord of
-    the target latitude circle (`FootprintAtLatitude.half_chord`); on a
-    fine offset grid that is the bin range [lo_k, hi_k).  Each bin takes
-    the least time of the samples that see it (first) and the time of the
-    latest such sample k (last).  As t rises with k, last is also their
-    greatest time.
-
-    The ranges are folded in without a per-sample loop.  A nonempty range
-    is the union of two power-of-two blocks of the same level,
-    floor(log2(hi_k - lo_k)), one starting at lo_k and one ending at
-    hi_k.  Each block's value goes to its start in a row of bins; then,
-    from the top level down, the row is pushed down one level (a block
-    of length 2h passes its value to its halves at s and s + h) and the
-    next level's blocks are added.  The row then holds each bin's value.
-    Min and max only compare, so first is exactly the least t that a
-    per-sample loop would write, and last, folded as the sample index k,
-    is the time its last write leaves.
-
-    Returns (x_min, x_max, first, last) with bin j + 1 at offset
-    x_min + j * bin_width, or None when no sample sees the target
-    latitude.  Bins no sample sees, including one padding bin at each
-    end, hold first = inf and last = -inf.
+    Sample k (time t_k) sees the offsets lon_off_k -/+ w_k, where w_k is
+    the footprint's half-chord of the target latitude circle
+    (`FootprintAtLatitude.half_chord`), and bin j + 1 lies at offset
+    x_min + j * bin_width, so no sample sees bin 0.  Returns (x_min, x_max,
+    lo, hi, t) with the ranges and times of the samples that see a bin, in
+    sample order, or None when no sample sees the target latitude.
     """
     w = footprint.half_chord(segment.lat, lat)
     valid = w >= 0.0
@@ -222,41 +209,50 @@ def _branch_lens(
     right = segment.lon_off[valid] + w
     x_min = float(np.min(left))
     x_max = float(np.max(right))
-    nb = int(math.ceil((x_max - x_min) / bin_width)) + 1
     los = np.ceil((left - x_min) / bin_width - 1e-9).astype(np.int64) + 1
     his = np.floor((right - x_min) / bin_width + 1e-9).astype(np.int64) + 2
     seen = his > los
-    los, his, t = los[seen], his[seen], t[valid][seen]
-    k = np.arange(t.size)
+    return x_min, x_max, los[seen], his[seen], t[valid][seen]
+
+
+def _fold_lens(
+    los: np.ndarray, his: np.ndarray, t: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> None:
+    """Fold the bin ranges of `_lens_ranges` into the caller's +inf rows
+    ``first`` and ``last``, at least max(hi) bins long.
+
+    Each bin a sample sees takes the least time of the samples that see it
+    (first) and the time of the latest such sample k (last); bins no
+    sample sees stay +inf.  As t rises with k, last is their greatest time.
+
+    The ranges are folded in without a per-sample loop.  A nonempty range
+    is the union of two power-of-two blocks of the same level,
+    floor(log2(hi_k - lo_k)), one starting at lo_k and one ending at
+    hi_k.  Each block's value goes to its start in a row of bins; then,
+    from the top level down, the row is pushed down one level (a block
+    of length 2h passes its value to its halves at s and s + h) and the
+    next level's blocks are added.  The row then holds each bin's value.
+    Min and max only compare, so first is exactly the least t that a
+    per-sample loop would write, and last, folded as the sample index k,
+    is the time its last write leaves.  No block reaches max(hi), so the
+    fold reads and writes only the bins below it.
+    """
+    end = int(np.max(his, initial=0))
+    first = first[:end]
     # floor(log2(hi - lo)), exact for integers.
     level = np.frexp(his - los)[1] - 1
-    first = np.full(nb + 2, np.inf)
-    k_last = np.full(nb + 2, -1, dtype=np.int64)
+    k_last = np.full(end, -1, dtype=np.int64)
     for lv in range(int(np.max(level, initial=-1)), -1, -1):
         at = level == lv
         starts = np.concatenate([los[at], his[at] - (1 << lv)])
         np.minimum.at(first, starts, np.tile(t[at], 2))
-        np.maximum.at(k_last, starts, np.tile(k[at], 2))
+        np.maximum.at(k_last, starts, np.tile(np.flatnonzero(at), 2))
         if lv:
             h = 1 << (lv - 1)
             np.minimum(first[h:], first[:-h], out=first[h:])
             np.maximum(k_last[h:], k_last[:-h], out=k_last[h:])
-    # k_last = -1, a bin no sample sees, picks the appended -inf.
-    last = np.append(t, -np.inf)[k_last]
-    return x_min, x_max, first, last
-
-
-def _laid_out(rows: list[int], parts: list[np.ndarray], size: int) -> np.ndarray:
-    """`size` bins of +inf with each of `parts` copied in from its row in
-    `rows` on, except the part's -inf bins, which stay +inf.
-
-    The parts are popped as they are copied, so none outlives its copy.
-    """
-    out = np.full(size, np.inf)
-    for row in reversed(rows):
-        bins = parts.pop()
-        np.copyto(out[row:row + bins.size], bins, where=bins > -np.inf)
-    return out
+    # k_last = -1, a bin no sample sees, keeps its +inf.
+    np.copyto(last[:end], t[k_last], where=k_last >= 0)
 
 
 def _run_selector(
@@ -311,8 +307,9 @@ def access_tiles(
     segments/footprints are keyed by branch (True = ascending).  Pass k
     reaches the grid points base_k + j, j < n_cand (modulo the grid),
     where n_cand covers its branch's lens, and offset j reads lens bin
-    phase_k + bins_per_cell * j.  Both branches' lenses are laid out once
-    in one (first, last) pair.  There every bin that no sample sees holds
+    phase_k + bins_per_cell * j.  One (first, last) pair, the layout, is
+    allocated once at +inf, and each branch's lens is folded in place into
+    its slice (`_fold_lens`).  So every bin that no sample sees holds
     (+inf, +inf), and so does each branch's trailing padding, long enough
     that any offset of a tile past its lens reads it.
 
@@ -326,26 +323,24 @@ def access_tiles(
     tile has offsets below 0 in its first rows; those cells read a padding
     bin.  Only the passes whose accesses can leave [0, window], found once
     for the whole set, have their columns clipped to the window and the
-    cells wholly off it blanked.  The lenses, the layout, the integer
-    phases and the passes sorted by run start are computed here; each tile
-    only when the returned `AccessTiles` builds it.
+    cells wholly off it blanked.  The layout, the integer phases and the
+    passes sorted by run start are computed here; each tile only when the
+    returned `AccessTiles` builds it.
     """
     n, window = grid.size, pset.window
     merge_tol = 0.0
     bin_width = grid.spacing / bins_per_cell
     n_cand, base, phase = (np.zeros(len(pset), dtype=np.int64) for _ in range(3))
     edge = np.zeros(len(pset), dtype=bool)
-    branches: list[tuple[np.ndarray, int]] = []
-    firsts: list[np.ndarray] = []
-    lasts: list[np.ndarray] = []
+    branches = []
     for is_asc in (True, False):
         seg = segments[is_asc]
         t = seg.time_frac * pset.nodal_period
         merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
-        lens = _branch_lens(seg, t, footprints[is_asc], lat, bin_width)
-        if lens is None:
+        ranges = _lens_ranges(seg, t, footprints[is_asc], lat, bin_width)
+        if ranges is None:
             continue
-        lo, hi = lens[:2]
+        lo, hi, _, _, seen_t = ranges
         sel = pset.ascending == is_asc
         lam_c, epoch = pset.lon[sel], pset.epoch[sel]
         cand = int(math.floor((hi - lo) / grid.spacing)) + 2
@@ -358,36 +353,32 @@ def access_tiles(
         # lens, at most 1 + bins_per_cell; the lens's row in the layout is added
         # below.
         phase[sel] = 1 + np.rint((base[sel] * grid.spacing - math.pi - lam_c - lo) / bin_width)
-        # Adding an epoch rounds monotonically, so a pass whose earliest first
-        # and latest last bin land in [0, window] has every access there.
-        edge[sel] = (epoch + np.min(lens[2]) < 0.0) | (epoch + np.max(lens[3]) > window)
-        branches.append((sel, cand))
-        firsts.append(lens[2])
-        lasts.append(lens[3])
-    # The lists now hold the only references to the branch lenses, so each
-    # is freed once it is laid out.
-    del lens
+        # Adding an epoch rounds monotonically, so a pass whose earliest and
+        # latest seeing sample land in [0, window] has every access there.
+        edge[sel] = ((epoch + np.min(seen_t, initial=np.inf) < 0.0)
+                     | (epoch + np.max(seen_t, initial=-np.inf) > window))
+        branches.append((sel, cand, ranges[2:]))
     # Read once, so the layout's padding and every tile agree on them.
     row_cells = max(1, -(-int(np.sum(n_cand)) // n))
     tile_points = max(1, min(TILE_POINTS, TILE_CELLS // row_cells))
     most_rows = min(tile_points, n)
-    rows_at: list[int] = []
-    size = 0
-    for sel, cand in branches:
-        phase[sel] += size
-        rows_at.append(size)
+    rows_at = [0]
+    for sel, cand, _ in branches:
+        phase[sel] += rows_at[-1]
         # A tile reads offsets up to n_cand + most_rows - 2, so bins up to
-        # size + 1 + bins_per_cell * (n_cand + most_rows - 1).  That covers
+        # its row + 1 + bins_per_cell * (n_cand + most_rows - 1).  That covers
         # the lens's at most (hi - lo) / bin_width + 4 bins too, as
         # bins_per_cell * n_cand >= (hi - lo) / bin_width + bins_per_cell.
-        size += 2 + bins_per_cell * (cand + most_rows - 1)
-    first = _laid_out(rows_at, firsts, size)
-    last = _laid_out(rows_at, lasts, size)
+        rows_at.append(rows_at[-1] + 2 + bins_per_cell * (cand + most_rows - 1))
+    first, last = np.full((2, rows_at[-1]), np.inf)
+    for row, (_, _, ranges) in zip(rows_at, branches):
+        _fold_lens(*ranges, first[row:], last[row:])
     # Passes of a branch without a lens see nothing.
     keep = n_cand > 0
     epoch, n_cand, phase, edge = pset.epoch[keep], n_cand[keep], phase[keep], edge[keep]
     runs = _run_selector(base[keep] % n, n_cand, n)
-    row_bins = bins_per_cell * np.arange(most_rows)[:, None]
+    row_ids = np.arange(most_rows)[:, None]
+    row_bins = bins_per_cell * row_ids
     count = -(-n // tile_points)
 
     def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,12 +396,9 @@ def access_tiles(
         block = np.empty((2, rows, col.size), dtype=np.int64)
         at = np.add(phase[col] + bins_per_cell * j, row_bins[:rows], out=block[0])
         # A run that starts inside the tile has -j rows at offsets below 0.
-        # Their cells read row 0 of the layout, a padding bin: the bin at
+        # Their cells read bin 0 of the layout, a padding bin: the bin at
         # offset -1 may be the lens's first.
-        neg = np.flatnonzero(j < 0)
-        below = -j[neg]
-        row = np.arange(np.sum(below)) - np.repeat(np.cumsum(below) - below, below)
-        at.ravel()[row * at.shape[1] + np.repeat(neg, below)] = 0
+        np.putmask(at, row_ids[:rows] < -j, 0)
         # Every index is in range, and mode="clip" keeps take from buffering
         # `out`, so the ends are gathered into the second half and the starts
         # into the index block itself, after the ends.
@@ -422,11 +410,8 @@ def access_tiles(
         clip = np.flatnonzero(edge[col])
         s, e = st[:, clip], en[:, clip]
         off = (e < 0.0) | (s > window)
-        np.clip(s, 0.0, window, out=s)
-        np.clip(e, 0.0, window, out=e)
-        s[off] = np.inf
-        e[off] = np.inf
-        st[:, clip], en[:, clip] = s, e
+        st[:, clip] = np.where(off, np.inf, np.clip(s, 0.0, window))
+        en[:, clip] = np.where(off, np.inf, np.clip(e, 0.0, window))
         return st, en
 
     return AccessTiles(

@@ -77,7 +77,8 @@ def sso_inclination(a: float, e: float = 0.0, earth: EarthConstants = EARTH) -> 
     over the retrograde bracket (90, 180) deg, by bisection down to
     adjacent floats.  Raises SunSyncInfeasibleError when the orbit is too
     large (or too eccentric) for any inclination to produce the required
-    drift.
+    drift, and ConfigError for an a or e that `passes.raan_drift_rate`
+    rejects.
     """
     # Import here to avoid a circular import: passes.py needs earth.py.
     from .passes import raan_drift_rate

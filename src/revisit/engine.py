@@ -14,6 +14,7 @@ from .coverage import (
     BINS_PER_CELL,
     MAX_GRID_RES_DEG,
     MAX_GRID_RESOLUTION,
+    MIN_GRID_RES_DEG,
     AccessTable,
     LongitudeGrid,
     RevisitReport,
@@ -48,8 +49,6 @@ DEFAULT_SEGMENT_SAMPLES = 1000
 # Bounds that keep a case's arrays allocatable.
 # Longest window: ten years.
 MAX_WINDOW_DAYS = 3660.0
-# Finest grid spacing: a 360 000-point grid.  The coarsest is MAX_GRID_RES_DEG.
-MIN_GRID_RES_DEG = 0.001
 # Most samples of a track segment; each holds about 190 B while a case runs.
 MAX_SEGMENT_SAMPLES = 1_000_000
 

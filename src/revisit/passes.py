@@ -134,12 +134,33 @@ def keplerian_period(a: float, earth: EarthConstants = EARTH) -> float:
     return TWO_PI * math.sqrt(a**3 / earth.mu)
 
 
+def _check_orbit_shape(a: float, e: float, inc: float) -> None:
+    """Raise ConfigError unless a is finite and positive, e is in [0, 1)
+    and inc is finite: the inputs of the period and drift formulas."""
+    if not 0.0 < a < math.inf:
+        raise ConfigError(f"semi-major axis must be finite and positive, got {a!r}")
+    if not 0.0 <= e < 1.0:
+        raise ConfigError(f"eccentricity must be in [0, 1), got {e!r}")
+    if not math.isfinite(inc):
+        raise ConfigError(f"inclination must be finite, got {inc!r}")
+
+
+def _check_comb(p_n: float, name: str, value: float) -> None:
+    """Raise ConfigError unless the nodal period p_n is finite and positive
+    and ``value``, the comb's ``name``, is finite."""
+    if not 0.0 < p_n < math.inf:
+        raise ConfigError(f"nodal period must be finite and positive, got {p_n!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 def nodal_period(a: float, e: float, inc: float, earth: EarthConstants = EARTH) -> float:
     """Time between successive ascending-node crossings under J2.
 
     Standard secular expansion, with the J2 correction scaled by the
     squared (equatorial radius / semilatus rectum) ratio.
     """
+    _check_orbit_shape(a, e, inc)
     pk = keplerian_period(a, earth)
     p = a * (1.0 - e * e)
     ratio = earth.equatorial_radius / p
@@ -156,6 +177,7 @@ def raan_drift_rate(
 
     Negative for prograde orbits, positive for retrograde.
     """
+    _check_orbit_shape(a, e, inc)
     n = math.sqrt(earth.mu / a**3)
     p = a * (1.0 - e * e)
     ratio2 = (earth.equatorial_radius / p) ** 2
@@ -179,8 +201,7 @@ def ground_track_shift(p_n: float, raan_rate: float, earth: EarthConstants = EAR
 
     Negative (westward) for all LEO orbits: Earth rotation dominates.
     """
-    if not p_n > 0.0:
-        raise ConfigError("nodal period must be positive")
+    _check_comb(p_n, "node drift rate", raan_rate)
     return p_n * (-earth.rotation_rate + raan_rate)
 
 
@@ -264,6 +285,7 @@ def pass_series(
         raise ConfigError("analysis window must be positive and finite")
     if not planes:
         raise ConfigError("need at least one plane spec")
+    _check_comb(p_n, "ground-track shift", shift)
     nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
     node_time = -time_fraction_from_node(el, el.nu0) * p_n  # node passage, s
     # Per branch: the drift line's longitude at epoch 0 (raan + node-relative

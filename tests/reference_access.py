@@ -1,8 +1,10 @@
 """Reference access evaluations for the engine's shortcuts.
 
-`painted_lens` builds a branch lens one track sample at a time, the
-reference for the range fold of `revisit.coverage._branch_lens`.  Both
-take what each sample sees from `FootprintAtLatitude.half_chord`.
+`painted_lens` paints the bin ranges that `revisit.coverage._lens_ranges`
+finds, one track sample at a time, the reference for the range fold of
+`revisit.coverage._fold_lens`; `folded_lens` folds the same ranges into
+fresh +inf rows.  The ranges take what each sample sees from
+`FootprintAtLatitude.half_chord`.
 
 The engine looks up each grid point's first/last visible track sample in
 a per-branch lens binned on a fine longitude-offset grid
@@ -31,42 +33,46 @@ from revisit.coverage import (
     BINS_PER_CELL,
     AccessTable,
     LongitudeGrid,
-    _branch_lens,
+    _fold_lens,
+    _lens_ranges,
     sorted_access_table,
 )
 from revisit.passes import PassSet, TrackSegment
 from revisit.sensor import FootprintAtLatitude
 
 
-def painted_lens(
+def folded_lens(
     segment: TrackSegment,
     t: np.ndarray,
     footprint: FootprintAtLatitude,
     lat: float,
     bin_width: float,
+    fold: Callable = _fold_lens,
 ) -> tuple[float, float, np.ndarray, np.ndarray] | None:
-    """`revisit.coverage._branch_lens`, one sample at a time.
-
-    Paints each sample's visible bin range [lo, hi) in time order: first
-    keeps the least time written to a bin and last the latest write.
-    """
-    w = footprint.half_chord(segment.lat, lat)
-    valid = w >= 0.0
-    if not np.any(valid):
+    """(x_min, x_max, first, last) of one branch: ``fold`` of the bin
+    ranges of `revisit.coverage._lens_ranges` into fresh +inf rows, one
+    lens long, as `access_tiles` folds them into its layout."""
+    ranges = _lens_ranges(segment, t, footprint, lat, bin_width)
+    if ranges is None:
         return None
-    left = segment.lon_off[valid] - w[valid]
-    right = segment.lon_off[valid] + w[valid]
-    x_min = float(np.min(left))
-    x_max = float(np.max(right))
-    nb = int(math.ceil((x_max - x_min) / bin_width)) + 1
-    first = np.full(nb + 2, np.inf)
-    last = np.full(nb + 2, -np.inf)
-    los = np.ceil((left - x_min) / bin_width - 1e-9).astype(np.int64) + 1
-    his = np.floor((right - x_min) / bin_width + 1e-9).astype(np.int64) + 2
-    for lo, hi, tk in zip(los, his, t[valid]):
+    x_min, x_max, los, his, t = ranges
+    first, last = np.full((2, math.ceil((x_max - x_min) / bin_width) + 3), np.inf)
+    fold(los, his, t, first, last)
+    return x_min, x_max, first, last
+
+
+def _paint(los: np.ndarray, his: np.ndarray, t: np.ndarray, first: np.ndarray,
+           last: np.ndarray) -> None:
+    """Paints each sample's bin range [lo, hi) in time order: first keeps
+    the least time written to a bin and last the latest write."""
+    for lo, hi, tk in zip(los, his, t):
         np.minimum(first[lo:hi], tk, out=first[lo:hi])
         last[lo:hi] = tk
-    return x_min, x_max, first, last
+
+
+def painted_lens(*lens_args) -> tuple[float, float, np.ndarray, np.ndarray] | None:
+    """`folded_lens` with the ranges painted one sample at a time."""
+    return folded_lens(*lens_args, fold=_paint)
 
 
 def visible_sample_span(
@@ -165,7 +171,7 @@ def dense_access_table(
         t = seg.time_frac * pset.nodal_period
         if t.size > 1:
             merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
-        lens = _branch_lens(seg, t, footprints[is_asc], lat, bin_width)
+        lens = folded_lens(seg, t, footprints[is_asc], lat, bin_width)
         if lens is None:
             continue
         x_min, x_max, first, last = lens

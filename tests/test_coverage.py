@@ -13,7 +13,6 @@ from revisit.coverage import (
     BINS_PER_CELL,
     AccessTable,
     AccessTiles,
-    _branch_lens,
     _run_selector,
     access_tiles,
     accesses_for_passes,
@@ -36,6 +35,7 @@ from revisit.sensor import FootprintAtLatitude, resolve_footprint
 from conftest import make_orbit
 from reference_access import (
     dense_access_table,
+    folded_lens,
     full_scan_runs,
     painted_lens,
     pass_accesses,
@@ -57,9 +57,16 @@ class TestBuildGrid:
         assert np.ptp(np.diff(g.lon)) < 1e-12
         assert g.lon[-1] < math.pi
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, math.radians(1.5)])
+    def test_finest_resolution_point_count(self):
+        assert build_grid(math.radians(coverage.MIN_GRID_RES_DEG)).size == 360_000
+
+    @pytest.mark.parametrize("bad", [
+        0.0, -0.1, math.radians(1.5), math.nan, 1e-300, math.radians(0.0005),
+    ])
     def test_rejects_bad_resolution(self, bad):
-        with pytest.raises(ValueError):
+        # Below the floor, 1e-300 once raised a stray ValueError from numpy,
+        # and half the floor built a 720 000-point grid.
+        with pytest.raises(rv.ConfigError, match="grid resolution"):
             build_grid(bad)
 
 
@@ -269,7 +276,7 @@ class TestBinnedLensAgainstExact:
 
 
 def _lens_inputs(name):
-    """(segment, times, footprint, lat, bin_width) of one `_branch_lens` case."""
+    """(segment, times, footprint, lat, bin_width) of one lens case."""
     if name.startswith(("elevation", "boresight")):
         kind, e, asc = name.split("_")
         sensor = (rv.SensorSpec.elevation(math.radians(10.0)) if kind == "elevation"
@@ -322,7 +329,7 @@ class TestLensAgainstPainting:
         # The range fold must leave the bits that painting each sample's
         # bin range in time order leaves.
         args = _lens_inputs(name)
-        lens, painted = _branch_lens(*args), painted_lens(*args)
+        lens, painted = folded_lens(*args), painted_lens(*args)
         if painted is None:
             assert lens is None
             return
@@ -517,7 +524,7 @@ class TestTilesAgainstDense:
         asc = bool(pset.ascending[0])
         bin_width = grid.spacing / BINS_PER_CELL
         seg = segs[asc]
-        x_min, _, first, _ = _branch_lens(seg, seg.time_frac * pset.nodal_period, fps[asc],
+        x_min, _, first, _ = folded_lens(seg, seg.time_frac * pset.nodal_period, fps[asc],
                                           _LAT_40, bin_width)
         assert first[1] < np.inf
         lam = wrap_angle(100 * grid.spacing - math.pi - x_min - 63.75 * bin_width)
@@ -606,7 +613,7 @@ def _phase_and_float_bins(pset, segs, fps, grid, lat):
     bin_width = grid.spacing / BINS_PER_CELL
     for asc in (True, False):
         seg = segs[asc]
-        lens = _branch_lens(seg, seg.time_frac * pset.nodal_period, fps[asc], lat, bin_width)
+        lens = folded_lens(seg, seg.time_frac * pset.nodal_period, fps[asc], lat, bin_width)
         if lens is None:
             continue
         x_min, x_max, _, _ = lens
@@ -627,7 +634,7 @@ def _half_bin_lon(pset, segs, fps, grid, lat):
     asc = bool(pset.ascending[0])
     bin_width = grid.spacing / BINS_PER_CELL
     seg = segs[asc]
-    x_min = _branch_lens(seg, seg.time_frac * pset.nodal_period, fps[asc], lat, bin_width)[0]
+    x_min = folded_lens(seg, seg.time_frac * pset.nodal_period, fps[asc], lat, bin_width)[0]
     base = math.ceil((pset.lon[0] + x_min + math.pi) / grid.spacing)
     for m in range(0, BINS_PER_CELL, 2):
         near = base * grid.spacing - math.pi - x_min - (m + 0.5) * bin_width

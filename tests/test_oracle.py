@@ -305,6 +305,55 @@ class TestSimulateCoverage:
             assert np.array_equal(got, want)
 
 
+
+_SSO_500 = rv.OrbitElements(
+    a=rv.EARTH.equatorial_radius + 500.0,
+    inc=rv.sso_inclination(rv.EARTH.equatorial_radius + 500.0),
+)
+# name: (orbit, elevation mask in deg, latitude in deg, walker)
+_FIELD_CASES = {
+    "400km_i60_e10_lat0": (make_orbit(400.0, 60.0), 10.0, 0.0, rv.WalkerConfig()),
+    "w330_700km_i90_e0_lat0": (make_orbit(700.0, 90.0), 0.0, 0.0, rv.WalkerConfig(3, 3, 0)),
+    "w331_1500km_i96_e20_lat0": (make_orbit(1500.0, 96.0), 20.0, 0.0, rv.WalkerConfig(3, 3, 1)),
+    "700km_i60_e10_lat40": (make_orbit(700.0, 60.0), 10.0, 40.0, rv.WalkerConfig()),
+    "sso_500km_e30_lat55": (_SSO_500, 30.0, 55.0, rv.WalkerConfig()),
+    "w2460_700km_i60_e10_lat40": (make_orbit(700.0, 60.0), 10.0, 40.0, rv.WalkerConfig(24, 6, 0)),
+}
+
+
+class TestEngineAgainstOracle:
+    # 24/6/0 takes about 1.3 s, the other five under 0.2 s each.
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.slow) if name.startswith("w2460") else name
+        for name in sorted(_FIELD_CASES)
+    ])
+    def test_every_report_field_within_todays_bounds(self, name):
+        # Every field of the engine's report against the time-stepped
+        # simulation, at 1 deg and 10 days.  Each bound is today's worst
+        # case over the six cases, rounded outward; the measured range is
+        # beside it.  A change that brings the engine closer tightens the
+        # bounds it improves; none may loosen one.  pass_count is left
+        # unasserted until the window-edge passes settle what it counts:
+        # the engine counts the crossings of its pass comb and the oracle
+        # the sign changes of its time steps, up to 3 apart (876 against
+        # 873 on 3/3/0).
+        el, elev_deg, lat_deg, walker = _FIELD_CASES[name]
+        args = (el, rv.SensorSpec.elevation(math.radians(elev_deg)), math.radians(lat_deg),
+                walker, EngineSettings(window=10 * 86400.0, grid_res=math.radians(1.0)))
+        eng, orc = analyze(*args), oracle_analyze(*args)
+        # Measured: -2.25% (24/6/0, 261 654 against 267 672) to -0.03%.
+        assert -0.023 <= eng.gap_count / orc.gap_count - 1.0 <= 0.0
+        # Measured, in s: MRT -15.2 to +34.2, ART +8.4 to +134.2, TTC -18.1 to +44.4.
+        assert -16.0 <= 3600.0 * (eng.mrt_hours - orc.mrt_hours) <= 35.0
+        assert 0.0 <= 3600.0 * (eng.art_hours - orc.art_hours) <= 135.0
+        ttc = 3600.0 * (eng.time_to_full_coverage_hours - orc.time_to_full_coverage_hours)
+        assert -19.0 <= ttc <= 45.0
+        # Measured: full coverage on both sides.
+        assert eng.coverage_fraction == orc.coverage_fraction == 1.0
+        assert eng.uncovered_count == orc.uncovered_count == 0
+        assert (eng.grid_size, eng.clamped) == (orc.grid_size, orc.clamped) == (360, False)
+
+
 def _sim(el, sensor, lat_deg, lons, window, walker=rv.WalkerConfig(), step=10.0):
     return SimConfig(
         elements=tuple(plane_elements(el, walker_planes(walker))), sensor=sensor,

@@ -81,6 +81,31 @@ _BAD_INPUT = {
     "keplerian_period_nan": lambda: rv.keplerian_period(math.nan),
     "ground_track_shift": lambda: rv.ground_track_shift(0.0, 0.0),
     "ground_track_shift_nan": lambda: rv.ground_track_shift(math.nan, 0.0),
+    "ground_track_shift_period_inf": lambda: rv.ground_track_shift(math.inf, 0.0),
+    "ground_track_shift_rate_nan": lambda: rv.ground_track_shift(5800.0, math.nan),
+    "ground_track_shift_rate_inf": lambda: rv.ground_track_shift(5800.0, -math.inf),
+    "pass_series_shift_nan": lambda: rv.pass_series(_EL, 0.3, math.nan, 5800.0, 86400.0),
+    "pass_series_shift_inf": lambda: rv.pass_series(_EL, 0.3, math.inf, 5800.0, 86400.0),
+    **{
+        f"pass_series_period_{p_n}": lambda p_n=p_n: rv.pass_series(_EL, 0.3, -0.4, p_n, 86400.0)
+        for p_n in (math.nan, math.inf, 0.0, -5800.0)
+    },
+    # The orbit-shape check of the period and drift formulas, which
+    # sso_inclination inherits.
+    **{
+        f"{name}_{a}_{e}_{inc}": lambda call=call, a=a, e=e, inc=inc: call(a, e, inc)
+        for name, call in (
+            ("nodal_period", rv.nodal_period),
+            ("raan_drift_rate", rv.raan_drift_rate),
+            ("sso_inclination", lambda a, e, _: rv.sso_inclination(a, e)),
+        )
+        for a, e, inc in (
+            (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 1.0),
+            (7000.0, math.nan, 1.0), (7000.0, 1.0, 1.0), (7000.0, 1.5, 1.0), (7000.0, -0.1, 1.0),
+            (7000.0, 0.0, math.nan), (7000.0, 0.0, math.inf),
+        )
+        if not (name == "sso_inclination" and inc != 1.0)
+    },
     "range_elevation": lambda: rv.ground_range_from_elevation(7000.0, 6500.0, 0.1),
     "range_elevation_nan": lambda: rv.ground_range_from_elevation(6378.0, math.nan, 0.1),
     "range_boresight": lambda: rv.ground_range_from_boresight(7000.0, 6500.0, 0.1),
