@@ -14,7 +14,7 @@ Each satellite's steps are cut into chunks of CHUNK_STEPS.  A chunk owns
 the edge columns between its steps and the step before it, so it
 propagates that one step more, and it finds every visibility change in
 its columns on its own; each satellite's changes are then sorted once
-and paired into rises and falls, which are bisected in chunks of
+and bisected, rises and falls together, in near-equal chunks of at most
 CHUNK_STEPS edges.  Both kinds of chunk run on a thread pool, one thread
 per usable core, so a thread holds one chunk's arrays, never a whole
 window's.  Every state is propagated element by element (`solve_kepler`
@@ -44,11 +44,16 @@ from .passes import (
 from .sensor import SensorSpec
 
 
-def solve_kepler(mean_anom, e: float, tol: float = 1e-12, max_iter: int = 50):
+# Kepler residual at which Newton's iteration stops, rad, and its most iterations.
+KEPLER_TOL = 1e-12
+KEPLER_MAX_ITER = 50
+
+
+def solve_kepler(mean_anom, e: float):
     """Eccentric anomaly from mean anomaly, Newton iteration.
 
     Each element stops on its own residual: it keeps the update of the
-    first iteration whose |f| is below ``tol``.  So an element's result
+    first iteration whose |f| is below KEPLER_TOL.  So an element's result
     does not depend on the other elements of its array.
     """
     m = np.asarray(mean_anom, dtype=float)
@@ -58,11 +63,11 @@ def solve_kepler(mean_anom, e: float, tol: float = 1e-12, max_iter: int = 50):
     ecc = np.ravel(m_red + e * np.sin(m_red))
     m_flat = np.ravel(m_red)
     live = np.arange(ecc.size)
-    for _ in range(max_iter):
+    for _ in range(KEPLER_MAX_ITER):
         x = ecc[live]
         f = x - e * np.sin(x) - m_flat[live]
         ecc[live] = x - f / (1.0 - e * np.cos(x))
-        live = live[~(np.abs(f) < tol)]
+        live = live[~(np.abs(f) < KEPLER_TOL)]
         if live.size == 0:
             return ecc.reshape(m.shape) + (m - m_red)
     raise KeplerConvergenceError("Kepler iteration did not converge")
@@ -134,6 +139,8 @@ def plane_elements(el: OrbitElements, planes: Sequence[PlaneSpec]) -> list[Orbit
 
 # Time step of the simulation unless a caller sets one, s.
 DEFAULT_STEP = 10.0
+# Width to which `_refine` bisects every access edge, s; a step must be longer.
+REFINE_TOL = 0.1
 # Most time steps one simulation may take: 60 days at 10 s is 518 401
 # steps.  No array holds one element per step; this bounds the run time
 # and the keys p (n_t + 1) + c, which stay far inside int64.
@@ -158,7 +165,6 @@ class SimConfig:
     lons: np.ndarray
     window: float
     step: float = DEFAULT_STEP
-    refine_tol: float = 0.1
     earth: EarthConstants = field(default=EARTH)
 
     def __post_init__(self) -> None:
@@ -170,10 +176,8 @@ class SimConfig:
             raise ConfigError("lons must be finite")
         if not 0.0 < self.window < math.inf:
             raise ConfigError("analysis window must be positive and finite")
-        if not 0.0 < self.step < math.inf:
-            raise ConfigError("time step must be positive and finite")
-        if not 0.0 < self.refine_tol < self.step:
-            raise ConfigError("refinement tolerance must be positive and below the step")
+        if not REFINE_TOL < self.step < math.inf:
+            raise ConfigError(f"time step must be finite and above REFINE_TOL = {REFINE_TOL} s")
         if self.window / self.step > MAX_ORACLE_STEPS:
             raise ConfigError(
                 f"window / step makes {self.window / self.step:.0f} time steps; "
@@ -285,13 +289,13 @@ def _step_times(cfg: SimConfig, k) -> np.ndarray:
     return np.where(k > n_steps, cfg.window, k * cfg.step)
 
 
-def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, lo_vis: bool) -> np.ndarray:
-    """Bisect each change from lo_vis at step hi_step - 1 to its opposite to refine_tol."""
+def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, lo_vis) -> np.ndarray:
+    """Bisect each change from lo_vis (its own, or all's) at step hi_step - 1 to REFINE_TOL."""
     if pt.size == 0:
         return np.empty(0)
     lon_t = cfg.lons[pt]
     lo, hi = _step_times(cfg, hi_step - 1), _step_times(cfg, hi_step)
-    n_iter = max(1, math.ceil(math.log2(cfg.step / cfg.refine_tol)))
+    n_iter = max(1, math.ceil(math.log2(cfg.step / REFINE_TOL)))
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
         take_lo = _visible(cfg, lon_t, propagate_j2(el, mid, cfg.earth)) == lo_vis
@@ -350,8 +354,8 @@ def simulate_access_table(cfg: SimConfig) -> AccessTable:
     """Run the time-stepped simulation and assemble the access table.
 
     Both phases run on `coverage.thread_map`: first every satellite's
-    chunks of CHUNK_STEPS steps, then its inner rises and falls in chunks
-    of CHUNK_STEPS edges, each bisected by `_refine`.
+    chunks of CHUNK_STEPS steps, then its inner rises and falls together,
+    in near-equal chunks of at most CHUNK_STEPS edges, bisected by `_refine`.
     """
     n_t = _step_count(cfg)
     cuts = range(0, n_t, CHUNK_STEPS)
@@ -361,27 +365,25 @@ def simulate_access_table(cfg: SimConfig) -> AccessTable:
     for k, el in enumerate(cfg.elements):
         keys, counts = zip(*keyed[k * len(cuts) : (k + 1) * len(cuts)])
         crossings += sum(counts)
-        # Sorted by (point, column), the changes are a rise and a fall per
-        # visible run; a rise at column 0 starts at 0 and a fall at column
-        # n_t ends at the window, and every other edge is bisected.
+        # Sorted by (point, column), the changes alternate rise, fall, so
+        # change i is visible before it when i is odd.  A rise at column 0
+        # starts at 0, a fall at column n_t ends at the window, and every
+        # other edge is bisected into its entry of times.
         pt, col = np.divmod(np.sort(np.concatenate(keys)), n_t + 1)
-        start, end = np.zeros(pt.size // 2), np.full(pt.size // 2, cfg.window)
-        for out, parity, lo_vis in ((start, 0, False), (end, 1, True)):
-            edge_pt, edge_col = pt[parity::2], col[parity::2]
-            inner = np.flatnonzero((edge_col > 0) & (edge_col < n_t))
-            for i in range(0, inner.size, CHUNK_STEPS):
-                at = inner[i : i + CHUNK_STEPS]
-                bisections.append((out, at, el, edge_pt[at], edge_col[at], lo_vis))
+        times = np.where(col == 0, 0.0, cfg.window)
+        inner = np.flatnonzero((col > 0) & (col < n_t))
+        parts = max(1, math.ceil(inner.size / CHUNK_STEPS))
+        bisections += [(el, pt, col, times, at) for at in np.array_split(inner, parts)]
         points.append(pt[0::2])
-        starts.append(start)
-        ends.append(end)
+        starts.append(times[0::2])
+        ends.append(times[1::2])
 
     def bisect(job) -> None:
-        out, at, el, pt, col, lo_vis = job
-        out[at] = _refine(el, cfg, pt, col, lo_vis)
+        el, pt, col, times, at = job
+        times[at] = _refine(el, cfg, pt[at], col[at], at % 2 == 1)
 
     thread_map(bisect, bisections)
     return sorted_access_table(
-        points, starts, ends, grid_size=cfg.lons.size, merge_tol=cfg.refine_tol,
+        points, starts, ends, grid_size=cfg.lons.size, merge_tol=REFINE_TOL,
         pass_count=crossings,
     )

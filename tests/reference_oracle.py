@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from revisit.coverage import AccessTable, sorted_access_table
-from revisit.oracle import SimConfig, _refine, _visible, propagate_j2
+from revisit.oracle import REFINE_TOL, SimConfig, _refine, _visible, propagate_j2
 
 # Visibility margins per block of grid points; a block spans every step.
 BLOCK_MARGINS = 2**21
@@ -62,6 +62,6 @@ def dense_access_table(cfg: SimConfig) -> AccessTable:
     parts = [dense_sat_intervals(el, cfg, times) for el in cfg.elements]
     points, starts, ends, crossings = ([part[k] for part in parts] for k in range(4))
     return sorted_access_table(
-        points, starts, ends, grid_size=cfg.lons.size, merge_tol=cfg.refine_tol,
+        points, starts, ends, grid_size=cfg.lons.size, merge_tol=REFINE_TOL,
         pass_count=sum(crossings),
     )

@@ -43,13 +43,14 @@ class TestKeplerSolver:
             ecc = solve_kepler(m, e)
             assert np.allclose(ecc - e * np.sin(ecc), m, atol=1e-11)
 
-    def test_convergence_guard(self):
+    def test_convergence_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "KEPLER_MAX_ITER", 1)
         with pytest.raises(KeplerConvergenceError):
-            solve_kepler(np.array([2.0]), 0.95, max_iter=1)
+            solve_kepler(np.array([2.0]), 0.95)
         # Mean anomaly 0 is solved on the first iteration; the other
         # element is not, and fails the whole call.
         with pytest.raises(KeplerConvergenceError):
-            solve_kepler(np.array([0.0, 2.0]), 0.95, max_iter=1)
+            solve_kepler(np.array([0.0, 2.0]), 0.95)
 
     @pytest.mark.parametrize("e", [0.001, 0.05, 0.3, 0.9])
     def test_each_element_is_solved_on_its_own(self, e):
@@ -154,7 +155,7 @@ class TestSimulateCoverage:
             cfg = SimConfig(
                 elements=(el,), sensor=rv.SensorSpec.elevation(math.radians(10)),
                 lat=math.radians(20), lons=lons, window=2 * 86400.0,
-                step=step, refine_tol=0.05,
+                step=step,
             )
             reports.append(revisit_stats(simulate_access_table(cfg)))
         assert reports[0].mrt_hours == pytest.approx(
@@ -247,7 +248,7 @@ class TestSimulateCoverage:
         with pytest.raises(ValueError):
             SimConfig(
                 elements=(el,), sensor=rv.SensorSpec.elevation(0.2), lat=0.0,
-                lons=np.array([0.0]), window=100.0, step=10.0, refine_tol=20.0,
+                lons=np.array([0.0]), window=100.0, step=0.1,
             )
         with pytest.raises(ValueError):
             SimConfig(

@@ -62,8 +62,7 @@ _BAD_INPUT = {
     "sim_lons": lambda: _sim(lons=[]),
     "sim_step": lambda: _sim(step=-1.0),
     "sim_steps": lambda: _sim(window=1e9),
-    "sim_refine_tol_zero": lambda: _sim(refine_tol=0.0),
-    "sim_refine_tol_negative": lambda: _sim(refine_tol=-1.0),
+    "sim_step_at_refine_tol": lambda: _sim(step=0.1),
     "sim_lat_nan": lambda: _sim(lat=math.nan),
     "sim_lat_inf": lambda: _sim(lat=math.inf),
     "settings": lambda: rv.EngineSettings(window=0.0),
