@@ -129,16 +129,20 @@ class TrackSegment:
 
 def keplerian_period(a: float, earth: EarthConstants = EARTH) -> float:
     """Two-body orbital period, s."""
-    if not a > 0.0:
-        raise ConfigError("semi-major axis must be positive")
+    _check_axis(a)
     return TWO_PI * math.sqrt(a**3 / earth.mu)
+
+
+def _check_axis(a: float) -> None:
+    """Raise ConfigError unless the semi-major axis a is finite and positive."""
+    if not 0.0 < a < math.inf:
+        raise ConfigError(f"semi-major axis must be finite and positive, got {a!r}")
 
 
 def _check_orbit_shape(a: float, e: float, inc: float) -> None:
     """Raise ConfigError unless a is finite and positive, e is in [0, 1)
     and inc is finite: the inputs of the period and drift formulas."""
-    if not 0.0 < a < math.inf:
-        raise ConfigError(f"semi-major axis must be finite and positive, got {a!r}")
+    _check_axis(a)
     if not 0.0 <= e < 1.0:
         raise ConfigError(f"eccentricity must be in [0, 1), got {e!r}")
     if not math.isfinite(inc):
@@ -345,6 +349,10 @@ def ground_track_segment(
     if n_points < 3:
         raise ConfigError("need at least 3 segment samples")
     check_latitude(lat)
+    if not math.isfinite(shift):
+        raise ConfigError(f"ground-track shift must be finite, got {shift!r}")
+    if not 0.0 <= reach < math.inf:
+        raise ConfigError(f"footprint reach must be finite and at least 0, got {reach!r}")
     sin_i = math.sin(el.inc)
     span = (1.0 + pad) * reach
 

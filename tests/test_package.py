@@ -76,8 +76,15 @@ _BAD_INPUT = {
     "pass_series_planes": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 86400.0, []),
     "segment_samples": lambda: ground_track_segment(_EL, 0.3, -0.4, 2, reach=0.1),
     "segment_lat": lambda: ground_track_segment(_EL, math.inf, -0.4, 100, reach=0.1),
+    **{
+        f"segment_{name}_{value}": lambda kw={name: value}: ground_track_segment(
+            _EL, 0.3, **{"shift": -0.4, "n_points": 100, "reach": 0.1, **kw})
+        for name, value in (("shift", math.nan), ("shift", math.inf), ("reach", math.nan),
+                            ("reach", math.inf), ("reach", -0.1))
+    },
     "keplerian_period": lambda: rv.keplerian_period(-1.0),
     "keplerian_period_nan": lambda: rv.keplerian_period(math.nan),
+    "keplerian_period_inf": lambda: rv.keplerian_period(math.inf),
     "ground_track_shift": lambda: rv.ground_track_shift(0.0, 0.0),
     "ground_track_shift_nan": lambda: rv.ground_track_shift(math.nan, 0.0),
     "ground_track_shift_period_inf": lambda: rv.ground_track_shift(math.inf, 0.0),

@@ -403,6 +403,14 @@ class TestGroundTrackSegment:
         with pytest.raises(ValueError):
             ground_track_segment(el, 0.5, -0.4, 2, reach=0.1)
 
+    def test_zero_reach_is_the_crossing(self):
+        # A 90 deg elevation mask sees nothing off the track's own point,
+        # ground range 0: every sample lies at the crossing.
+        el = make_orbit(500.0, 97.4)
+        seg = ground_track_segment(el, 0.5, -0.4, 5, reach=0.0)
+        assert np.all(seg.lat == seg.lat[2])
+        assert not np.any(seg.lon_off) and not np.any(seg.time_frac)
+
 
 # True anomalies over three turns, and a float step to either side of +-pi
 # and a few nanoradians off it, where the half-angle's cosine changes sign.
