@@ -7,6 +7,7 @@ cross-checks random configurations against the built-in brute-force
 simulator; 5 guards runtime; 6 aggregates the module invariants; 7 checks
 figure-level orderings.
 """
+import functools
 import math
 import statistics
 import time
@@ -175,15 +176,17 @@ def _well_posed(el, sensor, lat, walker, settings, apex):
     return rep
 
 
-@pytest.mark.slow
-def test_criterion_4_oracle_equivalence():
+@functools.cache
+def _criterion_4_draws():
+    """Criterion 4's seeded draws: (label, engine report, oracle report) of
+    each of up to 20 accepted configurations, the draws tried and the
+    seconds taken.  Cached, so each draw's oracle runs once a session."""
     t0 = time.time()
     rng = np.random.default_rng(20260810)
     settings = EngineSettings(window=10 * 86400.0, grid_res=math.radians(1.0))
-    failures = []
-    accepted = 0
+    draws = []
     tried = 0
-    while accepted < 20 and tried < 400:
+    while len(draws) < 20 and tried < 400:
         tried += 1
         cand = _draw_candidate(rng)
         if cand is None:
@@ -197,21 +200,59 @@ def test_criterion_4_oracle_equivalence():
         rep = _well_posed(el, sensor, lat, walker, settings, apex)
         if rep is None:
             continue
-        accepted += 1
         sim = oracle_analyze(el, sensor, lat, walker=walker, settings=settings)
+        label = f"h={alt:.0f} i={inc_deg:.1f} elev={elev_deg:.1f} lat={lat_deg:.1f} {t}/{p}/{f}"
+        draws.append((label, rep, sim))
+    return tuple(draws), tried, time.time() - t0
+
+
+@pytest.mark.slow
+def test_criterion_4_oracle_equivalence():
+    draws, tried, elapsed = _criterion_4_draws()
+    failures = []
+    for label, rep, sim in draws:
         tol = max(0.02 * sim.mrt_hours, 2.0 / 60.0)
         if abs(rep.mrt_hours - sim.mrt_hours) > tol:
             failures.append(
-                f"h={alt:.0f} i={inc_deg:.1f} elev={elev_deg:.1f} lat={lat_deg:.1f} "
-                f"{t}/{p}/{f}: engine {rep.mrt_hours:.3f} vs sim {sim.mrt_hours:.3f}"
+                f"{label}: engine {rep.mrt_hours:.3f} vs sim {sim.mrt_hours:.3f}"
             )
-    elapsed = time.time() - t0
-    if accepted < 20:
-        failures.append(f"only {accepted} acceptable configurations in {tried} draws")
+    if len(draws) < 20:
+        failures.append(f"only {len(draws)} acceptable configurations in {tried} draws")
     if elapsed > 600.0:
         failures.append(f"runtime {elapsed:.0f} s exceeds 600 s")
-    print(f"\n  criterion 4: {accepted} configs, {tried} draws, {elapsed:.0f} s")
+    print(f"\n  criterion 4: {len(draws)} configs, {tried} draws, {elapsed:.0f} s")
     _report("4 (brute-force equivalence)", failures)
+
+
+@pytest.mark.slow
+def test_criterion_4_every_report_field():
+    # Every field of the engine's report against the time-stepped
+    # simulation on criterion 4's draws, at 1 deg and 10 days.  Each bound
+    # is today's worst case over the 20 draws, rounded outward, with the
+    # measured range beside it; a change that brings the engine closer
+    # tightens the bounds it improves, and none may loosen one.  Two draws
+    # set the widest bounds:
+    # - TTC +1480.7 s on 757 km / 99.1 deg / 28.8 deg elevation / 2.8 deg
+    #   latitude, 4/1/0, most likely a pass at the window's edge (not
+    #   verified);
+    # - gaps +3.50% and ART -245.4 s on 1028 km / 86.0 deg / 10.4 deg /
+    #   26.9 deg, 4/2/1: the engine finds more gaps than the oracle, the
+    #   opposite sign from the six table cases, for a cause not known.
+    draws, _, _ = _criterion_4_draws()
+    assert len(draws) == 20
+    for label, eng, orc in draws:
+        # Measured: -0.98% to +3.50%.
+        assert -0.010 <= eng.gap_count / orc.gap_count - 1.0 <= 0.035, label
+        # Measured, in s: MRT -12.6 to +13.9, ART -245.4 to +125.5, TTC -9.7 to +1480.7.
+        assert -13.0 <= 3600.0 * (eng.mrt_hours - orc.mrt_hours) <= 14.0, label
+        assert -246.0 <= 3600.0 * (eng.art_hours - orc.art_hours) <= 126.0, label
+        ttc = 3600.0 * (eng.time_to_full_coverage_hours - orc.time_to_full_coverage_hours)
+        assert -10.0 <= ttc <= 1481.0, label
+        # Measured: full coverage on both sides and equal pass counts on every draw.
+        assert eng.coverage_fraction == orc.coverage_fraction == 1.0, label
+        assert eng.uncovered_count == orc.uncovered_count == 0, label
+        assert eng.pass_count == orc.pass_count, label
+        assert (eng.grid_size, eng.clamped) == (orc.grid_size, orc.clamped) == (360, False), label
 
 
 # --- Criterion 5: serial runtime --------------------------------------------
