@@ -290,7 +290,7 @@ def _step_times(cfg: SimConfig, k) -> np.ndarray:
 
 
 def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, lo_vis) -> np.ndarray:
-    """Bisect each change from lo_vis (its own, or all's) at step hi_step - 1 to REFINE_TOL."""
+    """Bisect each change from lo_vis (per change, or one for all) at step hi_step - 1."""
     if pt.size == 0:
         return np.empty(0)
     lon_t = cfg.lons[pt]
