@@ -303,17 +303,12 @@ def _fmt(value: Any, digits: int = 6) -> str:
     return f"{value:.{digits}f}" if _is_number(value) else ""
 
 
-def case_row(
-    case_id: int, cfg: CaseConfig, rc: ResolvedCase | None = None,
-    threads: int | None = None,
-) -> dict[str, str]:
+def case_row(case_id: int, cfg: CaseConfig, threads: int | None = None) -> dict[str, str]:
     """Run one sweep cell and format its CSV row.
 
     Window-exceeded cells carry the sentinel in the error column and empty
     metric cells; configuration errors are recorded per cell so the sweep
-    keeps going.  ``rc`` is the case already resolved from ``cfg``, when
-    the caller resolved it first; ``threads`` caps `analyze`'s tile
-    threads.
+    keeps going.  ``threads`` caps `analyze`'s tile threads.
     """
     row = dict.fromkeys(CSV_COLUMNS, "")
     row["case_id"] = str(case_id)
@@ -329,8 +324,7 @@ def case_row(
         row["sensor_mode"] = "elevation"
         row["sensor_deg"] = _fmt(cfg.elevation_deg, 3)
     try:
-        if rc is None:
-            rc = resolve_case(cfg)
+        rc = resolve_case(cfg)
         row["alt_km"] = _fmt(rc.altitude_km, 3)
         row["inc_deg"] = _fmt(rc.inclination_deg, 4)
         report = analyze(**rc.inputs(), threads=threads)

@@ -24,9 +24,10 @@ from .cases import (
     run_sweep,
     sweep_from_dict,
 )
-from .engine import analyze, oracle_report, oracle_sim_config
+from .coverage import revisit_stats
+from .engine import analyze, oracle_sim_config
 from .errors import ConfigError, RevisitError
-from .oracle import DEFAULT_STEP
+from .oracle import DEFAULT_STEP, simulate_access_table
 
 
 # Help of the case flags that have one; every CaseConfig field is a flag.
@@ -102,9 +103,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _case_from_args(args)
     if args.csv and args.oracle:
         raise ConfigError("--csv and --oracle do not combine: the CSV has no oracle columns")
+    # Resolved here as well as in the row, so that a bad case exits 1 with no CSV.
     rc = resolve_case(cfg)
     if args.csv:
-        row = case_row(0, cfg, rc)
+        row = case_row(0, cfg)
         _emit(rows_to_csv([row]), args.out)
         return 0 if row["error"] in ("", WINDOW_EXCEEDED) else 1
     if args.oracle:
@@ -124,7 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("warning: field of regard reaches past the horizon; "
               "ground range clamped", file=sys.stderr)
     if args.oracle:
-        sim = oracle_report(sim_cfg)
+        sim = revisit_stats(simulate_access_table(sim_cfg))
         lines += _report_lines("oracle_", sim)
         if report.mrt_hours is not None and sim.mrt_hours is not None:
             lines.append(f"mrt_diff_h={abs(report.mrt_hours - sim.mrt_hours):.4f}")

@@ -38,9 +38,8 @@ interval exactly when its i-th least end is below its (i+1)-th least
 start, and that difference is the gap, written over the ends in place
 (see `_tile_partials`).  ART adds each grid point's gaps on their own,
 so no report depends on where the tiles are cut or on the thread count.
-`join_tiles` sorts each tile's rows by start and joins them, without
-their padding, for a caller that wants the table itself
-(`accesses_for_passes`).
+`accesses_for_passes` sorts each tile's rows by start and joins them,
+without their padding, for a caller that wants the table itself.
 """
 from __future__ import annotations
 
@@ -427,13 +426,10 @@ def accesses_for_passes(
     lat: float,
     bins_per_cell: int = BINS_PER_CELL,
 ) -> AccessTable:
-    """The whole access table of `access_tiles`."""
-    return join_tiles(access_tiles(pset, segments, footprints, grid, lat, bins_per_cell))
-
-
-def join_tiles(acc: AccessTiles) -> AccessTable:
-    """Build the tiles in point order and join them into one table sorted by
-    (point, start), without padding."""
+    """The whole access table of `access_tiles`: its tiles, built in point
+    order and joined into one table sorted by (point, start), without
+    padding."""
+    acc = access_tiles(pset, segments, footprints, grid, lat, bins_per_cell)
     points, starts, ends = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
     p0 = 0
     for k in range(acc.count):
@@ -547,11 +543,8 @@ def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, np.ndarray, int, in
     start, end = acc.build(k)
     start.sort(axis=1)
     end.sort(axis=1)
-    # width, the most real cells of any row, cuts the columns that hold
-    # only padding.  Past a row's last interval the raw gap is inf - E[i]
-    # = inf, then inf - inf = NaN; neither passes `keep`.
-    width = int(np.max(np.count_nonzero(start < np.inf, axis=1), initial=0))
-    start, end = start[:, :width], end[:, :width]
+    # Past a row's last interval the raw gap is inf - E[i] = inf, then
+    # inf - inf = NaN; neither passes `keep`, so padding adds no gap.
     # The gaps overwrite the ends, which nothing reads after them: a build's
     # two arrays share no memory.
     with np.errstate(invalid="ignore"):

@@ -51,9 +51,9 @@ EARTH = EarthConstants()
 
 
 def check_latitude(lat: float) -> None:
-    """The latitude rule of every function that takes one: a finite number."""
-    if not math.isfinite(lat):
-        raise ConfigError(f"latitude must be finite, got {lat}")
+    """The latitude rule of every function that takes one: finite and in [-pi/2, pi/2]."""
+    if not -math.pi / 2.0 <= lat <= math.pi / 2.0:
+        raise ConfigError(f"latitude must be finite and in [-pi/2, pi/2], got {lat}")
 
 
 def geodetic_radius(lat: float, earth: EarthConstants = EARTH) -> float:

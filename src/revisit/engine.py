@@ -15,12 +15,10 @@ from .coverage import (
     MAX_GRID_RES_DEG,
     MAX_GRID_RESOLUTION,
     MIN_GRID_RES_DEG,
-    AccessTable,
     LongitudeGrid,
     RevisitReport,
     access_tiles,
     build_grid,
-    join_tiles,
     revisit_stats,
     tile_stats,
 )
@@ -133,17 +131,6 @@ def branch_inputs(
     return pset, segments, footprints, build_grid(settings.grid_res)
 
 
-def access_table(
-    el: OrbitElements,
-    sensor: SensorSpec,
-    lat: float,
-    walker: WalkerConfig = WalkerConfig(),
-    settings: EngineSettings = EngineSettings(),
-) -> AccessTable:
-    """The whole access table that `analyze` reduces tile by tile."""
-    return join_tiles(access_tiles(*branch_inputs(el, sensor, lat, walker, settings), lat))
-
-
 def analyze(
     el: OrbitElements,
     sensor: SensorSpec,
@@ -193,9 +180,5 @@ def oracle_analyze(
     step: float = DEFAULT_STEP,
 ) -> RevisitReport:
     """Brute-force revisit report on the same grid and window."""
-    return oracle_report(oracle_sim_config(el, sensor, lat, walker, settings, step))
-
-
-def oracle_report(cfg: SimConfig) -> RevisitReport:
-    """Brute-force revisit report of one simulation setup."""
+    cfg = oracle_sim_config(el, sensor, lat, walker, settings, step)
     return revisit_stats(simulate_access_table(cfg))

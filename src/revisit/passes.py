@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .earth import EARTH, EarthConstants, check_latitude
+from .earth import EARTH, EarthConstants
 from .errors import ConfigError, is_count
 from .sensor import radius_at_latitude
 
@@ -94,6 +94,11 @@ class PlaneSpec:
 
     raan: float
     phases: tuple[float, ...] = (0.0,)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.raan) and isinstance(self.phases, tuple) and self.phases
+                and all(map(math.isfinite, self.phases))):
+            raise ConfigError(f"a plane needs a finite raan and finite phases, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -344,11 +349,14 @@ def ground_track_segment(
     The span covers every point from which a footprint of latitude
     half-height ``reach`` can still touch the target latitude, padded by
     ``pad`` and clamped at the track apex.  Longitude offsets include the
-    Earth-rotation accrual between samples.
+    Earth-rotation accrual between samples.  Raises LatitudeUnreachableError
+    where `radius_at_latitude` does.
     """
-    if n_points < 3:
-        raise ConfigError("need at least 3 segment samples")
-    check_latitude(lat)
+    if not (is_count(n_points) and n_points >= 3):
+        raise ConfigError(f"need an integer of at least 3 segment samples, got {n_points!r}")
+    radius_at_latitude(el, lat)
+    if not 0.0 <= pad < math.inf:
+        raise ConfigError(f"segment pad must be finite and at least 0, got {pad!r}")
     if not math.isfinite(shift):
         raise ConfigError(f"ground-track shift must be finite, got {shift!r}")
     if not 0.0 <= reach < math.inf:

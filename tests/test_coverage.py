@@ -14,14 +14,14 @@ from revisit.coverage import (
     AccessTable,
     AccessTiles,
     _run_selector,
+    _tile_partials,
     access_tiles,
     accesses_for_passes,
     build_grid,
-    join_tiles,
     revisit_stats,
     tile_stats,
 )
-from revisit.engine import EngineSettings, access_table, analyze, branch_inputs, build_pass_set
+from revisit.engine import EngineSettings, analyze, branch_inputs, build_pass_set
 from revisit.passes import (
     TrackSegment,
     ground_track_segment,
@@ -509,7 +509,7 @@ class TestTilesAgainstDense:
         dense, _ = dense_access_table(pset, segs, fps, grid, _LAT_40)
         assert np.count_nonzero(dense.start == 0.0) > 10
         assert np.count_nonzero(dense.end == st.window) > 10
-        tiled = join_tiles(access_tiles(pset, segs, fps, grid, _LAT_40))
+        tiled = accesses_for_passes(pset, segs, fps, grid, _LAT_40)
         for got, want in zip(_canonical_rows(tiled), _canonical_rows(dense)):
             assert np.array_equal(got, want)
 
@@ -533,7 +533,7 @@ class TestTilesAgainstDense:
         assert 100 % coverage.TILE_POINTS
         pset = replace(pset, lon=np.r_[lam, pset.lon[1:]])
         dense, _ = dense_access_table(pset, segs, fps, grid, _LAT_40)
-        tiled = join_tiles(access_tiles(pset, segs, fps, grid, _LAT_40))
+        tiled = accesses_for_passes(pset, segs, fps, grid, _LAT_40)
         for got, want in zip(_canonical_rows(tiled), _canonical_rows(dense)):
             assert np.array_equal(got, want)
 
@@ -573,7 +573,7 @@ class TestRunSelection:
             cut = []
             with monkeypatch.context() as m:
                 m.setattr(coverage, "tile_stats", lambda acc, **kw: cut.append(acc))
-                revisit_stats(join_tiles(acc))
+                revisit_stats(accesses_for_passes(pset, segs, fps, grid, lat))
             built = [cut[0].build(k) for k in range(cut[0].count)]
             assert not any(np.may_share_memory(start, end) for start, end in got + built)
             for i in (0, 1):
@@ -695,12 +695,17 @@ class TestPassPhase:
             moved = replace(pset, lon=np.r_[lon0, pset.lon[1:]])
             return _canonical_rows(dense_access_table(moved, segs, fps, grid, _LAT_40)[0])
 
-        acc = access_tiles(replace(pset, lon=np.r_[lam, pset.lon[1:]]), segs, fps, grid, _LAT_40)
-        tiled = _canonical_rows(join_tiles(acc))
+        at_tie = replace(pset, lon=np.r_[lam, pset.lon[1:]])
+        tiled = _canonical_rows(accesses_for_passes(at_tie, segs, fps, grid, _LAT_40))
         # 1e-12 rad is about 4e-9 of a bin, far above the float form's error.
         below, above = dense(lam + 1e-12), dense(lam - 1e-12)
         assert all(np.array_equal(got, want) for got, want in zip(tiled, below))
         assert not all(np.array_equal(got, want) for got, want in zip(tiled, above))
+
+
+def _engine_table(el, sensor, lat, walker=rv.WalkerConfig(), settings=EngineSettings()):
+    """The whole access table that `analyze` reduces tile by tile."""
+    return accesses_for_passes(*branch_inputs(el, sensor, lat, walker, settings), lat)
 
 
 def _table(point, start, end, n_grid=360, merge_tol=1.0, passes=0):
@@ -805,7 +810,7 @@ class TestRevisitStats:
         # 700 rows, and whole tiles are empty.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40))
-        table = access_table(*args)
+        table = _engine_table(*args)
         assert table.grid_size == 3600
         assert analyze(*args) == revisit_stats(table)
         for table in (table, _sparse_table()):
@@ -861,8 +866,8 @@ class TestEngineTable:
         el = make_orbit(600.0, 55.0)
         sensor = rv.SensorSpec.elevation(math.radians(15))
         st = EngineSettings(window=3 * 86400.0, grid_res=math.radians(1.0))
-        t1 = access_table(el, sensor, math.radians(20), settings=st)
-        t2 = access_table(el, sensor, math.radians(20), settings=st)
+        t1 = _engine_table(el, sensor, math.radians(20), settings=st)
+        t2 = _engine_table(el, sensor, math.radians(20), settings=st)
         assert np.array_equal(t1.point, t2.point)
         assert np.array_equal(t1.start, t2.start)
         assert np.array_equal(t1.end, t2.end)
@@ -871,7 +876,7 @@ class TestEngineTable:
         el = make_orbit(600.0, 55.0)
         sensor = rv.SensorSpec.elevation(math.radians(15))
         st = EngineSettings(window=3 * 86400.0, grid_res=math.radians(1.0))
-        tab = access_table(el, sensor, math.radians(20), settings=st)
+        tab = _engine_table(el, sensor, math.radians(20), settings=st)
         assert np.all(tab.start >= 0.0)
         assert np.all(tab.end <= st.window)
         assert np.all(tab.start <= tab.end)
@@ -905,7 +910,7 @@ class TestEngineTable:
         # stays below a quarter of the table's bytes.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40), rv.WalkerConfig(6, 6, 0), EngineSettings(window=10 * 86400.0))
-        table = access_table(*args)
+        table = _engine_table(*args)
         table_bytes = table.point.nbytes + table.start.nbytes + table.end.nbytes
         assert table.point.size > 1_000_000
         del table
@@ -923,7 +928,7 @@ class TestEngineTable:
         # below a quarter of the table.
         args = (make_orbit(700.0, 60.0), rv.SensorSpec.elevation(math.radians(10)),
                 math.radians(40), rv.WalkerConfig(6, 6, 0), EngineSettings(window=10 * 86400.0))
-        table = access_table(*args)
+        table = _engine_table(*args)
         table_bytes = table.point.nbytes + table.start.nbytes + table.end.nbytes
         del table
         peaks = {}
@@ -995,14 +1000,18 @@ class TestThreadedReduction:
         # 2**53 + 1 rounds back to 2**53, so a running sum from point 0 on
         # absorbs each later point's 1 s.  The points' gap sums are added
         # exactly, whether the five points share one tile or have one each.
+        # Columns of padding alone add no gap: past a row's last interval
+        # its raw gaps are inf - end = inf, then inf - inf = NaN, so a block
+        # padded with three more +inf columns gives the same five partials.
         gaps = np.array([[2.0**53], [1.0], [1.0], [1.0], [1.0]])
         start = np.hstack([np.zeros((5, 1)), gaps])
+        padded = np.hstack([start, np.full((5, 3), np.inf)])
 
-        def tiles(points):
+        def tiles(points, block=start):
             def build(k):
                 # Two new arrays: the reduction writes the gaps over the ends.
                 rows = slice(k * points, (k + 1) * points)
-                return start[rows].copy(), start[rows].copy()
+                return block[rows].copy(), block[rows].copy()
 
             return AccessTiles(build=build, count=5 // points, grid_size=5, merge_tol=0.0,
                                pass_count=10)
@@ -1011,6 +1020,12 @@ class TestThreadedReduction:
             report = tile_stats(tiles(points), threads=threads)
             assert report.gap_count == 5 and report.coverage_fraction == 1.0
             assert report.art_hours == (2.0**53 + 4.0) / 5 / 3600.0
+            assert tile_stats(tiles(points, padded), threads=threads) == report
+            for k in range(5 // points):
+                want = _tile_partials(tiles(points), k)
+                got = _tile_partials(tiles(points, padded), k)
+                assert np.array_equal(got[1], want[1])
+                assert got[:1] + got[2:] == want[:1] + want[2:]
 
     def test_no_report_depends_on_the_tile_size_or_the_thread_count(self, monkeypatch):
         # One point a tile, 7, the default 64 and the whole grid in one
@@ -1019,7 +1034,7 @@ class TestThreadedReduction:
         # and 5 threads: the engine, `revisit_stats` of its joined table and
         # `revisit_stats` of the unevenly padded sparse table each give one
         # report.
-        joined = access_table(*_MULTI_TILE_CASE)
+        joined = _engine_table(*_MULTI_TILE_CASE)
         sparse = _sparse_table()
         engine_reports, sparse_reports = set(), set()
         sizes = [(p, coverage.TILE_CELLS) for p in (1, 7, 64, None)]

@@ -5,8 +5,8 @@ the `RevisitReport` that `analyze()` gives, every float to its last bit.
 The cases are the benchmark's 1/1/0 and 6/6/0 Walker fleets (700 km,
 60 deg, 10 deg elevation, latitude 40 deg, 60 days, 0.1 deg) and its
 three criterion-4 cross-check cases (1 deg, 10 days), all unrotated.
-The cross-check cases also carry the `oracle_report` of the time-stepped
-simulation, on lines named `oracle_<case>`.  The 24/6/0 fleet is left
+The cross-check cases also carry the `oracle_analyze` report of the
+time-stepped simulation, on lines named `oracle_<case>`.  The 24/6/0 fleet is left
 out to keep the test's wall time bounded.  A
 change that is meant to keep every number must leave the file's bytes as
 they are; one that is meant to move them regenerates it with

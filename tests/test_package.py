@@ -1,5 +1,8 @@
 import ast
+import functools
+import importlib
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +43,9 @@ def _sim(**kw):
     })
 
 
+# Finite latitudes past a pole, which no function takes.
+_PAST_POLES = (1.6, -1.6)
+
 _BAD_INPUT = {
     "orbit_eccentricity": lambda: rv.OrbitElements(a=7000.0, e=1.0),
     "orbit_perigee": lambda: rv.OrbitElements(a=6000.0),
@@ -63,8 +69,10 @@ _BAD_INPUT = {
     "sim_step": lambda: _sim(step=-1.0),
     "sim_steps": lambda: _sim(window=1e9),
     "sim_step_at_refine_tol": lambda: _sim(step=0.1),
-    "sim_lat_nan": lambda: _sim(lat=math.nan),
-    "sim_lat_inf": lambda: _sim(lat=math.inf),
+    **{
+        f"sim_lat_{lat}": lambda lat=lat: _sim(lat=lat)
+        for lat in (math.nan, math.inf, *_PAST_POLES)
+    },
     "settings": lambda: rv.EngineSettings(window=0.0),
     "grid": lambda: rv.build_grid(0.0),
     "revisit_stats_grid_size": lambda: rv.revisit_stats(
@@ -74,13 +82,23 @@ _BAD_INPUT = {
     "pass_series_window_nan": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.nan),
     "pass_series_window_inf": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.inf),
     "pass_series_planes": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 86400.0, []),
+    "plane_raan_nan": lambda: rv.PlaneSpec(raan=math.nan),
+    "plane_raan_inf": lambda: rv.PlaneSpec(raan=math.inf),
+    "plane_phases_empty": lambda: rv.PlaneSpec(raan=0.0, phases=()),
+    "plane_phases_list": lambda: rv.PlaneSpec(raan=0.0, phases=[0.0]),
+    "plane_phase_nan": lambda: rv.PlaneSpec(raan=0.0, phases=(0.0, math.nan)),
     "segment_samples": lambda: ground_track_segment(_EL, 0.3, -0.4, 2, reach=0.1),
     "segment_lat": lambda: ground_track_segment(_EL, math.inf, -0.4, 100, reach=0.1),
+    **{
+        f"segment_lat_{lat}": lambda lat=lat: ground_track_segment(_EL, lat, -0.4, 100, reach=0.1)
+        for lat in _PAST_POLES
+    },
     **{
         f"segment_{name}_{value}": lambda kw={name: value}: ground_track_segment(
             _EL, 0.3, **{"shift": -0.4, "n_points": 100, "reach": 0.1, **kw})
         for name, value in (("shift", math.nan), ("shift", math.inf), ("reach", math.nan),
-                            ("reach", math.inf), ("reach", -0.1))
+                            ("reach", math.inf), ("reach", -0.1), ("n_points", 100.0),
+                            ("pad", math.nan), ("pad", math.inf), ("pad", -0.1))
     },
     "keplerian_period": lambda: rv.keplerian_period(-1.0),
     "keplerian_period_nan": lambda: rv.keplerian_period(math.nan),
@@ -118,8 +136,12 @@ _BAD_INPUT = {
     "range_boresight_nan": lambda: rv.ground_range_from_boresight(6378.0, math.nan, 0.1),
     "dihedral_lat": lambda: rv.dihedral_half_angle(0.1, math.nan),
     **{
+        f"dihedral_lat_{lat}": lambda lat=lat: rv.dihedral_half_angle(0.1, lat)
+        for lat in _PAST_POLES
+    },
+    **{
         f"{name}_{value}": call
-        for value in (math.nan, math.inf)
+        for value in (math.nan, math.inf, *_PAST_POLES)
         for name, call in (
             ("radius_at_latitude", lambda lat=value: rv.radius_at_latitude(_EL, lat)),
             ("geodetic_radius", lambda lat=value: rv.geodetic_radius(lat)),
@@ -199,3 +221,37 @@ def test_grids_and_count_checks_each_have_one_home():
         counts += [(path.name, f) for f in _calls(tree, _is_count_check)]
     assert grids == [("coverage.py", "build_grid")]
     assert counts == [("errors.py", "is_count")]
+
+
+_MODULES = sorted(p.stem for p in (SRC / "revisit").glob("*.py") if p.stem != "__init__")
+
+
+def _readme_names() -> set[str]:
+    """Each backticked dotted name of README.md, call arguments cut, that
+    starts at the package: ``revisit.<module>[.<name>]``, ``rv.<name>`` or
+    ``<module>.<name>`` for one of its modules."""
+    text = re.sub(r"```.*?```", "", (SRC.parent / "README.md").read_text(), flags=re.S)
+    names = set()
+    for code in re.findall(r"`([^`]+)`", text):
+        dotted = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?", code, re.S)
+        if dotted and dotted[1].split(".")[0] in ("revisit", "rv", *_MODULES):
+            names.add(dotted[1])
+    return names
+
+
+def test_every_dotted_name_in_the_readme_resolves():
+    # The README once named revisit.engine.access_table after it was gone.
+    for module in _MODULES:
+        importlib.import_module(f"revisit.{module}")
+    names = _readme_names()
+    assert {"revisit.engine.branch_inputs", "rv.EARTH", "oracle.REFINE_TOL"} <= names
+
+    def resolves(name: str) -> bool:
+        head, *rest = name.split(".")
+        try:
+            functools.reduce(getattr, rest, rv if head in ("revisit", "rv") else getattr(rv, head))
+        except AttributeError:
+            return False
+        return True
+
+    assert [name for name in sorted(names) if not resolves(name)] == []

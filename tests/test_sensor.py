@@ -6,7 +6,7 @@ import pytest
 
 import revisit as rv
 from revisit.errors import LatitudeUnreachableError, PoleOverlapError
-from revisit.passes import TrackSegment
+from revisit.passes import TrackSegment, ground_track_segment
 from revisit.sensor import (
     SensorSpec,
     dihedral_half_angle,
@@ -46,10 +46,15 @@ class TestRadiusAtLatitude:
         assert r_asc == pytest.approx(6930.4739924090745, abs=1e-9)
         assert r_desc == pytest.approx(7041.41905887449, abs=1e-9)
 
-    def test_unreachable_latitude(self):
-        el = make_orbit(500.0, 20.0)
+    @pytest.mark.parametrize("inc_deg, lat_deg", [(20.0, 45.0), (0.0, 0.0), (0.0, 20.0)])
+    def test_unreachable_latitude(self, inc_deg, lat_deg):
+        # An inc = 0 track crosses no latitude, the equator's included, and
+        # the track segment raises the same error as radius_at_latitude.
+        el = make_orbit(500.0, inc_deg)
         with pytest.raises(LatitudeUnreachableError):
-            radius_at_latitude(el, math.radians(45))
+            radius_at_latitude(el, math.radians(lat_deg))
+        with pytest.raises(LatitudeUnreachableError):
+            ground_track_segment(el, math.radians(lat_deg), -0.4, 100, reach=0.1)
 
 
 class TestGroundRange:
