@@ -5,7 +5,7 @@ coverage at a target latitude for single satellites and Walker patterns
 with discontinuous coverage, and cross-checks the result with a built-in
 brute-force point-coverage simulation.
 """
-from .cases import CaseConfig, SweepSpec, run_case, run_sweep
+from .cases import CaseConfig, SweepSpec, run_sweep
 from .coverage import AccessTable, LongitudeGrid, RevisitReport, build_grid, revisit_stats
 from .earth import EARTH, EarthConstants, geodetic_radius, sso_inclination
 from .engine import EngineSettings, analyze, oracle_analyze
@@ -81,7 +81,6 @@ __all__ = [
     "radius_at_latitude",
     "resolve_footprint",
     "revisit_stats",
-    "run_case",
     "run_sweep",
     "sso_inclination",
     "walker_planes",

@@ -11,13 +11,13 @@ import io
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Any
 
 import numpy as np
 
-from .coverage import MAX_GRID_RES_DEG, MIN_GRID_RES_DEG, RevisitReport, usable_cores
+from .coverage import MAX_GRID_RES_DEG, MIN_GRID_RES_DEG, usable_cores
 from .earth import EARTH, sso_inclination
 from .engine import (
     DEFAULT_GRID_RES_DEG, DEFAULT_SEGMENT_SAMPLES, DEFAULT_WINDOW_DAYS, MAX_WINDOW_DAYS,
@@ -197,11 +197,6 @@ def resolve_case(cfg: CaseConfig) -> ResolvedCase:
     )
 
 
-def run_case(cfg: CaseConfig) -> RevisitReport:
-    """Run the semi-analytical chain for one case."""
-    return analyze(**resolve_case(cfg).inputs())
-
-
 def case_from_dict(data: dict[str, Any]) -> CaseConfig:
     """Build a CaseConfig from a JSON-style dict (e.g. a config file)."""
     known = {f.name for f in fields(CaseConfig)}
@@ -236,16 +231,22 @@ class SweepSpec:
     """
 
     base: CaseConfig
-    axes: dict[str, tuple[float, float, float]] = field(default_factory=dict)
+    axes: dict[str, tuple[float, float, float]]
 
     def validate(self) -> None:
-        if not 1 <= len(self.axes) <= 2:
-            raise ConfigError("sweep needs one or two axes")
-        for name, (lo, hi, step) in self.axes.items():
+        if not isinstance(self.base, CaseConfig):
+            raise ConfigError(f"sweep base must be a CaseConfig, got {self.base!r}")
+        if not (isinstance(self.axes, dict) and 1 <= len(self.axes) <= 2):
+            raise ConfigError(f"sweep needs one or two axes in a dict, got {self.axes!r}")
+        for name, rng in self.axes.items():
             if name not in SWEEPABLE_FIELDS:
                 raise ConfigError(
                     f"cannot sweep {name!r}; choose from {SWEEPABLE_FIELDS}"
                 )
+            if not (isinstance(rng, (list, tuple)) and len(rng) == 3
+                    and all(map(_is_number, rng))):
+                raise ConfigError(f"{name} sweep range must be three numbers, got {rng!r}")
+            lo, hi, step = rng
             if not all(map(math.isfinite, (lo, hi, step))):
                 raise ConfigError(f"{name} sweep range must be finite, got ({lo}, {hi}, {step})")
             if step <= 0.0 or hi < lo:
@@ -283,6 +284,7 @@ class SweepSpec:
 
 
 def sweep_from_dict(data: dict[str, Any]) -> SweepSpec:
+    json_object("sweep config", data)
     axes = {}
     for name, rng in json_object("sweep", data.get("sweep", {})).items():
         values = [rng.get(k) for k in ("min", "max", "step")] if isinstance(rng, dict) else rng

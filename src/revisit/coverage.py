@@ -149,7 +149,8 @@ class AccessTiles:
     tiles may be built in any order, again, or on several threads at once.
     A tile holds whole rows, so where the tiles are cut changes no report.
     The build of `access_tiles` raises `ConfigError` for a k that is not
-    an integer in [0, count).
+    an integer in [0, count).  ``clamped`` is the report's flag: a
+    footprint reached past the horizon (`FootprintAtLatitude.clamped`).
     """
 
     build: Callable[[int], tuple[np.ndarray, np.ndarray]]
@@ -157,6 +158,7 @@ class AccessTiles:
     grid_size: int
     merge_tol: float
     pass_count: int
+    clamped: bool
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ class RevisitReport:
     pass_count: int
     gap_count: int
     grid_size: int
-    clamped: bool = False
+    clamped: bool
 
     @property
     def window_exceeded(self) -> bool:
@@ -415,6 +417,7 @@ def access_tiles(
 
     return AccessTiles(
         build=tile, count=count, grid_size=n, merge_tol=merge_tol, pass_count=len(pset),
+        clamped=any(fp.clamped for fp in footprints.values()),
     )
 
 
@@ -518,13 +521,10 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
         end.ravel()[cell] = table.end[a:z]
         return start, end
 
-    return tile_stats(
-        AccessTiles(
-            build=tile, count=bounds.size - 1, grid_size=n, merge_tol=table.merge_tol,
-            pass_count=table.pass_count,
-        ),
-        clamped=clamped,
-    )
+    return tile_stats(AccessTiles(
+        build=tile, count=bounds.size - 1, grid_size=n, merge_tol=table.merge_tol,
+        pass_count=table.pass_count, clamped=clamped,
+    ))
 
 
 def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, np.ndarray, int, int, float]:
@@ -562,9 +562,7 @@ def _tile_partials(acc: AccessTiles, k: int) -> tuple[float, np.ndarray, int, in
     )
 
 
-def tile_stats(
-    acc: AccessTiles, clamped: bool = False, threads: int | None = None
-) -> RevisitReport:
+def tile_stats(acc: AccessTiles, threads: int | None = None) -> RevisitReport:
     """Merge intervals, collect gaps, and compute the revisit report.
 
     Gaps are measured between consecutive accesses of the same grid point;
@@ -596,5 +594,5 @@ def tile_stats(
     return RevisitReport(
         mrt_hours=mrt, art_hours=art, coverage_fraction=covered / n_grid,
         time_to_full_coverage_hours=ttc, uncovered_count=n_grid - covered,
-        pass_count=acc.pass_count, gap_count=n_gaps, grid_size=n_grid, clamped=clamped,
+        pass_count=acc.pass_count, gap_count=n_gaps, grid_size=n_grid, clamped=acc.clamped,
     )

@@ -56,21 +56,21 @@ def check_latitude(lat: float) -> None:
         raise ConfigError(f"latitude must be finite and in [-pi/2, pi/2], got {lat}")
 
 
-def geodetic_radius(lat: float, earth: EarthConstants = EARTH) -> float:
+def geodetic_radius(lat: float) -> float:
     """Radius of the oblate spheroid at latitude ``lat``.
 
     Reduces to the equatorial radius at lat=0 and the polar radius at the
     poles; monotonically non-increasing in |lat|.
     """
     check_latitude(lat)
-    ra, rb = earth.equatorial_radius, earth.polar_radius
+    ra, rb = EARTH.equatorial_radius, EARTH.polar_radius
     c, s = math.cos(lat), math.sin(lat)
     num = (ra * ra * c) ** 2 + (rb * rb * s) ** 2
     den = (ra * c) ** 2 + (rb * s) ** 2
     return math.sqrt(num / den)
 
 
-def sso_inclination(a: float, e: float = 0.0, earth: EarthConstants = EARTH) -> float:
+def sso_inclination(a: float, e: float = 0.0) -> float:
     """Inclination giving a sun-synchronous node drift for the orbit (a, e).
 
     Inverts the J2 node-drift rate, which is monotone in the inclination
@@ -84,7 +84,7 @@ def sso_inclination(a: float, e: float = 0.0, earth: EarthConstants = EARTH) -> 
     from .passes import raan_drift_rate
 
     def residual(inc: float) -> float:
-        return raan_drift_rate(a, e, inc, earth) - SUN_SYNC_RATE
+        return raan_drift_rate(a, e, inc) - SUN_SYNC_RATE
 
     lo, hi = math.pi / 2.0 + 1e-9, math.pi - 1e-9
     r_lo, r_hi = residual(lo), residual(hi)

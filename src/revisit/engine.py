@@ -145,10 +145,8 @@ def analyze(
     threads (by default one per usable core; see `tile_stats`), and never
     held whole.  The report does not depend on the thread count.
     """
-    pset, segments, footprints, grid = branch_inputs(el, sensor, lat, walker, settings)
-    clamped = footprints[True].clamped or footprints[False].clamped
-    acc = access_tiles(pset, segments, footprints, grid, lat)
-    return tile_stats(acc, clamped=clamped, threads=threads)
+    acc = access_tiles(*branch_inputs(el, sensor, lat, walker, settings), lat)
+    return tile_stats(acc, threads=threads)
 
 
 def oracle_sim_config(
@@ -177,8 +175,7 @@ def oracle_analyze(
     lat: float,
     walker: WalkerConfig = WalkerConfig(),
     settings: EngineSettings = EngineSettings(),
-    step: float = DEFAULT_STEP,
 ) -> RevisitReport:
     """Brute-force revisit report on the same grid and window."""
-    cfg = oracle_sim_config(el, sensor, lat, walker, settings, step)
+    cfg = oracle_sim_config(el, sensor, lat, walker, settings)
     return revisit_stats(simulate_access_table(cfg))

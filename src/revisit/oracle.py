@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -156,7 +157,8 @@ class SimConfig:
     """Point-coverage simulation setup.
 
     Target points are (lat, lons): a single latitude with an array of
-    longitudes, matching the engine's grid-at-latitude geometry.
+    longitudes, matching the engine's grid-at-latitude geometry.  The
+    simulation runs on the engine's Earth, `EARTH`.
     """
 
     elements: tuple[OrbitElements, ...]
@@ -165,7 +167,7 @@ class SimConfig:
     lons: np.ndarray
     window: float
     step: float = DEFAULT_STEP
-    earth: EarthConstants = field(default=EARTH)
+    earth: ClassVar[EarthConstants] = EARTH
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lons", np.asarray(self.lons, dtype=float))
@@ -208,7 +210,7 @@ def _visibility_margin(sensor, r_t, lat_t, lon_t, r_s, lat_s, lon_s):
 
 def _visible(cfg: SimConfig, lon_t, state) -> np.ndarray:
     r, lat_s, lon_s = state
-    r_t = geodetic_radius(cfg.lat, cfg.earth)
+    r_t = geodetic_radius(cfg.lat)
     return _visibility_margin(cfg.sensor, r_t, cfg.lat, lon_t, r, lat_s, lon_s) >= 0.0
 
 
@@ -234,7 +236,7 @@ def _step_ranges(cfg: SimConfig, state):
     an empty inner one within it: both read (0, 0).
     """
     r, lat_s, lon_s = state
-    r_t = geodetic_radius(cfg.lat, cfg.earth)
+    r_t = geodetic_radius(cfg.lat)
     angle = cfg.sensor.angle
     if cfg.sensor.mode == "elevation":
         h = np.arccos(np.minimum(r_t * math.cos(angle) / r, 1.0)) - angle
@@ -290,7 +292,7 @@ def _step_times(cfg: SimConfig, k) -> np.ndarray:
 
 
 def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, lo_vis) -> np.ndarray:
-    """Bisect each change from lo_vis (per change, or one for all) at step hi_step - 1."""
+    """Bisect each change from its visibility lo_vis at step hi_step - 1."""
     if pt.size == 0:
         return np.empty(0)
     lon_t = cfg.lons[pt]
@@ -298,7 +300,7 @@ def _refine(el: OrbitElements, cfg: SimConfig, pt, hi_step, lo_vis) -> np.ndarra
     n_iter = max(1, math.ceil(math.log2(cfg.step / REFINE_TOL)))
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
-        take_lo = _visible(cfg, lon_t, propagate_j2(el, mid, cfg.earth)) == lo_vis
+        take_lo = _visible(cfg, lon_t, propagate_j2(el, mid)) == lo_vis
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
     return 0.5 * (lo + hi)
@@ -319,7 +321,7 @@ def _chunk_keys(cfg: SimConfig, n_t: int, unit: tuple[OrbitElements, int]):
     el, a = unit
     b = min(a + CHUNK_STEPS, n_t)
     first = max(a - 1, 0)
-    state = propagate_j2(el, _step_times(cfg, np.arange(first, b)), cfg.earth)
+    state = propagate_j2(el, _step_times(cfg, np.arange(first, b)))
     side = np.sign(state[1] - cfg.lat)
     crossings = int(np.count_nonzero(side[1:] * side[:-1] < 0))
     n = cfg.lons.size

@@ -27,6 +27,14 @@ TWO_PI = 2.0 * math.pi
 # Track-segment span beyond the footprint's reach, as a fraction of it.
 SEGMENT_PAD = 0.1
 
+# Bounds that keep a constellation's arrays allocatable, beside the
+# engine's window and sample bounds.
+# Most satellites of a Walker pattern: `pass_series` loops over each one.
+MAX_SATELLITES = 10_000
+# Most passes one `pass_series` call may build; each holds about 110 B
+# while it is built.
+MAX_PASSES = 10_000_000
+
 
 def wrap_angle(x):
     """Wrap angle(s) to [-pi, pi)."""
@@ -73,6 +81,10 @@ class WalkerConfig:
             raise ConfigError("satellite, plane and phasing counts must be integers")
         if self.total < 1 or self.planes < 1:
             raise ConfigError("need at least one satellite and one plane")
+        if self.total > MAX_SATELLITES:
+            raise ConfigError(
+                f"a pattern may hold at most {MAX_SATELLITES} satellites, got {self.total}"
+            )
         if self.total % self.planes != 0:
             raise ConfigError("planes must divide the total satellite count")
         if not 0 <= self.phasing < self.planes:
@@ -205,13 +217,13 @@ def raan_drift_rate(
     return first + second
 
 
-def ground_track_shift(p_n: float, raan_rate: float, earth: EarthConstants = EARTH) -> float:
+def ground_track_shift(p_n: float, raan_rate: float) -> float:
     """Longitude displacement of successive node crossings, rad/rev.
 
     Negative (westward) for all LEO orbits: Earth rotation dominates.
     """
     _check_comb(p_n, "node drift rate", raan_rate)
-    return p_n * (-earth.rotation_rate + raan_rate)
+    return p_n * (-EARTH.rotation_rate + raan_rate)
 
 
 def _mean_from_true(nu, e: float):
@@ -288,13 +300,23 @@ def pass_series(
     own: every other plane is offset by its RAAN difference from the
     first.  A satellite leading the reference by ``phase`` crosses the
     latitude earlier by the matching fraction of the nodal period; its
-    crossing longitudes follow the shifted drift line.
+    crossing longitudes follow the shifted drift line.  Each satellite
+    crosses the latitude at most twice a nodal period, so a call whose
+    planes, window and period could give more than MAX_PASSES passes is
+    refused before any array is built.
     """
     if not 0.0 < window < math.inf:
         raise ConfigError("analysis window must be positive and finite")
     if not planes:
         raise ConfigError("need at least one plane spec")
     _check_comb(p_n, "ground-track shift", shift)
+    # A comb of period p_n holds at most window / p_n + 1 epochs.
+    most = 2.0 * sum(len(spec.phases) for spec in planes) * (window / p_n + 1.0)
+    if most > MAX_PASSES:
+        raise ConfigError(
+            f"{len(planes)} planes over {window:g} s at a nodal period of {p_n:g} s "
+            f"make up to {most:.3g} passes; at most {MAX_PASSES} are allowed"
+        )
     nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
     node_time = -time_fraction_from_node(el, el.nu0) * p_n  # node passage, s
     # Per branch: the drift line's longitude at epoch 0 (raan + node-relative

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .earth import EARTH, EarthConstants, check_latitude, geodetic_radius
+from .earth import check_latitude, geodetic_radius
 from .errors import ConfigError, LatitudeUnreachableError, PoleOverlapError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -155,19 +155,14 @@ def dihedral_half_angle(ground_range: float, lat: float) -> float:
     return 2.0 * math.asin(min(1.0, arg))
 
 
-def resolve_footprint(
-    sensor: SensorSpec,
-    r_s: float,
-    lat: float,
-    earth: EarthConstants = EARTH,
-) -> FootprintAtLatitude:
+def resolve_footprint(sensor: SensorSpec, r_s: float, lat: float) -> FootprintAtLatitude:
     """Resolve a sensor spec into footprint half-sizes at one latitude.
 
     The surface radius is evaluated once at the target latitude; the same
     footprint is reused for every pass at that latitude.  An orbit that
     does not clear the surface there is a ConfigError.
     """
-    r_lat = geodetic_radius(lat, earth)
+    r_lat = geodetic_radius(lat)
     if r_s <= r_lat:
         raise ConfigError(
             f"satellite radius {r_s:.3f} km does not clear the surface radius "

@@ -18,7 +18,6 @@ from revisit.cases import (
     parse_walker,
     resolve_case,
     rows_to_csv,
-    run_case,
     run_sweep,
     sweep_from_dict,
 )
@@ -86,15 +85,15 @@ class TestCaseConfig:
             with pytest.raises(ConfigError, match=r"^walker entries must be integers"):
                 resolve_case(cfg)
 
-    def test_run_case_matches_engine(self):
-        rep = run_case(BASE)
+    def test_case_inputs_match_engine(self):
         rc = resolve_case(BASE)
+        rep = analyze(**rc.inputs())
         want = analyze(rc.elements, rc.sensor, rc.lat, walker=rc.walker, settings=rc.settings)
         assert rep == want
 
     def test_degenerate_walker_identical_to_single(self):
-        single = run_case(BASE)
-        walker = run_case(CaseConfig(**{**BASE.__dict__, "walker": (1, 1, 0)}))
+        single = analyze(**resolve_case(BASE).inputs())
+        walker = analyze(**resolve_case(replace(BASE, walker=(1, 1, 0))).inputs())
         assert walker == single
 
 
@@ -152,11 +151,11 @@ class TestSweep:
         with pytest.raises(ConfigError):
             SweepSpec(base=BASE, axes={"altitude_km": (500.0, 400.0, 50.0)}).cells()
 
-    def test_single_cell_sweep_equals_run_case(self):
+    def test_single_cell_sweep_equals_analyze(self):
         spec = SweepSpec(base=BASE, axes={"altitude_km": (600.0, 600.0, 50.0)})
         rows = run_sweep(spec, max_workers=1)
         assert len(rows) == 1
-        rep = run_case(BASE)
+        rep = analyze(**resolve_case(BASE).inputs())
         assert rows[0]["mrt_h"] == f"{rep.mrt_hours:.6f}"
         assert rows[0]["error"] == ""
 
@@ -298,6 +297,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "mrt_h=" in out and "coverage_frac=" in out
+
+    @pytest.mark.parametrize("boresight_deg, warned", [("80", True), ("30", False)])
+    def test_run_warns_of_a_clamped_footprint(self, capsys, boresight_deg, warned):
+        code = main([
+            "run", "--altitude-km", "500", "--inclination-deg", "60",
+            "--boresight-deg", boresight_deg, "--window-days", "1", "--grid-res-deg", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err == ("warning: field of regard reaches past the horizon; ground range clamped\n"
+                       if warned else "")
 
     def test_run_csv_row(self, capsys):
         code = main([

@@ -966,6 +966,22 @@ class TestEngineTable:
         assert rep.coverage_fraction == 0.0
         assert rep.mrt_hours is None
 
+    @pytest.mark.parametrize("half_cone_deg, clamped", [(80.0, True), (30.0, False)])
+    def test_clamp_flag_reaches_every_report(self, half_cone_deg, clamped):
+        # From 500 km over the equator an 80 deg cone reaches past the
+        # horizon (`test_sensor.py`'s clamped case); a 30 deg one does not.
+        # The tiles take the flag from their footprints, the joined table's
+        # report takes it as an argument, and the oracle, which tests the
+        # cone and the horizon point by point, clamps nothing.
+        el = make_orbit(500.0, 60.0)
+        sensor = rv.SensorSpec.boresight(math.radians(half_cone_deg))
+        st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
+        inputs = branch_inputs(el, sensor, 0.0, settings=st)
+        rep = analyze(el, sensor, 0.0, settings=st)
+        assert access_tiles(*inputs, 0.0).clamped is rep.clamped is clamped
+        assert revisit_stats(accesses_for_passes(*inputs, 0.0), clamped=clamped) == rep
+        assert rv.oracle_analyze(el, sensor, 0.0, settings=st).clamped is False
+
 
 # Six 1-degree tiles of about 38 000 cells each, from a 6/6/0 fleet.
 _MULTI_TILE_CASE = (
@@ -1014,7 +1030,7 @@ class TestThreadedReduction:
                 return block[rows].copy(), block[rows].copy()
 
             return AccessTiles(build=build, count=5 // points, grid_size=5, merge_tol=0.0,
-                               pass_count=10)
+                               pass_count=10, clamped=False)
 
         for points in (5, 1):
             report = tile_stats(tiles(points), threads=threads)

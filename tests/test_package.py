@@ -5,12 +5,15 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import revisit as rv
+from revisit import passes
+from revisit.cases import SweepSpec, resolve_case, sweep_from_dict
 from revisit.passes import ground_track_segment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,6 +38,7 @@ def test_import_loads_no_scipy_and_every_export_resolves():
 
 _EL = rv.OrbitElements(a=7000.0, inc=math.radians(60.0))
 _ELEV = rv.SensorSpec.elevation(0.2)
+_CASE = rv.CaseConfig(altitude_km=600.0, inclination_deg=55.0, elevation_deg=15.0)
 
 
 def _sim(**kw):
@@ -54,6 +58,14 @@ _BAD_INPUT = {
     "walker_empty": lambda: rv.WalkerConfig(0, 1, 0),
     "walker_float": lambda: rv.WalkerConfig(1.5, 1, 0),
     "walker_bool": lambda: rv.WalkerConfig(True, True, False),
+    "walker_satellites": lambda: rv.WalkerConfig(passes.MAX_SATELLITES + 1, 1, 0),
+    "walker_satellites_huge": lambda: rv.WalkerConfig(10**30, 1, 0),
+    "case_walker_huge": lambda: resolve_case(replace(_CASE, walker=(10**30, 1, 0))),
+    "sweep_config_list": lambda: sweep_from_dict([1]),
+    "sweep_range_two": lambda: SweepSpec(_CASE, {"latitude_deg": (0.0, 10.0)}).cells(),
+    "sweep_range_text": lambda: SweepSpec(_CASE, {"latitude_deg": "0:10:5"}).cells(),
+    "sweep_axes_list": lambda: SweepSpec(_CASE, [("latitude_deg", (0.0, 10.0, 5.0))]).cells(),
+    "sweep_base": lambda: SweepSpec(None, {"latitude_deg": (0.0, 10.0, 5.0)}).cells(),
     "sensor_boresight": lambda: rv.SensorSpec.boresight(2.0),
     "sensor_elevation": lambda: rv.SensorSpec.elevation(-0.1),
     "sensor_mode": lambda: rv.SensorSpec("laser", 0.1),
@@ -82,6 +94,8 @@ _BAD_INPUT = {
     "pass_series_window_nan": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.nan),
     "pass_series_window_inf": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.inf),
     "pass_series_planes": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 86400.0, []),
+    # window / period overflows, so the comb would be endless.
+    "pass_series_passes": lambda: rv.pass_series(_EL, 0.3, -0.4, 5e-324, 86400.0),
     "plane_raan_nan": lambda: rv.PlaneSpec(raan=math.nan),
     "plane_raan_inf": lambda: rv.PlaneSpec(raan=math.inf),
     "plane_phases_empty": lambda: rv.PlaneSpec(raan=0.0, phases=()),
@@ -151,6 +165,17 @@ _BAD_INPUT = {
 }
 
 
+def test_pass_series_refuses_more_passes_than_its_bound(monkeypatch):
+    # One satellite over a day at a 5800 s period crosses a latitude at
+    # most 2 * (86400 / 5800 + 1) = 31.8 times: a bound of 32 takes the
+    # call, one of 31 refuses it before any array is built.
+    monkeypatch.setattr(passes, "MAX_PASSES", 32)
+    assert len(rv.pass_series(_EL, 0.3, -0.4, 5800.0, 86400.0)) <= 32
+    monkeypatch.setattr(passes, "MAX_PASSES", 31)
+    with pytest.raises(rv.ConfigError, match="at most 31 are allowed"):
+        rv.pass_series(_EL, 0.3, -0.4, 5800.0, 86400.0)
+
+
 def test_config_error_is_a_value_error():
     assert issubclass(rv.ConfigError, ValueError)
     assert issubclass(rv.ConfigError, rv.RevisitError)
@@ -189,6 +214,49 @@ def test_bad_input_is_raised_as_config_error_and_never_rewrapped():
         for kind, func in _value_error_sites(ast.parse(path.read_text()))
     ]
     assert sites == [("cases.py", "except", "parse_walker")]
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names that ``tree`` imports and never uses.  A use is a name in the
+    code, a name in a string annotation, or an entry of ``__all__``."""
+    nodes = list(ast.walk(tree))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in nodes
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    annotations = [
+        annotation
+        for node in nodes
+        for annotation in (
+            [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+            else [node.returns] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else []
+        )
+        if annotation is not None
+    ]
+    for annotation in annotations:
+        for text in ast.walk(annotation):
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(text.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    for node in nodes:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # Deleting a parameter or a function leaves its imports behind.
+    unused = {
+        path.name: _unused_imports(ast.parse(path.read_text()))
+        for path in sorted((SRC / "revisit").glob("*.py"))
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def _calls(tree, test):
