@@ -39,6 +39,7 @@ from .passes import (
     OrbitElements,
     PlaneSpec,
     _mean_from_true,
+    _plane_satellites,
     raan_drift_rate,
     wrap_angle,
 )
@@ -126,15 +127,15 @@ def plane_elements(el: OrbitElements, planes: Sequence[PlaneSpec]) -> list[Orbit
     its RAAN difference from the first, and each satellite leads ``el`` by
     its phase in mean anomaly.
     """
+    _, raan_off, lead = _plane_satellites(planes)
     m0 = _mean_from_true(el.nu0, el.e)
     return [
         replace(
             el,
-            raan=float(wrap_angle(el.raan + (spec.raan - planes[0].raan))),
-            nu0=float(wrap_angle(true_from_mean(m0 + lead, el.e))),
+            raan=float(wrap_angle(el.raan + off)),
+            nu0=float(wrap_angle(true_from_mean(m0 + x, el.e))),
         )
-        for spec in planes
-        for lead in spec.phases
+        for off, x in zip(raan_off.tolist(), lead.tolist())
     ]
 
 

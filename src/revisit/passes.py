@@ -10,6 +10,8 @@ drift line
 
 which is how this module generates the passes of every satellite of a
 plane list, such as the one `walker_planes` builds for a Walker pattern.
+`pass_series` lays out the combs of every satellite, expanded from the
+list by `_plane_satellites` as for the oracle, in one array step.
 """
 from __future__ import annotations
 
@@ -29,10 +31,9 @@ SEGMENT_PAD = 0.1
 
 # Bounds that keep a constellation's arrays allocatable, beside the
 # engine's window and sample bounds.
-# Most satellites of a Walker pattern: `pass_series` loops over each one.
+# Most satellites of a Walker pattern: the oracle loops over each one.
 MAX_SATELLITES = 10_000
-# Most passes one `pass_series` call may build; each holds about 110 B
-# while it is built.
+# Most passes one `pass_series` call may build; each holds about 43 B while it is built.
 MAX_PASSES = 10_000_000
 
 
@@ -256,15 +257,6 @@ def node_relative_ra(u, inc: float):
     return np.arctan2(np.sin(u) * math.cos(inc), np.cos(u))
 
 
-def _comb_epochs(first: float, period: float, window: float) -> np.ndarray:
-    """All epochs first + j*period (j integer) that land inside [0, window]."""
-    j_lo = math.ceil(-first / period - 1e-12)
-    j_hi = math.floor((window - first) / period + 1e-12)
-    if j_hi < j_lo:
-        return np.empty(0)
-    return first + np.arange(j_lo, j_hi + 1) * period
-
-
 def walker_planes(cfg: WalkerConfig) -> list[PlaneSpec]:
     """The plane list of a Walker t/p/f pattern, reference plane first.
 
@@ -282,6 +274,17 @@ def walker_planes(cfg: WalkerConfig) -> list[PlaneSpec]:
         )
         for m in range(cfg.planes)
     ]
+
+
+def _plane_satellites(planes: Sequence[PlaneSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each satellite's plane index, node offset from the first plane (rad)
+    and lead in mean anomaly (rad), in the satellite order of `pass_series`
+    and `oracle.plane_elements`: plane by plane, in phase order."""
+    per_plane = [len(spec.phases) for spec in planes]
+    plane_index = np.repeat(np.arange(len(planes), dtype=np.int64), per_plane)
+    raan_off = np.array([spec.raan - planes[0].raan for spec in planes], dtype=float)
+    lead = np.array([x for spec in planes for x in spec.phases], dtype=float)
+    return plane_index, raan_off[plane_index], lead
 
 
 def pass_series(
@@ -303,7 +306,8 @@ def pass_series(
     crossing longitudes follow the shifted drift line.  Each satellite
     crosses the latitude at most twice a nodal period, so a call whose
     planes, window and period could give more than MAX_PASSES passes is
-    refused before any array is built.
+    refused before any array is built.  The passes are sorted by epoch
+    once, stably: at equal epochs, satellite order, ascending first.
     """
     if not 0.0 < window < math.inf:
         raise ConfigError("analysis window must be positive and finite")
@@ -319,41 +323,34 @@ def pass_series(
         )
     nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
     node_time = -time_fraction_from_node(el, el.nu0) * p_n  # node passage, s
-    # Per branch: the drift line's longitude at epoch 0 (raan + node-relative
-    # RA) and the crossing's time offset from the reference's node passage.
-    branches = [
-        (
-            is_asc,
-            float(el.raan + node_relative_ra(el.argp + nu, el.inc)),
-            float(node_time + time_fraction_from_node(el, nu) * p_n),
-        )
-        for is_asc, nu in ((True, nu_asc), (False, nu_desc))
-    ]
-    lons, epochs, ascs, plane_ids, sat_ids = [], [], [], [], []
-    sat_idx = 0
-    for plane_idx, spec in enumerate(planes):
-        raan_off = spec.raan - planes[0].raan
-        for lead in spec.phases:
-            dt_sat = -(lead / TWO_PI) * p_n
-            for is_asc, lon0, dt in branches:
-                t = _comb_epochs(dt + dt_sat, p_n, window)
-                lons.append(lon0 + raan_off + (t / p_n) * shift)
-                epochs.append(t)
-                ascs.append(np.full(t.shape, is_asc, dtype=bool))
-                plane_ids.append(np.full(t.shape, plane_idx, dtype=np.int64))
-                sat_ids.append(np.full(t.shape, sat_idx, dtype=np.int64))
-            sat_idx += 1
-    epoch = np.concatenate(epochs)
+    # Per branch, ascending first: the drift line's longitude at epoch 0 (raan
+    # + node-relative RA) and the crossing's time offset from the reference's.
+    lon0, dt = np.array([
+        (float(el.raan + node_relative_ra(el.argp + nu, el.inc)),
+         float(node_time + time_fraction_from_node(el, nu) * p_n))
+        for nu in (nu_asc, nu_desc)
+    ]).T
+    plane_index, raan_off, lead = _plane_satellites(planes)
+    # Comb 2k + b is satellite k on branch b: epochs first + j * p_n for the
+    # count integers j from j_lo that land in [0, window].
+    first = (dt - ((lead / TWO_PI) * p_n)[:, None]).ravel()
+    j_lo = np.ceil(-first / p_n - 1e-12)
+    count = np.maximum(np.floor((window - first) / p_n + 1e-12) - j_lo + 1.0, 0.0)
+    comb = np.repeat(np.arange(first.size, dtype=np.int64), count.astype(np.int64))
+    # The pass at position i, in comb c from position start[c], has j = j_lo[c] + i - start[c].
+    start = np.cumsum(count) - count
+    epoch = (np.arange(comb.size, dtype=float) + (j_lo - start)[comb]) * p_n + first[comb]
+    # Ties keep comb order.  Each array goes once it is gathered, which
+    # holds the peak near the result's own 33 B a pass.
     order = np.argsort(epoch, kind="stable")
+    comb, epoch = comb[order], epoch[order]
+    del order
+    lon = wrap_angle((lon0 + raan_off[:, None]).ravel()[comb] + (epoch / p_n) * shift)
+    sat, branch = np.divmod(comb, 2)
+    del comb
     return PassSet(
-        lon=wrap_angle(np.concatenate(lons))[order],
-        epoch=epoch[order],
-        ascending=np.concatenate(ascs)[order],
-        plane_index=np.concatenate(plane_ids)[order],
-        sat_index=np.concatenate(sat_ids)[order],
-        shift_per_rev=shift,
-        nodal_period=p_n,
-        window=window,
+        lon=lon, epoch=epoch, ascending=branch == 0, plane_index=plane_index[sat],
+        sat_index=sat, shift_per_rev=shift, nodal_period=p_n, window=window,
     )
 
 
@@ -387,6 +384,8 @@ def ground_track_segment(
     span = (1.0 + pad) * reach
 
     def u_at(lat_bound: float) -> float:
+        # Stop at the pole: past it the sine falls and the span folds back.
+        lat_bound = min(math.pi / 2.0, max(-math.pi / 2.0, lat_bound))
         s = min(1.0, max(-1.0, math.sin(lat_bound) / sin_i))
         return math.asin(s)
 

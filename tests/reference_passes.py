@@ -5,6 +5,10 @@ The engine places each pass by formula (`revisit.passes.pass_series`).
 on a time grid and bisects each crossing of the target latitude, so tests
 can check the combs against it.
 
+`per_satellite_pass_series` builds a pass set one satellite and one branch
+at a time, each comb by its own `arange`: the reference for the single
+array step of `revisit.passes.pass_series`.
+
 `per_sample_track_segment` samples a track segment as the engine does, but
 takes each sample's time from the ascending node with one scalar call of
 ``time_fraction`` (by default the library's `time_fraction_from_node`),
@@ -26,11 +30,13 @@ from revisit.passes import (
     SEGMENT_PAD,
     TWO_PI,
     OrbitElements,
+    PassSet,
     TrackSegment,
     node_relative_ra,
     time_fraction_from_node,
     wrap_angle,
 )
+from revisit.sensor import radius_at_latitude
 
 
 def crossing_events(
@@ -84,6 +90,55 @@ def math_time_fraction(el: OrbitElements, nu: float) -> float:
     return (d_mean % TWO_PI) / TWO_PI
 
 
+def _comb_epochs(first: float, period: float, window: float) -> np.ndarray:
+    """All epochs first + j*period (j integer) that land inside [0, window]."""
+    j_lo = math.ceil(-first / period - 1e-12)
+    j_hi = math.floor((window - first) / period + 1e-12)
+    if j_hi < j_lo:
+        return np.empty(0)
+    return first + np.arange(j_lo, j_hi + 1) * period
+
+
+def per_satellite_pass_series(el, lat, shift, p_n, window, planes) -> PassSet:
+    """`revisit.passes.pass_series`, one comb per satellite and branch, concatenated."""
+    nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
+    node_time = -time_fraction_from_node(el, el.nu0) * p_n
+    branches = [
+        (
+            is_asc,
+            float(el.raan + node_relative_ra(el.argp + nu, el.inc)),
+            float(node_time + time_fraction_from_node(el, nu) * p_n),
+        )
+        for is_asc, nu in ((True, nu_asc), (False, nu_desc))
+    ]
+    lons, epochs, ascs, plane_ids, sat_ids = [], [], [], [], []
+    sat_idx = 0
+    for plane_idx, spec in enumerate(planes):
+        raan_off = spec.raan - planes[0].raan
+        for lead in spec.phases:
+            dt_sat = -(lead / TWO_PI) * p_n
+            for is_asc, lon0, dt in branches:
+                t = _comb_epochs(dt + dt_sat, p_n, window)
+                lons.append(lon0 + raan_off + (t / p_n) * shift)
+                epochs.append(t)
+                ascs.append(np.full(t.shape, is_asc, dtype=bool))
+                plane_ids.append(np.full(t.shape, plane_idx, dtype=np.int64))
+                sat_ids.append(np.full(t.shape, sat_idx, dtype=np.int64))
+            sat_idx += 1
+    epoch = np.concatenate(epochs)
+    order = np.argsort(epoch, kind="stable")
+    return PassSet(
+        lon=wrap_angle(np.concatenate(lons))[order],
+        epoch=epoch[order],
+        ascending=np.concatenate(ascs)[order],
+        plane_index=np.concatenate(plane_ids)[order],
+        sat_index=np.concatenate(sat_ids)[order],
+        shift_per_rev=shift,
+        nodal_period=p_n,
+        window=window,
+    )
+
+
 def per_sample_track_segment(
     el: OrbitElements,
     lat: float,
@@ -99,6 +154,7 @@ def per_sample_track_segment(
     span = (1.0 + pad) * reach
 
     def u_at(lat_bound: float) -> float:
+        lat_bound = min(math.pi / 2.0, max(-math.pi / 2.0, lat_bound))
         return math.asin(min(1.0, max(-1.0, math.sin(lat_bound) / sin_i)))
 
     u_lo, u_hi = u_at(lat - span), u_at(lat + span)

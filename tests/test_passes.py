@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from reference_passes import (
     math_mean_from_true,
     math_time_fraction,
     per_sample_track_segment,
+    per_satellite_pass_series,
 )
 
 DAY_SIDEREAL = 86164.0905
@@ -210,6 +213,100 @@ class TestPassSeries:
         el, p_n, shift, ps = _single_sat_schedule(400.0, 20.0, 0.0, 30 * 86400.0)
         assert np.all(ps.lon >= -math.pi)
         assert np.all(ps.lon < math.pi)
+
+
+_PASS_FIELDS = ("lon", "epoch", "ascending", "plane_index", "sat_index")
+
+# Orbit, latitude (deg), window (s) and plane list of each named comb case.
+_COMB_CASES = {
+    "walker_24_6_1": (
+        make_orbit(700.0, 60.0, raan=0.4, nu0=0.3), 40.0, 2 * 86400.0,
+        walker_planes(WalkerConfig(24, 6, 1)),
+    ),
+    "negative_and_multi_turn_phases": (
+        make_orbit(800.0, 98.0, nu0=2.0), 55.0, 86400.0,
+        [PlaneSpec(raan=0.3, phases=(-13.0, 0.0, 19.5)), PlaneSpec(raan=1.1, phases=(-0.2, 7.0))],
+    ),
+    "raans_beyond_pi": (
+        make_orbit(600.0, 70.0, raan=-2.5), -20.0, 86400.0,
+        [PlaneSpec(raan=-6.9, phases=(0.0, 3.0)), PlaneSpec(raan=4.0), PlaneSpec(raan=6.5)],
+    ),
+    "shorter_than_a_period": (
+        make_orbit(700.0, 60.0, nu0=1.0), 30.0, 1000.0,
+        walker_planes(WalkerConfig(12, 3, 2)),
+    ),
+    "eccentric_retrograde": (
+        make_orbit(900.0, 120.0, e=0.05, argp=2.0, nu0=-1.0), -35.0, 3 * 86400.0,
+        walker_planes(WalkerConfig(6, 2, 1)),
+    ),
+}
+
+
+def _seeded_comb_case(rng):
+    """A random comb case: a Walker pattern or a free plane list."""
+    inc = rng.uniform(30.0, 150.0)
+    el = make_orbit(
+        rng.uniform(400.0, 2000.0), inc, e=rng.choice([0.0, rng.uniform(0.0, 0.05)]),
+        raan=rng.uniform(-7.0, 7.0), argp=rng.uniform(-7.0, 7.0), nu0=rng.uniform(-7.0, 7.0),
+    )
+    lat = rng.uniform(-0.95, 0.95) * min(inc, 180.0 - inc)
+    window = math.exp(rng.uniform(0.0, math.log(5 * 86400.0)))
+    if rng.random() < 0.5:
+        total = rng.randint(1, 40)
+        planes = rng.choice([p for p in range(1, total + 1) if total % p == 0])
+        return el, lat, window, walker_planes(WalkerConfig(total, planes, rng.randrange(planes)))
+    return el, lat, window, [
+        PlaneSpec(
+            raan=rng.uniform(-7.0, 7.0),
+            phases=tuple(rng.uniform(-20.0, 20.0) for _ in range(rng.randint(1, 4))),
+        )
+        for _ in range(rng.randint(1, 5))
+    ]
+
+
+def _both_pass_sets(el, lat_deg, window, planes):
+    p_n = nodal_period(el.a, el.e, el.inc)
+    shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
+    args = (el, math.radians(lat_deg), shift, p_n, window, planes)
+    return pass_series(*args), per_satellite_pass_series(*args)
+
+
+def _assert_same_pass_set(got, ref):
+    for name in _PASS_FIELDS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestCombsAgainstPerSatellite:
+    """`pass_series` lays out every comb in one array step; it must give
+    the bits of the per-satellite, per-branch reference."""
+
+    @pytest.mark.parametrize("name", sorted(_COMB_CASES))
+    def test_named_cases(self, name):
+        got, ref = _both_pass_sets(*_COMB_CASES[name])
+        assert len(ref) > 0
+        _assert_same_pass_set(got, ref)
+
+    def test_seeded_cases(self):
+        rng = random.Random(20261020)
+        for _ in range(60):
+            _assert_same_pass_set(*_both_pass_sets(*_seeded_comb_case(rng)))
+
+    def test_peak_memory_per_pass(self):
+        # The comb's working arrays, not lists of small arrays, set the
+        # peak: at most 80 B a pass against the result's 33 B.
+        el = make_orbit(700.0, 60.0)
+        p_n = nodal_period(el.a, el.e, el.inc)
+        shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
+        planes = walker_planes(WalkerConfig(1920, 48, 1))
+        tracemalloc.start()
+        try:
+            ps = pass_series(el, math.radians(40.0), shift, p_n, 2 * 86400.0, planes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ps) == 111_966
+        assert peak / len(ps) <= 80.0
 
 
 def _expanded(planes, inc_deg=90.0, window=86400.0):
@@ -397,6 +494,26 @@ class TestGroundTrackSegment:
         args = (el, math.radians(30), shift, 2001, math.radians(25), ascending)
         ref = per_sample_track_segment(*args, time_fraction=math_time_fraction)
         assert np.array_equal(ground_track_segment(*args).time_frac, ref.time_frac)
+
+    @pytest.mark.parametrize("ascending", [True, False], ids=["asc", "desc"])
+    def test_a_reach_past_the_pole_runs_to_the_apex(self, ascending):
+        # 1200 km / 97 deg / 5 deg elevation at 75 deg: the padded reach of
+        # 31.1 deg passes the pole.  Each segment must run monotonically
+        # from 43.87 deg to the 83 deg apex, not fold back short of it, and
+        # equal the per-sample reference there too.
+        el = make_orbit(1200.0, 97.0)
+        lat = math.radians(75.0)
+        p_n = nodal_period(el.a, el.e, el.inc)
+        shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
+        fp = resolve_footprint(rv.SensorSpec.elevation(math.radians(5.0)), el.a, lat)
+        args = (el, lat, shift, 1001, fp.ground_range, ascending)
+        seg, ref = ground_track_segment(*args), per_sample_track_segment(*args)
+        for name in ("lat", "lon_off", "time_frac"):
+            assert np.array_equal(getattr(seg, name), getattr(ref, name)), name
+        rising = seg.lat if ascending else seg.lat[::-1]
+        assert np.all(np.diff(rising) > 0.0)
+        assert math.degrees(rising[0]) == pytest.approx(43.87, abs=0.005)
+        assert math.degrees(rising[-1]) == pytest.approx(83.0, abs=1e-9)
 
     def test_needs_three_points(self):
         el = make_orbit(500.0, 97.4)
