@@ -5,9 +5,9 @@ sun-synchronous satellite at 40 deg latitude, narrow sensors leave
 uncovered longitudes (window exceeded) at low altitude, while a band
 near 600-800 km gives short revisits even for moderate cones.
 
-Uses a deliberately coarse grid so it runs in about a minute; tighten
-the steps for a production map.  Writes altitude_fov_map.csv (stable CSV
-schema) and optionally a contour PNG.
+Uses a deliberately coarse grid so it runs in under a second on a
+2-core machine; tighten the steps for a production map.  Writes
+altitude_fov_map.csv (stable CSV schema) and optionally a contour PNG.
 """
 from revisit.cases import CaseConfig, SweepSpec, run_sweep, rows_to_csv
 

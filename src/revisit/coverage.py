@@ -60,8 +60,11 @@ from .sensor import FootprintAtLatitude
 MIN_GRID_RES_DEG = 0.001
 MAX_GRID_RES_DEG = 1.0
 MAX_GRID_RESOLUTION = math.radians(MAX_GRID_RES_DEG)
-# Lens bins per longitude grid cell.
+# Lens bins per longitude grid cell; even (see `access_tiles`).
 BINS_PER_CELL = 64
+# The merge tolerance over the largest track-sample step.  A gap of exactly
+# one step rounds to 1e-12 s either side of it, and this slack merges it.
+MERGE_TOL_FACTOR = 1.0 + 2.0**-20
 # Most grid points per tile of the access table.
 TILE_POINTS = 64
 # Cells per tile: a tile's rows are cut so that their mean cells fit.  2**19
@@ -104,11 +107,16 @@ class LongitudeGrid:
         return int(self.lon.size)
 
 
+def _check_grid_resolution(resolution: float, name: str) -> None:
+    """Refuse, naming ``name``, a resolution (rad) outside the grid's bounds."""
+    if not math.radians(MIN_GRID_RES_DEG) <= resolution <= MAX_GRID_RESOLUTION:
+        raise ConfigError(f"{name} must be in [{MIN_GRID_RES_DEG:g}, {MAX_GRID_RES_DEG:g}] deg, "
+                          f"got {resolution!r} rad")
+
+
 def build_grid(resolution: float) -> LongitudeGrid:
     """Build the longitude grid; resolution in rad, MIN_GRID_RES_DEG to MAX_GRID_RES_DEG deg."""
-    if not math.radians(MIN_GRID_RES_DEG) <= resolution <= MAX_GRID_RESOLUTION + 1e-15:
-        raise ConfigError(f"grid resolution must be in [{MIN_GRID_RES_DEG:g}, "
-                          f"{MAX_GRID_RES_DEG:g}] deg, got {resolution!r} rad")
+    _check_grid_resolution(resolution, "grid resolution")
     n = int(round(TWO_PI / resolution))
     spacing = TWO_PI / n
     return LongitudeGrid(spacing=spacing, lon=-math.pi + spacing * np.arange(n))
@@ -301,14 +309,13 @@ def access_tiles(
     footprints: dict[bool, FootprintAtLatitude],
     grid: LongitudeGrid,
     lat: float,
-    bins_per_cell: int = BINS_PER_CELL,
 ) -> AccessTiles:
     """Intersect every pass with the grid, one tile of grid points at a time.
 
     segments/footprints are keyed by branch (True = ascending).  Pass k
     reaches the grid points base_k + j, j < n_cand (modulo the grid),
     where n_cand covers its branch's lens, and offset j reads lens bin
-    phase_k + bins_per_cell * j.  One (first, last) pair, the layout, is
+    phase_k + BINS_PER_CELL * j.  One (first, last) pair, the layout, is
     allocated once at +inf, and each branch's lens is folded in place into
     its slice (`_fold_lens`).  So every bin that no sample sees holds
     (+inf, +inf), and so does each branch's trailing padding, long enough
@@ -320,7 +327,7 @@ def access_tiles(
     of a pass whose run of offsets meets the tile is one column, in (pass,
     lap) order (see `_run_selector`): where no pass reaches a point twice,
     that is pass order.  A cell's bin is its column's first bin plus
-    bins_per_cell * row, one integer add.  A run that starts inside the
+    BINS_PER_CELL * row, one integer add.  A run that starts inside the
     tile has offsets below 0 in its first rows; those cells read a padding
     bin.  Only the passes whose accesses can leave [0, window], found once
     for the whole set, have their columns clipped to the window and the
@@ -330,14 +337,14 @@ def access_tiles(
     """
     n, window = grid.size, pset.window
     merge_tol = 0.0
-    bin_width = grid.spacing / bins_per_cell
+    bin_width = grid.spacing / BINS_PER_CELL
     n_cand, base, phase = (np.zeros(len(pset), dtype=np.int64) for _ in range(3))
     edge = np.zeros(len(pset), dtype=bool)
     branches = []
     for is_asc in (True, False):
         seg = segments[is_asc]
         t = seg.time_frac * pset.nodal_period
-        merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
+        merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))) * MERGE_TOL_FACTOR)
         ranges = _lens_ranges(seg, t, footprints[is_asc], lat, bin_width)
         if ranges is None:
             continue
@@ -348,10 +355,10 @@ def access_tiles(
         n_cand[sel] = cand
         base[sel] = np.ceil((lam_c + lo + math.pi) / grid.spacing)
         # Offset j's lens bin, rint(((base + j) * spacing - pi - lam_c - lo) / bin_width),
-        # is its value at j = 0 plus bins_per_cell * j: bins_per_cell is even, so
+        # is its value at j = 0 plus BINS_PER_CELL * j: BINS_PER_CELL is even, so
         # a half-bin tie rounds alike at every j.  base rounds up, so no bin is
         # below lo's.  phase is the bin at j = 0 counted from the bin before the
-        # lens, at most 1 + bins_per_cell; the lens's row in the layout is added
+        # lens, at most 1 + BINS_PER_CELL; the lens's row in the layout is added
         # below.
         phase[sel] = 1 + np.rint((base[sel] * grid.spacing - math.pi - lam_c - lo) / bin_width)
         # Adding an epoch rounds monotonically, so a pass whose earliest and
@@ -367,10 +374,10 @@ def access_tiles(
     for sel, cand, _ in branches:
         phase[sel] += rows_at[-1]
         # A tile reads offsets up to n_cand + most_rows - 2, so bins up to
-        # its row + 1 + bins_per_cell * (n_cand + most_rows - 1).  That covers
+        # its row + 1 + BINS_PER_CELL * (n_cand + most_rows - 1).  That covers
         # the lens's at most (hi - lo) / bin_width + 4 bins too, as
-        # bins_per_cell * n_cand >= (hi - lo) / bin_width + bins_per_cell.
-        rows_at.append(rows_at[-1] + 2 + bins_per_cell * (cand + most_rows - 1))
+        # BINS_PER_CELL * n_cand >= (hi - lo) / bin_width + BINS_PER_CELL.
+        rows_at.append(rows_at[-1] + 2 + BINS_PER_CELL * (cand + most_rows - 1))
     first, last = np.full((2, rows_at[-1]), np.inf)
     for row, (_, _, ranges) in zip(rows_at, branches):
         _fold_lens(*ranges, first[row:], last[row:])
@@ -379,7 +386,7 @@ def access_tiles(
     epoch, n_cand, phase, edge = pset.epoch[keep], n_cand[keep], phase[keep], edge[keep]
     runs = _run_selector(base[keep] % n, n_cand, n)
     row_ids = np.arange(most_rows)[:, None]
-    row_bins = bins_per_cell * row_ids
+    row_bins = BINS_PER_CELL * row_ids
     count = -(-n // tile_points)
 
     def tile(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +402,7 @@ def access_tiles(
         # tiles and paged in again (about 70 000 minor page faults a pass of
         # the 24/6/0 case at 0.1 deg and 60 days, against none).
         block = np.empty((2, rows, col.size), dtype=np.int64)
-        at = np.add(phase[col] + bins_per_cell * j, row_bins[:rows], out=block[0])
+        at = np.add(phase[col] + BINS_PER_CELL * j, row_bins[:rows], out=block[0])
         # A run that starts inside the tile has -j rows at offsets below 0.
         # Their cells read bin 0 of the layout, a padding bin: the bin at
         # offset -1 may be the lens's first.
@@ -431,8 +438,10 @@ def accesses_for_passes(
 ) -> AccessTable:
     """The whole access table of `access_tiles`: its tiles, built in point
     order and joined into one table sorted by (point, start), without
-    padding."""
-    acc = access_tiles(pset, segments, footprints, grid, lat, bins_per_cell)
+    padding.  ``bins_per_cell`` must be BINS_PER_CELL."""
+    if not (is_count(bins_per_cell) and bins_per_cell == BINS_PER_CELL):
+        raise ConfigError(f"bins_per_cell must be {BINS_PER_CELL}, got {bins_per_cell!r}")
+    acc = access_tiles(pset, segments, footprints, grid, lat)
     points, starts, ends = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
     p0 = 0
     for k in range(acc.count):

@@ -7,16 +7,14 @@ two paths can be compared on identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 from .coverage import (
     BINS_PER_CELL,
-    MAX_GRID_RES_DEG,
-    MAX_GRID_RESOLUTION,
-    MIN_GRID_RES_DEG,
     LongitudeGrid,
     RevisitReport,
+    _check_grid_resolution,
     access_tiles,
     build_grid,
     revisit_stats,
@@ -58,29 +56,20 @@ class EngineSettings:
     window: float = DEFAULT_WINDOW_DAYS * 86400.0
     grid_res: float = math.radians(DEFAULT_GRID_RES_DEG)
     segment_samples: int = DEFAULT_SEGMENT_SAMPLES
-    # Fixed discretisation; class attributes, not settings, so that the
-    # staged benchmark chain (perfbench/staged.py) can read them here.
+    # Fixed discretisation and footprint; class attributes, not settings, so
+    # that the staged benchmark chain (perfbench/staged.py) can read them.
     bins_per_cell: ClassVar[int] = BINS_PER_CELL
     segment_pad: ClassVar[float] = SEGMENT_PAD
-    # Sensitivity knob: scales both footprint half-sizes.  Used to probe
-    # whether a result hinges on marginal grazing accesses; 1.0 for
-    # normal analysis.
-    footprint_scale: float = 1.0
+    footprint_scale: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("window", "grid_res", "footprint_scale"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 < self.window < math.inf:
+            raise ConfigError(f"window must be positive and finite, got {self.window}")
         if self.window > MAX_WINDOW_DAYS * 86400.0:
             raise ConfigError(
                 f"window must be at most {MAX_WINDOW_DAYS:g} days, got {self.window:g} s"
             )
-        if not math.radians(MIN_GRID_RES_DEG) <= self.grid_res <= MAX_GRID_RESOLUTION:
-            raise ConfigError(
-                f"grid_res must be in [{MIN_GRID_RES_DEG:g}, {MAX_GRID_RES_DEG:g}] deg, "
-                f"got {self.grid_res:g} rad"
-            )
+        _check_grid_resolution(self.grid_res, "grid_res")
         if not is_count(self.segment_samples):
             raise ConfigError(f"segment_samples must be an integer, got {self.segment_samples!r}")
         if not 3 <= self.segment_samples <= MAX_SEGMENT_SAMPLES:
@@ -113,17 +102,12 @@ def branch_inputs(
     settings: EngineSettings = EngineSettings(),
 ) -> tuple[PassSet, dict[bool, TrackSegment], dict[bool, FootprintAtLatitude], LongitudeGrid]:
     """A case's pass set, track segments and footprints by branch (True =
-    ascending) and grid, in `access_tiles`' argument order.  Both footprint
-    half-sizes are scaled by ``settings.footprint_scale``."""
+    ascending) and grid, in `access_tiles`' argument order."""
     pset = build_pass_set(el, lat, walker, settings=settings)
     _, _, r_asc, r_desc = radius_at_latitude(el, lat)
-    scale = settings.footprint_scale
     footprints, segments = {}, {}
     for asc, r_s in ((True, r_asc), (False, r_desc)):
-        fp = resolve_footprint(sensor, r_s, lat)
-        footprints[asc] = replace(
-            fp, ground_range=fp.ground_range * scale, lon_half_width=fp.lon_half_width * scale,
-        )
+        footprints[asc] = resolve_footprint(sensor, r_s, lat)
         segments[asc] = ground_track_segment(
             el, lat, pset.shift_per_rev, settings.segment_samples,
             reach=footprints[asc].ground_range, ascending=asc,

@@ -35,6 +35,9 @@ SEGMENT_PAD = 0.1
 MAX_SATELLITES = 10_000
 # Most passes one `pass_series` call may build; each holds about 43 B while it is built.
 MAX_PASSES = 10_000_000
+# Largest in-plane phase, 2**20 turns, where a pass epoch is still within about
+# 1e-6 s of its value modulo a turn.  Walker phases stay below MAX_SATELLITES turns.
+MAX_PHASE = TWO_PI * 2**20
 
 
 def wrap_angle(x):
@@ -110,8 +113,9 @@ class PlaneSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.raan) and isinstance(self.phases, tuple) and self.phases
-                and all(map(math.isfinite, self.phases))):
-            raise ConfigError(f"a plane needs a finite raan and finite phases, got {self!r}")
+                and all(abs(x) <= MAX_PHASE for x in self.phases)):
+            raise ConfigError(f"a plane needs a finite raan and phases within 2**20 turns, "
+                              f"got {self!r}")
 
 
 @dataclass(frozen=True)

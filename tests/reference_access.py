@@ -31,6 +31,7 @@ import numpy as np
 
 from revisit.coverage import (
     BINS_PER_CELL,
+    MERGE_TOL_FACTOR,
     AccessTable,
     LongitudeGrid,
     _fold_lens,
@@ -152,7 +153,6 @@ def dense_access_table(
     footprints: dict[bool, FootprintAtLatitude],
     grid: LongitudeGrid,
     lat: float,
-    bins_per_cell: int = BINS_PER_CELL,
 ) -> tuple[AccessTable, np.ndarray]:
     """`revisit.coverage.accesses_for_passes` without tiles.
 
@@ -165,12 +165,12 @@ def dense_access_table(
     cand = np.zeros(len(pset), dtype=np.int64)
     window = pset.window
     merge_tol = 0.0
-    bin_width = grid.spacing / bins_per_cell
+    bin_width = grid.spacing / BINS_PER_CELL
     for is_asc in (True, False):
         seg = segments[is_asc]
         t = seg.time_frac * pset.nodal_period
         if t.size > 1:
-            merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))))
+            merge_tol = max(merge_tol, float(np.max(np.abs(np.diff(t)))) * MERGE_TOL_FACTOR)
         lens = folded_lens(seg, t, footprints[is_asc], lat, bin_width)
         if lens is None:
             continue

@@ -118,6 +118,7 @@ class TestPassAccesses:
         )
         assert acc == []
 
+    @pytest.mark.slow
     def test_matches_dense_sampling(self):
         # Visible-point counts per pass against a 10x-dense direct
         # evaluation of the ellipse inequality.
@@ -178,7 +179,7 @@ def _branch_accesses(el, sensor, lat, st):
     pset, segs, fps, grid = branch_inputs(el, sensor, lat, settings=st)
     for asc in (True, False):
         branch = _subset(pset, pset.ascending == asc)
-        table = accesses_for_passes(branch, segs, fps, grid, lat, st.bins_per_cell)
+        table = accesses_for_passes(branch, segs, fps, grid, lat)
         # One branch's passes are a nodal period apart, so the
         # nearest epoch names the pass of each interval.
         k_of = np.abs(table.start[:, None] - branch.epoch[None, :]).argmin(axis=1)
@@ -201,7 +202,7 @@ def _visible_either_side(keys, branch, segment, footprint, lat, st):
     """Exact visibility one lens bin west and east of each (grid point,
     pass) key, as two rows."""
     grid = build_grid(st.grid_res)
-    dx = grid.spacing / st.bins_per_cell
+    dx = grid.spacing / BINS_PER_CELL
     i_arr, k_arr = np.array(keys).T
     x = wrap_angle(grid.lon[i_arr] - branch.lon[k_arr])
     kf, kl = visible_sample_span(np.concatenate([x - dx, x + dx]), segment, footprint, lat)
@@ -229,6 +230,7 @@ def _disagreements(branch, segment, footprint, binned, exact, merge_tol, lat, st
 
 
 class TestBinnedLensAgainstExact:
+    @pytest.mark.slow
     def test_accesses_match_exact_path_outside_boundary_cells(self):
         # The engine looks each grid point up in a lens binned at
         # grid.spacing / bins_per_cell, so it evaluates visibility at an
@@ -539,11 +541,9 @@ class TestTilesAgainstDense:
 
 
 class TestRunSelection:
-    # 24/6/0's 3600 one-row tiles take about 1 s.
-    @pytest.mark.parametrize("name", [
-        pytest.param(name, marks=pytest.mark.slow) if name == "walker_24_6_0" else name
-        for name in sorted(_TILE_CASES)
-    ])
+    # Each case takes 0.6 to 1.5 s; 24/6/0's 3600 one-row tiles the longest.
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(_TILE_CASES))
     def test_tiles_equal_the_full_scan(self, name, monkeypatch):
         # A tile takes the laps of only the passes whose runs start in its
         # window, or of every pass where the window covers the grid.  With
@@ -942,6 +942,7 @@ class TestEngineTable:
         assert peaks[1] < peaks[4] < 4 * peaks[1]
         assert peaks[4] < 0.25 * table_bytes
 
+    @pytest.mark.slow
     def test_peak_grows_little_with_the_fleet(self, monkeypatch):
         # Tiles are cut by a cell budget, and a tile meets only the passes
         # that reach it, so on two threads a 96/12/1 fleet, with four times
@@ -1043,6 +1044,7 @@ class TestThreadedReduction:
                 assert np.array_equal(got[1], want[1])
                 assert got[:1] + got[2:] == want[:1] + want[2:]
 
+    @pytest.mark.slow
     def test_no_report_depends_on_the_tile_size_or_the_thread_count(self, monkeypatch):
         # One point a tile, 7, the default 64 and the whole grid in one
         # tile, and tiles cut by a budget of 3000 cells (9 points of the
@@ -1125,7 +1127,6 @@ class TestBadEngineInput:
         ("window", math.inf), ("window", math.nan), ("window", 0.0), ("window", 1e12),
         ("grid_res", math.nan), ("grid_res", -0.01), ("grid_res", math.radians(2)),
         ("grid_res", 1e-9),
-        ("footprint_scale", math.nan), ("footprint_scale", -1.0), ("footprint_scale", 0.0),
         ("segment_samples", 2), ("segment_samples", 10.5), ("segment_samples", True),
         ("segment_samples", engine.MAX_SEGMENT_SAMPLES + 1),
     ])
@@ -1135,6 +1136,35 @@ class TestBadEngineInput:
         # window, grid or track segment too large to allocate.
         with pytest.raises(rv.ConfigError, match=field):
             EngineSettings(**{field: value})
+
+    def test_footprint_scale_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="footprint_scale"):
+            EngineSettings(footprint_scale=1.0)
+
+    _MIN_RES = math.radians(coverage.MIN_GRID_RES_DEG)
+    _MAX_RES = coverage.MAX_GRID_RESOLUTION
+
+    @pytest.mark.parametrize("res, taken", [
+        (_MIN_RES, True), (np.nextafter(_MIN_RES, 0.0), False),
+        (_MAX_RES, True), (np.nextafter(_MAX_RES, 1.0), False), (_MAX_RES + 5e-16, False),
+    ])
+    def test_settings_take_the_grid_resolutions_that_build_grid_takes(self, res, taken):
+        # The settings call the grid's own bound, so each resolution is
+        # taken or refused by both, 5e-16 rad above 1 deg too.
+        for call, name in ((lambda: EngineSettings(grid_res=res), "grid_res"),
+                           (lambda: build_grid(res), "grid resolution")):
+            if taken:
+                call()
+            else:
+                with pytest.raises(rv.ConfigError, match=name):
+                    call()
+
+    @pytest.mark.parametrize("bins", [0, -64, 63, True, 64.0])
+    def test_accesses_for_passes_refuses_another_lens_resolution(self, bins):
+        st = EngineSettings(window=86400.0, grid_res=math.radians(1.0))
+        inputs = branch_inputs(_FLEET_ORBIT, _ELEV_10, _LAT_40, settings=st)
+        with pytest.raises(rv.ConfigError, match=f"bins_per_cell must be {BINS_PER_CELL}"):
+            accesses_for_passes(*inputs, _LAT_40, bins)
 
     def test_orbit_below_the_surface_at_the_latitude_is_named_config_error(self):
         # Perigee clears the polar radius, so OrbitElements takes the orbit,

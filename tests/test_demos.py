@@ -7,9 +7,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+# The latitude profile takes about 0.85 s, each other demo under 0.5 s.
+SLOW_DEMOS = {"02_latitude_profile"}
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+@pytest.mark.parametrize("demo", [
+    pytest.param(d, id=d.stem, marks=[pytest.mark.slow] if d.stem in SLOW_DEMOS else [])
+    for d in DEMOS
+])
 def test_demo_runs(demo, tmp_path):
     # Some demos write CSV files into the working directory.
     code = (

@@ -433,6 +433,16 @@ _SCREEN_CASES = {
 }
 
 
+# Cases whose dense scan takes 0.5 s or more; it runs once a session, in
+# whichever test of the case comes first.
+_SLOW_SCREEN_CASES = {"400km_i60_e10", "w330_700km_i90_e0", "w331_1500km_i96_e20",
+                      "walker_632", "cap_under_2deg"}
+
+
+def _screen_mark(case):
+    return [pytest.mark.slow] if case in _SLOW_SCREEN_CASES else []
+
+
 @functools.cache
 def _dense_table(case):
     return dense_access_table(_sim(*_SCREEN_CASES[case]))
@@ -441,14 +451,17 @@ def _dense_table(case):
 # Chunks of 97 steps and of more steps than the window holds on every case,
 # each case at 1, 2 or 3 threads in turn.
 _CHUNKINGS = [
-    pytest.param(case, chunk, 1 + (k + j) % 3, id=f"{case}-{chunk or 'whole'}")
+    pytest.param(case, chunk, 1 + (k + j) % 3, id=f"{case}-{chunk or 'whole'}",
+                 marks=_screen_mark(case))
     for k, case in enumerate(_SCREEN_CASES)
     for j, chunk in enumerate((97, None))
 ]
 
 
 class TestAgainstDenseScan:
-    @pytest.mark.parametrize("case", list(_SCREEN_CASES))
+    @pytest.mark.parametrize("case", [
+        pytest.param(case, marks=_screen_mark(case)) for case in _SCREEN_CASES
+    ])
     def test_access_table_is_bit_identical_to_the_unscreened_scan(self, case):
         cfg = _sim(*_SCREEN_CASES[case])
         got, want = simulate_access_table(cfg), _dense_table(case)
@@ -472,7 +485,10 @@ class TestAgainstDenseScan:
         for name in ("point", "start", "end", "pass_count"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    # One thread takes about 0.45 s, two or three 0.5 to 0.8 s.
+    @pytest.mark.parametrize("threads", [
+        1, pytest.param(2, marks=pytest.mark.slow), pytest.param(3, marks=pytest.mark.slow),
+    ])
     def test_chunks_of_one_step_or_edge_give_the_dense_scan(self, threads, monkeypatch):
         # 591 one-step chunks and one unit per edge, their bisections
         # written into shared arrays, on up to more threads than a 2-core
@@ -563,6 +579,7 @@ class TestAgainstDenseScan:
         step=st.sampled_from([10.0, 60.0, 600.0]),
     )
     @settings(max_examples=40, deadline=None)
+    @pytest.mark.slow
     def test_random_orbit_is_bit_identical_to_the_unscreened_scan(
         self, perigee_km, e, inc, raan, argp, nu0, boresight, angle_deg, lat_deg, step
     ):
@@ -612,6 +629,7 @@ class TestAgainstDenseScan:
     @example(r=6586.781679698914, lat=0.5354368161604288, lon_s=0.9248189764942678,
              reach=1.9336739602465616, turns=1, boresight=False, angle=1.5664137041810673)
     @settings(max_examples=300, deadline=None)
+    @pytest.mark.slow
     def test_every_visible_pair_passes_the_screen(
         self, r, lat, lon_s, reach, turns, boresight, angle
     ):

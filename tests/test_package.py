@@ -101,6 +101,10 @@ _BAD_INPUT = {
     "plane_phases_empty": lambda: rv.PlaneSpec(raan=0.0, phases=()),
     "plane_phases_list": lambda: rv.PlaneSpec(raan=0.0, phases=[0.0]),
     "plane_phase_nan": lambda: rv.PlaneSpec(raan=0.0, phases=(0.0, math.nan)),
+    # Past 2**20 turns a comb loses its epochs' precision; at 1e17 rad it
+    # loses passes.
+    "plane_phase_huge": lambda: rv.PlaneSpec(raan=0.0, phases=(2 * math.pi * 2**20 + 0.3,)),
+    "plane_phase_1e17": lambda: rv.PlaneSpec(raan=0.0, phases=(0.0, -1e17)),
     "segment_samples": lambda: ground_track_segment(_EL, 0.3, -0.4, 2, reach=0.1),
     "segment_lat": lambda: ground_track_segment(_EL, math.inf, -0.4, 100, reach=0.1),
     **{

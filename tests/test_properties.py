@@ -217,6 +217,7 @@ def _tables(draw):
     n_grid=1, merge_tol=0.0, shuffle=[3, 2, 1, 0],
 ))
 @settings(max_examples=300, deadline=None)
+@pytest.mark.slow
 def test_gaps_of_sorted_ends_equal_the_running_max(tables):
     # The reduction sorts each point's starts and ends on their own.  Its
     # gaps, their count, MRT and ART must equal, bit for bit, those of a
@@ -255,6 +256,7 @@ def _pass_runs(draw):
 
 @given(runs=_pass_runs())
 @settings(max_examples=200, deadline=None)
+@pytest.mark.slow
 def test_run_selection_equals_the_full_scan(runs):
     # A tile takes the laps of only the passes whose runs start in its
     # window, found by `searchsorted` on the run starts, or of every pass

@@ -104,17 +104,14 @@ def test_equatorial_mirror_and_whole_cell_rotation(name, method):
     _assert_symmetries(_CASES[name], _METHODS[method])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a known defect: the engine's gap count depends on rounding where a gap "
-    "is exactly one segment-sample step, the merge tolerance"
-))
 def test_engine_mirror_where_gaps_tie_the_merge_tolerance():
     # Satellites of different planes cross at the same epochs (phasing 0),
     # so a point that leaves one footprint at one sample and enters the next
     # plane's at the following sample has a gap of exactly one step in
-    # exact arithmetic.  Six such gaps round 3e-14 s below merge_tol at
-    # -78 deg and 9e-13 s above it at +78 deg: 23 748 gaps against 23 754.
-    # The oracle passes this case.
+    # exact arithmetic.  Six such gaps round 3e-14 s below the step at
+    # -78 deg and 9e-13 s above it at +78 deg; without the merge
+    # tolerance's slack (coverage.MERGE_TOL_FACTOR) they read 23 748 gaps
+    # against 23 754.  The oracle passes this case.
     case = (make_orbit(1400.0, 96.0), rv.SensorSpec.boresight(math.radians(27.0)),
             math.radians(78.0), rv.WalkerConfig(12, 6, 0))
     _assert_symmetries(case, analyze)
