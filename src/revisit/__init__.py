@@ -21,14 +21,12 @@ from .oracle import SimConfig, plane_elements, propagate_j2
 from .passes import (
     OrbitElements,
     PassSet,
-    PlaneSpec,
     WalkerConfig,
     ground_track_shift,
     keplerian_period,
     nodal_period,
     pass_series,
     raan_drift_rate,
-    walker_planes,
 )
 from .sensor import (
     FootprintAtLatitude,
@@ -55,7 +53,6 @@ __all__ = [
     "LongitudeGrid",
     "OrbitElements",
     "PassSet",
-    "PlaneSpec",
     "PoleOverlapError",
     "RevisitError",
     "RevisitReport",
@@ -83,5 +80,4 @@ __all__ = [
     "revisit_stats",
     "run_sweep",
     "sso_inclination",
-    "walker_planes",
 ]

@@ -485,11 +485,11 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     """Revisit report of a table ordered by point.
 
     The table must keep the `AccessTable` rules that the reduction relies
-    on: grid_size is a count of at least 1, points are integers,
-    non-decreasing and in [0, grid_size), times are finite, no interval
-    ends before it starts, and merge_tol is at least 0.  A table that
-    breaks one raises `ConfigError`.  The order of a point's rows does not
-    matter.
+    on: grid_size is a count of at least 1, its arrays are 1-D, points
+    are integers, non-decreasing and in [0, grid_size), times are finite,
+    no interval ends before it starts, and merge_tol is at least 0.  A
+    table that breaks one raises `ConfigError`.  The order of a point's
+    rows does not matter.
 
     The table is cut every r grid points, and each cut is padded to its
     widest row into a tile as `access_tiles` gives it for `tile_stats`.  r
@@ -502,8 +502,8 @@ def revisit_stats(table: AccessTable, clamped: bool = False) -> RevisitReport:
     if not (is_count(n) and n >= 1):
         raise ConfigError(f"table grid_size must be an integer of at least 1, got {n!r}")
     point, start, end = table.point, table.start, table.end
-    if not point.size == start.size == end.size:
-        raise ConfigError("table point, start and end must have one entry a row")
+    if not (point.ndim == start.ndim == end.ndim == 1 and point.size == start.size == end.size):
+        raise ConfigError("table point, start and end must be 1-D, with one entry a row")
     if not np.issubdtype(point.dtype, np.integer):
         raise ConfigError(f"table points must be integers, got {point.dtype}")
     if point.size and not (0 <= point[0] and point[-1] < n and np.all(point[1:] >= point[:-1])):

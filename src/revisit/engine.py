@@ -26,7 +26,6 @@ from .passes import (
     SEGMENT_PAD,
     OrbitElements,
     PassSet,
-    PlaneSpec,
     TrackSegment,
     WalkerConfig,
     ground_track_segment,
@@ -34,7 +33,6 @@ from .passes import (
     nodal_period,
     pass_series,
     raan_drift_rate,
-    walker_planes,
 )
 from .sensor import FootprintAtLatitude, SensorSpec, radius_at_latitude, resolve_footprint
 
@@ -83,15 +81,19 @@ def build_pass_set(
     el: OrbitElements,
     lat: float,
     walker: WalkerConfig = WalkerConfig(),
-    planes: list[PlaneSpec] | None = None,
+    planes: None = None,
     settings: EngineSettings = EngineSettings(),
 ) -> PassSet:
-    """Pass schedule at the target latitude of ``planes``, else of the Walker pattern."""
+    """Pass schedule at the target latitude of the Walker pattern.
+
+    ``planes`` must be None; it stays as the fourth positional parameter
+    only because the staged benchmark chain (perfbench/staged.py) passes it.
+    """
+    if planes is not None:
+        raise ConfigError(f"planes must be None, got {planes!r}; pass a WalkerConfig")
     p_n = nodal_period(el.a, el.e, el.inc)
     shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
-    if planes is None:
-        planes = walker_planes(walker)
-    return pass_series(el, lat, shift, p_n, settings.window, planes)
+    return pass_series(el, lat, shift, p_n, settings.window, walker)
 
 
 def branch_inputs(
@@ -144,7 +146,7 @@ def oracle_sim_config(
     """Brute-force simulation setup matching the engine's conventions."""
     grid = build_grid(settings.grid_res)
     return SimConfig(
-        elements=tuple(plane_elements(el, walker_planes(walker))),
+        elements=tuple(plane_elements(el, walker)),
         sensor=sensor,
         lat=lat,
         lons=grid.lon,

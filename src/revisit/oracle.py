@@ -24,7 +24,6 @@ whatever the chunk size and the thread count.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import ClassVar
@@ -37,9 +36,9 @@ from .errors import ConfigError, KeplerConvergenceError
 from .passes import (
     TWO_PI,
     OrbitElements,
-    PlaneSpec,
+    WalkerConfig,
     _mean_from_true,
-    _plane_satellites,
+    _walker_satellites,
     raan_drift_rate,
     wrap_angle,
 )
@@ -120,14 +119,15 @@ def propagate_j2(el: OrbitElements, t, earth: EarthConstants = EARTH):
     return r, lat, lon
 
 
-def plane_elements(el: OrbitElements, planes: Sequence[PlaneSpec]) -> list[OrbitElements]:
-    """Element sets of every satellite of ``planes``, in `pass_series` order.
+def plane_elements(el: OrbitElements, walker: WalkerConfig) -> list[OrbitElements]:
+    """Element sets of every satellite of the Walker pattern ``walker``, in
+    `pass_series` order.
 
-    The first plane is ``el``'s own: every other plane's node is offset by
-    its RAAN difference from the first, and each satellite leads ``el`` by
+    The reference plane is ``el``'s own: every other plane's node is
+    offset by its separation from it, and each satellite leads ``el`` by
     its phase in mean anomaly.
     """
-    _, raan_off, lead = _plane_satellites(planes)
+    _, raan_off, lead = _walker_satellites(walker)
     m0 = _mean_from_true(el.nu0, el.e)
     return [
         replace(

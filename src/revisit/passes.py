@@ -9,14 +9,13 @@ drift line
     lon(t) = lon_node0 + plane_offset + (shift / nodal_period) * t
 
 which is how this module generates the passes of every satellite of a
-plane list, such as the one `walker_planes` builds for a Walker pattern.
-`pass_series` lays out the combs of every satellite, expanded from the
-list by `_plane_satellites` as for the oracle, in one array step.
+Walker pattern.  `pass_series` lays out the combs of every satellite,
+expanded from the pattern by `_walker_satellites` as for the oracle, in
+one array step.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +34,11 @@ SEGMENT_PAD = 0.1
 MAX_SATELLITES = 10_000
 # Most passes one `pass_series` call may build; each holds about 43 B while it is built.
 MAX_PASSES = 10_000_000
-# Largest in-plane phase, 2**20 turns, where a pass epoch is still within about
-# 1e-6 s of its value modulo a turn.  Walker phases stay below MAX_SATELLITES turns.
-MAX_PHASE = TWO_PI * 2**20
+# Largest |raan|, |argp| and |nu0| of an orbit, 2**20 turns, where an angle
+# still resolves about 1e-9 rad: the ground-track drift added to the raan
+# keeps its bits, and a pass epoch is within about 1e-6 s of its value
+# modulo a turn.
+MAX_ANGLE = TWO_PI * 2**20
 
 
 def wrap_angle(x):
@@ -49,7 +50,8 @@ def wrap_angle(x):
 class OrbitElements:
     """Classical elements of one plane's reference satellite.
 
-    a in km; angles in radians.  nu0 is the true anomaly at analysis start.
+    a in km; angles in radians, each within MAX_ANGLE.  nu0 is the true
+    anomaly at analysis start.
     """
 
     a: float
@@ -60,9 +62,13 @@ class OrbitElements:
     nu0: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "raan", "argp", "nu0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.a):
+            raise ConfigError(f"a must be finite, got {self.a}")
+        for name in ("raan", "argp", "nu0"):
+            if not abs(getattr(self, name)) <= MAX_ANGLE:
+                raise ConfigError(
+                    f"{name} must be finite and within 2**20 turns, got {getattr(self, name)}"
+                )
         if not 0.0 <= self.e < 1.0:
             raise ConfigError("eccentricity must be in [0, 1)")
         if self.a * (1.0 - self.e) <= EARTH.polar_radius:
@@ -97,25 +103,6 @@ class WalkerConfig:
     @property
     def per_plane(self) -> int:
         return self.total // self.planes
-
-
-@dataclass(frozen=True)
-class PlaneSpec:
-    """One orbital plane of a constellation.
-
-    raan is absolute (rad); phases are each satellite's in-plane lead over
-    the reference satellite in mean anomaly (rad), so a satellite with
-    phase x passes every point of the orbit x/2pi nodal periods earlier.
-    """
-
-    raan: float
-    phases: tuple[float, ...] = (0.0,)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.raan) and isinstance(self.phases, tuple) and self.phases
-                and all(abs(x) <= MAX_PHASE for x in self.phases)):
-            raise ConfigError(f"a plane needs a finite raan and phases within 2**20 turns, "
-                              f"got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -261,34 +248,22 @@ def node_relative_ra(u, inc: float):
     return np.arctan2(np.sin(u) * math.cos(inc), np.cos(u))
 
 
-def walker_planes(cfg: WalkerConfig) -> list[PlaneSpec]:
-    """The plane list of a Walker t/p/f pattern, reference plane first.
+def _walker_satellites(walker: WalkerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each satellite's plane index, node offset from the reference plane
+    (rad) and lead over the reference satellite in mean anomaly (rad), in
+    the satellite order of `pass_series` and `oracle.plane_elements`:
+    plane by plane, in-plane slot by slot.
 
     Plane m is separated by 2*pi*m/planes in node longitude and its
-    satellites lead the reference by 2*pi*m*phasing/total in mean anomaly;
-    in-plane satellites are equally spaced.
+    satellites lead by 2*pi*m*phasing/total; in-plane satellites are
+    equally spaced.
     """
-    return [
-        PlaneSpec(
-            raan=TWO_PI * m / cfg.planes,
-            phases=tuple(
-                TWO_PI * (m * cfg.phasing / cfg.total + l / cfg.per_plane)
-                for l in range(cfg.per_plane)
-            ),
-        )
-        for m in range(cfg.planes)
-    ]
-
-
-def _plane_satellites(planes: Sequence[PlaneSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each satellite's plane index, node offset from the first plane (rad)
-    and lead in mean anomaly (rad), in the satellite order of `pass_series`
-    and `oracle.plane_elements`: plane by plane, in phase order."""
-    per_plane = [len(spec.phases) for spec in planes]
-    plane_index = np.repeat(np.arange(len(planes), dtype=np.int64), per_plane)
-    raan_off = np.array([spec.raan - planes[0].raan for spec in planes], dtype=float)
-    lead = np.array([x for spec in planes for x in spec.phases], dtype=float)
-    return plane_index, raan_off[plane_index], lead
+    if not isinstance(walker, WalkerConfig):
+        raise ConfigError(f"a constellation must be a WalkerConfig, got {walker!r}")
+    plane, slot = np.divmod(np.arange(walker.total, dtype=np.int64), walker.per_plane)
+    raan_off = TWO_PI * plane / walker.planes
+    lead = TWO_PI * (plane * walker.phasing / walker.total + slot / walker.per_plane)
+    return plane, raan_off, lead
 
 
 def pass_series(
@@ -297,32 +272,31 @@ def pass_series(
     shift: float,
     p_n: float,
     window: float,
-    planes: Sequence[PlaneSpec] = (PlaneSpec(raan=0.0),),
+    walker: WalkerConfig = WalkerConfig(),
 ) -> PassSet:
-    """Latitude crossings of every satellite of ``planes`` over [0, window].
+    """Latitude crossings of every satellite of ``walker`` over [0, window].
 
     The analysis clock starts at the reference satellite's ascending-node
     passage; a nonzero nu0 shifts every epoch so the satellite is at nu0
-    at t=0.  Plane RAANs are absolute, and the first plane is ``el``'s
-    own: every other plane is offset by its RAAN difference from the
-    first.  A satellite leading the reference by ``phase`` crosses the
-    latitude earlier by the matching fraction of the nodal period; its
-    crossing longitudes follow the shifted drift line.  Each satellite
-    crosses the latitude at most twice a nodal period, so a call whose
-    planes, window and period could give more than MAX_PASSES passes is
-    refused before any array is built.  The passes are sorted by epoch
-    once, stably: at equal epochs, satellite order, ascending first.
+    at t=0.  The reference plane is ``el``'s own, and every other plane is
+    offset by its node separation from it.  A satellite leading the
+    reference by ``phase`` crosses the latitude earlier by the matching
+    fraction of the nodal period; its crossing longitudes follow the
+    shifted drift line.  Each satellite crosses the latitude at most twice
+    a nodal period, so a call whose pattern, window and period could give
+    more than MAX_PASSES passes is refused before any array is built.  The
+    passes are sorted by epoch once, stably: at equal epochs, satellite
+    order, ascending first.
     """
     if not 0.0 < window < math.inf:
         raise ConfigError("analysis window must be positive and finite")
-    if not planes:
-        raise ConfigError("need at least one plane spec")
+    plane_index, raan_off, lead = _walker_satellites(walker)
     _check_comb(p_n, "ground-track shift", shift)
     # A comb of period p_n holds at most window / p_n + 1 epochs.
-    most = 2.0 * sum(len(spec.phases) for spec in planes) * (window / p_n + 1.0)
+    most = 2.0 * walker.total * (window / p_n + 1.0)
     if most > MAX_PASSES:
         raise ConfigError(
-            f"{len(planes)} planes over {window:g} s at a nodal period of {p_n:g} s "
+            f"{walker.total} satellites over {window:g} s at a nodal period of {p_n:g} s "
             f"make up to {most:.3g} passes; at most {MAX_PASSES} are allowed"
         )
     nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
@@ -334,7 +308,6 @@ def pass_series(
          float(node_time + time_fraction_from_node(el, nu) * p_n))
         for nu in (nu_asc, nu_desc)
     ]).T
-    plane_index, raan_off, lead = _plane_satellites(planes)
     # Comb 2k + b is satellite k on branch b: epochs first + j * p_n for the
     # count integers j from j_lo that land in [0, window].
     first = (dt - ((lead / TWO_PI) * p_n)[:, None]).ravel()

@@ -7,7 +7,10 @@ can check the combs against it.
 
 `per_satellite_pass_series` builds a pass set one satellite and one branch
 at a time, each comb by its own `arange`: the reference for the single
-array step of `revisit.passes.pass_series`.
+array step of `revisit.passes.pass_series`.  It expands the Walker pattern
+itself, plane by plane and slot by slot (`walker_offsets`), and
+`walker_satellites` gives that expansion's element sets, the reference
+for `revisit.oracle.plane_elements`.
 
 `per_sample_track_segment` samples a track segment as the engine does, but
 takes each sample's time from the ascending node with one scalar call of
@@ -21,17 +24,19 @@ np.cos over an array.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from revisit.earth import EARTH, EarthConstants
-from revisit.oracle import propagate_j2
+from revisit.oracle import propagate_j2, true_from_mean
 from revisit.passes import (
     SEGMENT_PAD,
     TWO_PI,
     OrbitElements,
     PassSet,
     TrackSegment,
+    WalkerConfig,
     node_relative_ra,
     time_fraction_from_node,
     wrap_angle,
@@ -99,7 +104,33 @@ def _comb_epochs(first: float, period: float, window: float) -> np.ndarray:
     return first + np.arange(j_lo, j_hi + 1) * period
 
 
-def per_satellite_pass_series(el, lat, shift, p_n, window, planes) -> PassSet:
+def walker_offsets(walker: WalkerConfig) -> list[tuple[int, float, float]]:
+    """Plane index, node offset and lead in mean anomaly (rad) of each
+    satellite of ``walker``, one satellite at a time in `pass_series` order.
+
+    Plane m is separated by 2*pi*m/planes in node longitude and its
+    satellites lead the reference by 2*pi*m*phasing/total in mean anomaly;
+    in-plane satellites are equally spaced.
+    """
+    return [
+        (m, TWO_PI * m / walker.planes,
+         TWO_PI * (m * walker.phasing / walker.total + slot / walker.per_plane))
+        for m in range(walker.planes)
+        for slot in range(walker.per_plane)
+    ]
+
+
+def walker_satellites(el: OrbitElements, walker: WalkerConfig) -> list[OrbitElements]:
+    """`revisit.oracle.plane_elements`, one satellite at a time."""
+    m0 = math_mean_from_true(el.nu0, el.e)
+    return [
+        replace(el, raan=float(wrap_angle(el.raan + off)),
+                nu0=float(wrap_angle(true_from_mean(m0 + lead, el.e))))
+        for _, off, lead in walker_offsets(walker)
+    ]
+
+
+def per_satellite_pass_series(el, lat, shift, p_n, window, walker) -> PassSet:
     """`revisit.passes.pass_series`, one comb per satellite and branch, concatenated."""
     nu_asc, nu_desc, _, _ = radius_at_latitude(el, lat)
     node_time = -time_fraction_from_node(el, el.nu0) * p_n
@@ -112,19 +143,15 @@ def per_satellite_pass_series(el, lat, shift, p_n, window, planes) -> PassSet:
         for is_asc, nu in ((True, nu_asc), (False, nu_desc))
     ]
     lons, epochs, ascs, plane_ids, sat_ids = [], [], [], [], []
-    sat_idx = 0
-    for plane_idx, spec in enumerate(planes):
-        raan_off = spec.raan - planes[0].raan
-        for lead in spec.phases:
-            dt_sat = -(lead / TWO_PI) * p_n
-            for is_asc, lon0, dt in branches:
-                t = _comb_epochs(dt + dt_sat, p_n, window)
-                lons.append(lon0 + raan_off + (t / p_n) * shift)
-                epochs.append(t)
-                ascs.append(np.full(t.shape, is_asc, dtype=bool))
-                plane_ids.append(np.full(t.shape, plane_idx, dtype=np.int64))
-                sat_ids.append(np.full(t.shape, sat_idx, dtype=np.int64))
-            sat_idx += 1
+    for sat_idx, (plane_idx, raan_off, lead) in enumerate(walker_offsets(walker)):
+        dt_sat = -(lead / TWO_PI) * p_n
+        for is_asc, lon0, dt in branches:
+            t = _comb_epochs(dt + dt_sat, p_n, window)
+            lons.append(lon0 + raan_off + (t / p_n) * shift)
+            epochs.append(t)
+            ascs.append(np.full(t.shape, is_asc, dtype=bool))
+            plane_ids.append(np.full(t.shape, plane_idx, dtype=np.int64))
+            sat_ids.append(np.full(t.shape, sat_idx, dtype=np.int64))
     epoch = np.concatenate(epochs)
     order = np.argsort(epoch, kind="stable")
     return PassSet(

@@ -91,6 +91,15 @@ class TestCaseConfig:
         want = analyze(rc.elements, rc.sensor, rc.lat, walker=rc.walker, settings=rc.settings)
         assert rep == want
 
+    def test_a_whole_number_of_raan_turns_moves_no_csv_byte(self):
+        # 1000 turns keeps the drift line's precision; 2**50 turns did not,
+        # and is refused.
+        row = case_row(0, replace(BASE, raan_deg=280.0))
+        assert row["error"] == "" and row["mrt_h"]
+        assert case_row(0, replace(BASE, raan_deg=280.0 + 360.0 * 1000)) == row
+        far = case_row(0, replace(BASE, raan_deg=280.0 + 360.0 * 2**50))
+        assert far["error"].startswith("ConfigError: raan must be finite and within")
+
     def test_degenerate_walker_identical_to_single(self):
         single = analyze(**resolve_case(BASE).inputs())
         walker = analyze(**resolve_case(replace(BASE, walker=(1, 1, 0))).inputs())

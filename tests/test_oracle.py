@@ -25,7 +25,7 @@ from revisit.oracle import (
     solve_kepler,
     true_from_mean,
 )
-from revisit.passes import nodal_period, walker_planes, wrap_angle
+from revisit.passes import nodal_period, wrap_angle
 
 from conftest import make_orbit
 from reference_oracle import dense_access_table
@@ -121,7 +121,7 @@ class TestPropagateJ2:
 class TestWalkerElements:
     def test_pattern_offsets(self):
         el = make_orbit(700.0, 96.0)
-        sats = plane_elements(el, walker_planes(rv.WalkerConfig(3, 3, 1)))
+        sats = plane_elements(el, rv.WalkerConfig(3, 3, 1))
         assert len(sats) == 3
         for m, s in enumerate(sats):
             assert wrap_angle(s.raan - el.raan - 2 * math.pi * m / 3) == pytest.approx(0.0, abs=1e-12)
@@ -129,7 +129,7 @@ class TestWalkerElements:
 
     def test_in_plane_spacing(self):
         el = make_orbit(700.0, 96.0)
-        sats = plane_elements(el, walker_planes(rv.WalkerConfig(4, 2, 0)))
+        sats = plane_elements(el, rv.WalkerConfig(4, 2, 0))
         assert [s.raan for s in sats[:2]] == [el.raan, el.raan]
         assert wrap_angle(sats[1].nu0 - el.nu0 - math.pi) == pytest.approx(0.0, abs=1e-12)
 
@@ -357,7 +357,7 @@ class TestEngineAgainstOracle:
 
 def _sim(el, sensor, lat_deg, lons, window, walker=rv.WalkerConfig(), step=10.0):
     return SimConfig(
-        elements=tuple(plane_elements(el, walker_planes(walker))), sensor=sensor,
+        elements=tuple(plane_elements(el, walker)), sensor=sensor,
         lat=math.radians(lat_deg), lons=np.asarray(lons, dtype=float), window=window,
         step=step,
     )

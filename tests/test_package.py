@@ -14,6 +14,7 @@ import pytest
 import revisit as rv
 from revisit import passes
 from revisit.cases import SweepSpec, resolve_case, sweep_from_dict
+from revisit.engine import build_pass_set
 from revisit.passes import ground_track_segment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,6 +55,15 @@ _BAD_INPUT = {
     "orbit_eccentricity": lambda: rv.OrbitElements(a=7000.0, e=1.0),
     "orbit_perigee": lambda: rv.OrbitElements(a=6000.0),
     "orbit_inclination": lambda: rv.OrbitElements(a=7000.0, inc=4.0),
+    # Past 2**20 turns the ground-track drift added to the raan, and a
+    # pass epoch, lose their precision.
+    **{
+        f"orbit_{name}_{label}": lambda kw={name: value}: rv.OrbitElements(a=7000.0, **kw)
+        for name in ("raan", "argp", "nu0")
+        for label, value in (("huge", 2 * math.pi * 2**20 + 0.3), ("-1e17", -1e17),
+                             ("1e300", 1e300))
+    },
+    "case_raan_huge": lambda: resolve_case(replace(_CASE, raan_deg=280.0 + 360.0 * 2**50)),
     "walker_divide": lambda: rv.WalkerConfig(3, 2, 0),
     "walker_empty": lambda: rv.WalkerConfig(0, 1, 0),
     "walker_float": lambda: rv.WalkerConfig(1.5, 1, 0),
@@ -90,21 +100,26 @@ _BAD_INPUT = {
     "revisit_stats_grid_size": lambda: rv.revisit_stats(
         rv.AccessTable(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), 0, 0.0, 0)
     ),
+    "revisit_stats_2d": lambda: rv.revisit_stats(
+        rv.AccessTable(np.zeros((2, 1), dtype=np.int64), np.zeros((2, 1)), np.ones((2, 1)),
+                       1, 0.0, 1)
+    ),
     "pass_series_window": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 0.0),
     "pass_series_window_nan": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.nan),
     "pass_series_window_inf": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, math.inf),
-    "pass_series_planes": lambda: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 86400.0, []),
+    # A constellation is a WalkerConfig; a plane list or a t/p/f tuple is not.
+    **{
+        f"{name}_{type(walker).__name__}": call
+        for walker in ([], (3, 3, 1))
+        for name, call in (
+            ("pass_series_walker",
+             lambda w=walker: rv.pass_series(_EL, 0.3, -0.4, 5800.0, 86400.0, w)),
+            ("plane_elements_walker", lambda w=walker: rv.plane_elements(_EL, w)),
+        )
+    },
+    "build_pass_set_planes": lambda: build_pass_set(_EL, 0.3, rv.WalkerConfig(), []),
     # window / period overflows, so the comb would be endless.
     "pass_series_passes": lambda: rv.pass_series(_EL, 0.3, -0.4, 5e-324, 86400.0),
-    "plane_raan_nan": lambda: rv.PlaneSpec(raan=math.nan),
-    "plane_raan_inf": lambda: rv.PlaneSpec(raan=math.inf),
-    "plane_phases_empty": lambda: rv.PlaneSpec(raan=0.0, phases=()),
-    "plane_phases_list": lambda: rv.PlaneSpec(raan=0.0, phases=[0.0]),
-    "plane_phase_nan": lambda: rv.PlaneSpec(raan=0.0, phases=(0.0, math.nan)),
-    # Past 2**20 turns a comb loses its epochs' precision; at 1e17 rad it
-    # loses passes.
-    "plane_phase_huge": lambda: rv.PlaneSpec(raan=0.0, phases=(2 * math.pi * 2**20 + 0.3,)),
-    "plane_phase_1e17": lambda: rv.PlaneSpec(raan=0.0, phases=(0.0, -1e17)),
     "segment_samples": lambda: ground_track_segment(_EL, 0.3, -0.4, 2, reach=0.1),
     "segment_lat": lambda: ground_track_segment(_EL, math.inf, -0.4, 100, reach=0.1),
     **{

@@ -9,9 +9,9 @@ import revisit as rv
 from revisit.earth import EarthConstants
 from revisit.oracle import plane_elements, propagate_j2
 from revisit.passes import (
+    MAX_ANGLE,
     TWO_PI,
     OrbitElements,
-    PlaneSpec,
     WalkerConfig,
     _mean_from_true,
     ground_track_segment,
@@ -21,7 +21,6 @@ from revisit.passes import (
     pass_series,
     raan_drift_rate,
     time_fraction_from_node,
-    walker_planes,
     wrap_angle,
 )
 from revisit.sensor import resolve_footprint
@@ -33,6 +32,7 @@ from reference_passes import (
     math_time_fraction,
     per_sample_track_segment,
     per_satellite_pass_series,
+    walker_satellites,
 )
 
 DAY_SIDEREAL = 86164.0905
@@ -55,6 +55,17 @@ class TestOrbitElements:
         elements = {"a": 7078.0, "inc": math.radians(60.0), field: value}
         with pytest.raises(rv.ConfigError, match=f"^{field} must be finite"):
             rv.OrbitElements(**elements)
+
+    @pytest.mark.parametrize("field", ["raan", "argp", "nu0"])
+    def test_angles_are_bounded_at_2_to_the_20_turns(self, field):
+        # Past the bound the drift added to the raan, and a pass epoch,
+        # lose their precision: at 360 * 2**50 deg of raan the engine's
+        # maximum revisit time moved from 11.7 h to 59 h.
+        for value in (MAX_ANGLE, -MAX_ANGLE):
+            rv.OrbitElements(a=7078.0, **{field: value})
+        for value in (math.nextafter(MAX_ANGLE, math.inf), -1e300):
+            with pytest.raises(rv.ConfigError, match="within 2[*][*]20 turns"):
+                rv.OrbitElements(a=7078.0, **{field: value})
 
 
 class TestPeriods:
@@ -217,33 +228,34 @@ class TestPassSeries:
 
 _PASS_FIELDS = ("lon", "epoch", "ascending", "plane_index", "sat_index")
 
-# Orbit, latitude (deg), window (s) and plane list of each named comb case.
+# Orbit, latitude (deg), window (s) and Walker pattern of each named comb case.
 _COMB_CASES = {
     "walker_24_6_1": (
-        make_orbit(700.0, 60.0, raan=0.4, nu0=0.3), 40.0, 2 * 86400.0,
-        walker_planes(WalkerConfig(24, 6, 1)),
+        make_orbit(700.0, 60.0, raan=0.4, nu0=0.3), 40.0, 2 * 86400.0, WalkerConfig(24, 6, 1),
     ),
-    "negative_and_multi_turn_phases": (
-        make_orbit(800.0, 98.0, nu0=2.0), 55.0, 86400.0,
-        [PlaneSpec(raan=0.3, phases=(-13.0, 0.0, 19.5)), PlaneSpec(raan=1.1, phases=(-0.2, 7.0))],
-    ),
-    "raans_beyond_pi": (
-        make_orbit(600.0, 70.0, raan=-2.5), -20.0, 86400.0,
-        [PlaneSpec(raan=-6.9, phases=(0.0, 3.0)), PlaneSpec(raan=4.0), PlaneSpec(raan=6.5)],
+    "raan_beyond_pi": (
+        make_orbit(600.0, 70.0, raan=-6.9, argp=13.0, nu0=-8.0), -20.0, 86400.0,
+        WalkerConfig(3, 3, 1),
     ),
     "shorter_than_a_period": (
-        make_orbit(700.0, 60.0, nu0=1.0), 30.0, 1000.0,
-        walker_planes(WalkerConfig(12, 3, 2)),
+        make_orbit(700.0, 60.0, nu0=1.0), 30.0, 1000.0, WalkerConfig(12, 3, 2),
     ),
     "eccentric_retrograde": (
         make_orbit(900.0, 120.0, e=0.05, argp=2.0, nu0=-1.0), -35.0, 3 * 86400.0,
-        walker_planes(WalkerConfig(6, 2, 1)),
+        WalkerConfig(6, 2, 1),
+    ),
+    "fleet_480_24_1": (
+        make_orbit(700.0, 60.0, raan=0.4, nu0=0.3), 40.0, 86400.0, WalkerConfig(480, 24, 1),
+    ),
+    "fleet_1920_48_1": (
+        make_orbit(1200.0, 97.0, e=0.02, argp=1.0), 65.0, 0.5 * 86400.0,
+        WalkerConfig(1920, 48, 1),
     ),
 }
 
 
 def _seeded_comb_case(rng):
-    """A random comb case: a Walker pattern or a free plane list."""
+    """A random comb case: a Walker pattern of up to 40 satellites."""
     inc = rng.uniform(30.0, 150.0)
     el = make_orbit(
         rng.uniform(400.0, 2000.0), inc, e=rng.choice([0.0, rng.uniform(0.0, 0.05)]),
@@ -251,23 +263,15 @@ def _seeded_comb_case(rng):
     )
     lat = rng.uniform(-0.95, 0.95) * min(inc, 180.0 - inc)
     window = math.exp(rng.uniform(0.0, math.log(5 * 86400.0)))
-    if rng.random() < 0.5:
-        total = rng.randint(1, 40)
-        planes = rng.choice([p for p in range(1, total + 1) if total % p == 0])
-        return el, lat, window, walker_planes(WalkerConfig(total, planes, rng.randrange(planes)))
-    return el, lat, window, [
-        PlaneSpec(
-            raan=rng.uniform(-7.0, 7.0),
-            phases=tuple(rng.uniform(-20.0, 20.0) for _ in range(rng.randint(1, 4))),
-        )
-        for _ in range(rng.randint(1, 5))
-    ]
+    total = rng.randint(1, 40)
+    planes = rng.choice([p for p in range(1, total + 1) if total % p == 0])
+    return el, lat, window, WalkerConfig(total, planes, rng.randrange(planes))
 
 
-def _both_pass_sets(el, lat_deg, window, planes):
+def _both_pass_sets(el, lat_deg, window, walker):
     p_n = nodal_period(el.a, el.e, el.inc)
     shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
-    args = (el, math.radians(lat_deg), shift, p_n, window, planes)
+    args = (el, math.radians(lat_deg), shift, p_n, window, walker)
     return pass_series(*args), per_satellite_pass_series(*args)
 
 
@@ -277,20 +281,30 @@ def _assert_same_pass_set(got, ref):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def _assert_same_satellites(el, walker):
+    assert plane_elements(el, walker) == walker_satellites(el, walker)
+
+
 class TestCombsAgainstPerSatellite:
-    """`pass_series` lays out every comb in one array step; it must give
-    the bits of the per-satellite, per-branch reference."""
+    """`pass_series` expands a Walker pattern and lays out every comb in
+    one array step; it must give the bits of the per-satellite,
+    per-branch reference.  `plane_elements` reads the same expansion and
+    must give the reference's element sets."""
 
     @pytest.mark.parametrize("name", sorted(_COMB_CASES))
     def test_named_cases(self, name):
-        got, ref = _both_pass_sets(*_COMB_CASES[name])
+        el, _, _, walker = case = _COMB_CASES[name]
+        got, ref = _both_pass_sets(*case)
         assert len(ref) > 0
         _assert_same_pass_set(got, ref)
+        _assert_same_satellites(el, walker)
 
     def test_seeded_cases(self):
         rng = random.Random(20261020)
         for _ in range(60):
-            _assert_same_pass_set(*_both_pass_sets(*_seeded_comb_case(rng)))
+            el, _, _, walker = case = _seeded_comb_case(rng)
+            _assert_same_pass_set(*_both_pass_sets(*case))
+            _assert_same_satellites(el, walker)
 
     def test_peak_memory_per_pass(self):
         # The comb's working arrays, not lists of small arrays, set the
@@ -298,10 +312,10 @@ class TestCombsAgainstPerSatellite:
         el = make_orbit(700.0, 60.0)
         p_n = nodal_period(el.a, el.e, el.inc)
         shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
-        planes = walker_planes(WalkerConfig(1920, 48, 1))
+        walker = WalkerConfig(1920, 48, 1)
         tracemalloc.start()
         try:
-            ps = pass_series(el, math.radians(40.0), shift, p_n, 2 * 86400.0, planes)
+            ps = pass_series(el, math.radians(40.0), shift, p_n, 2 * 86400.0, walker)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -309,20 +323,20 @@ class TestCombsAgainstPerSatellite:
         assert peak / len(ps) <= 80.0
 
 
-def _expanded(planes, inc_deg=90.0, window=86400.0):
-    """Polar-ish 700 km schedules at the equator: one satellite, then ``planes``."""
+def _expanded(walker, inc_deg=90.0, window=86400.0):
+    """Polar-ish 700 km schedules at the equator: one satellite, then ``walker``."""
     el, p_n, shift, base = _single_sat_schedule(700.0, inc_deg, 0.0, window)
-    return p_n, shift, base, pass_series(el, 0.0, shift, p_n, window, planes)
+    return p_n, shift, base, pass_series(el, 0.0, shift, p_n, window, walker)
 
 
 class TestWalkerExpand:
     def test_degenerate_identity(self):
-        _, _, base, out = _expanded(walker_planes(WalkerConfig(1, 1, 0)))
+        _, _, base, out = _expanded(WalkerConfig(1, 1, 0))
         for name in ("lon", "epoch", "ascending", "plane_index", "sat_index"):
             assert np.array_equal(getattr(out, name), getattr(base, name))
 
     def test_three_plane_longitude_offsets(self):
-        _, _, _, out = _expanded(walker_planes(WalkerConfig(3, 3, 0)))
+        _, _, _, out = _expanded(WalkerConfig(3, 3, 0))
         # f=0: all planes cross at the same epochs, offset by 120 deg.
         for m in (1, 2):
             sel = out.plane_index == m
@@ -333,17 +347,17 @@ class TestWalkerExpand:
 
     def test_expansion_multiplies_count(self):
         # Plane-only expansion leaves epochs untouched: exact multiple.
-        _, _, base, out = _expanded(walker_planes(WalkerConfig(3, 3, 0)))
+        _, _, base, out = _expanded(WalkerConfig(3, 3, 0))
         assert len(out) == 3 * len(base)
         # Phased satellites cross at shifted epochs, so each may gain or
         # lose one window-edge pass.
-        _, _, _, out = _expanded(walker_planes(WalkerConfig(6, 3, 2)))
+        _, _, _, out = _expanded(WalkerConfig(6, 3, 2))
         assert 6 * (len(base) - 2) <= len(out) <= 6 * (len(base) + 2)
 
     def test_phasing_shifts_epochs_along_drift_line(self):
         # Every satellite's crossings stay on its plane's drift line:
         # lon - shift * epoch / P_n is constant per plane and branch.
-        p_n, shift, _, out = _expanded(walker_planes(WalkerConfig(3, 3, 1)), inc_deg=96.0)
+        p_n, shift, _, out = _expanded(WalkerConfig(3, 3, 1), inc_deg=96.0)
         for m in (0, 1, 2):
             for asc in (True, False):
                 sel = (out.plane_index == m) & (out.ascending == asc)
@@ -372,26 +386,6 @@ class TestWalkerExpand:
             wrap_angle(np.diff(a0.lon)), wrap_angle(np.diff(a1.lon)), atol=1e-12
         )
 
-    def test_custom_planes_match_walker(self):
-        # An explicit plane list reproducing a 4/2/0 pattern equals the
-        # Walker expansion.
-        _, _, _, walker = _expanded(walker_planes(WalkerConfig(4, 2, 0)))
-        _, _, _, custom = _expanded(
-            [
-                PlaneSpec(raan=0.0, phases=(0.0, math.pi)),
-                PlaneSpec(raan=math.pi, phases=(0.0, math.pi)),
-            ]
-        )
-        assert np.allclose(walker.epoch, custom.epoch, atol=1e-9)
-        assert np.allclose(wrap_angle(walker.lon - custom.lon), 0.0, atol=1e-9)
-
-    def test_custom_planes_nonuniform(self):
-        p_n, shift, _, out = _expanded([PlaneSpec(raan=0.0), PlaneSpec(raan=0.3, phases=(0.1,))])
-        assert set(np.unique(out.plane_index)) == {0, 1}
-        sel = (out.plane_index == 1) & out.ascending
-        resid = wrap_angle(out.lon[sel] - (shift / p_n) * out.epoch[sel] - 0.3)
-        assert np.ptp(wrap_angle(resid - resid[0])) < 1e-9
-
     @pytest.mark.parametrize("pattern", [(6, 3, 2), (4, 2, 1)], ids=["6/3/2", "4/2/1"])
     def test_satellite_k_is_the_oracle_satellite_k(self, pattern):
         # The engine's satellite k and the oracle's element set k are the
@@ -400,9 +394,9 @@ class TestWalkerExpand:
         el = make_orbit(700.0, 60.0, raan=0.4, nu0=0.3)
         p_n = nodal_period(el.a, el.e, el.inc)
         shift = ground_track_shift(p_n, raan_drift_rate(el.a, el.e, el.inc))
-        planes = walker_planes(WalkerConfig(*pattern))
-        ps = pass_series(el, lat, shift, p_n, window, planes)
-        sats = plane_elements(el, planes)
+        walker = WalkerConfig(*pattern)
+        ps = pass_series(el, lat, shift, p_n, window, walker)
+        sats = plane_elements(el, walker)
         assert set(np.unique(ps.sat_index)) == set(range(len(sats)))
         for k, sat in enumerate(sats):
             sel = ps.sat_index == k
